@@ -165,6 +165,12 @@ if ((${#CHAOS_FAILED[@]})); then
          "(replay one with: go test -race -run Chaos <pkg> -chaos.seed=<seed>)"
     exit 1
 fi
+# A serial network run's fault trace must reproduce exactly. The
+# proxy's replay of the final query once raced the coordinator's
+# shutdown and failed about 1 run in 5; ten runs would catch that race
+# about 9 times in 10, so it cannot quietly return.
+echo "-- TestChaosNetworkRunMatchesSimulator x10 --"
+go test -race -count=10 -run '^TestChaosNetworkRunMatchesSimulator$' ./internal/distnet
 
 echo "== cluster convergence (3 shards -> parent, seeds 1..3, -race) =="
 # The sharded-tier tentpole: three shards relaying into a parent must

@@ -1,6 +1,7 @@
 package allocgate
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -258,5 +259,72 @@ func TestGTProductionConfigAllocs(t *testing.T) {
 	t.Logf("gt/absorb at eps=%v: %.1f allocs/op (bound %d)", prodEps, absorb, prodAbsorbAllocs)
 	if absorb > prodAbsorbAllocs {
 		t.Errorf("gt Server.Absorb: %.1f allocs/op, want ≤ %d", absorb, prodAbsorbAllocs)
+	}
+}
+
+// Registry ε = 0.1 opens of the register and bottom-k kinds. An opened
+// sketch holds only what its envelope encodes: an hll or fm open pays
+// for its registers or bitmaps (not the two 16 KiB tabulation tables
+// the first Process builds), and a kmv open for the sketch and one
+// slice of values.
+const (
+	// prodRegisterOpenBytes bounds the heap bytes of one hll or fm
+	// envelope Open.
+	prodRegisterOpenBytes = 1 << 10
+	// prodKMVOpenAllocs bounds one kmv envelope Open.
+	prodKMVOpenAllocs = 2
+)
+
+// openCost returns the mean mallocs and heap bytes of one sketch.Open
+// of env, measured the way testing.AllocsPerRun counts mallocs.
+func openCost(t *testing.T, env []byte) (allocs, bytes float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	open := func() {
+		if _, err := sketch.Open(env); err != nil {
+			t.Fatalf("open: %v", err)
+		}
+	}
+	open() // warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gateRuns; i++ {
+		open()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / gateRuns, float64(after.TotalAlloc-before.TotalAlloc) / gateRuns
+}
+
+// TestProductionConfigOpenCost ratchets the per-envelope cost of
+// opening hll, fm and kmv sketches at the registry's ε = 0.1, the
+// cost a shard pays on every push and its parent on every relayed
+// envelope.
+func TestProductionConfigOpenCost(t *testing.T) {
+	for _, kind := range []string{"hll", "fm", "kmv"} {
+		info, ok := sketch.LookupName(kind)
+		if !ok {
+			t.Fatalf("kind %q not registered", kind)
+		}
+		s := info.New(prodEps, gateSeed)
+		r := hashing.NewXoshiro256(gateSeed)
+		for i := 0; i < prodLabels; i++ {
+			s.Process(r.Uint64n(1 << 20))
+		}
+		env, err := sketch.Envelope(s)
+		if err != nil {
+			t.Fatalf("%s envelope: %v", kind, err)
+		}
+		allocs, bytes := openCost(t, env)
+		t.Logf("%s/open at eps=%v: %.1f allocs, %.0f B per op", kind, prodEps, allocs, bytes)
+		switch kind {
+		case "kmv":
+			if allocs > prodKMVOpenAllocs {
+				t.Errorf("kmv envelope Open: %.1f allocs/op, want ≤ %d", allocs, prodKMVOpenAllocs)
+			}
+		default:
+			if bytes >= prodRegisterOpenBytes {
+				t.Errorf("%s envelope Open: %.0f B/op, want under %d", kind, bytes, prodRegisterOpenBytes)
+			}
+		}
 	}
 }

@@ -31,8 +31,9 @@
 //	// allocflow:cold <reason>
 //
 // `amortized` marks a reviewed growth site on its line (or the line
-// below): the site stays in the summary — runtime ceilings still count
-// it — but it is never reported and never baselined, because its
+// below); on a call, it marks every site the callee allocates. A
+// marked site stays in the summary — runtime ceilings still count it
+// — but it is never reported and never baselined, because its
 // steady-state cost is zero (slice doubling, one-time lazy init).
 // `cold` prunes the statement it covers entirely: the branch is
 // unreachable on the hot path (error returns, rotation, chaos hooks).
@@ -193,9 +194,10 @@ type siteEvent struct {
 // callEvent is one statically-resolved call to a function that may
 // have a summary.
 type callEvent struct {
-	pos    token.Pos
-	fn     *types.Func
-	looped bool
+	pos       token.Pos
+	fn        *types.Func
+	looped    bool
+	amortized bool // the callee's sites inherit the call line's annotation
 }
 
 // dynEvent is one call the analyzer cannot see through.
@@ -493,7 +495,7 @@ func (st *state) visitCall(rec *funcRec, call *ast.CallExpr, looped bool) {
 			fmt.Sprintf("calls %s.%s (allocating stdlib)", pkgPath, fn.Name()), looped)
 		return
 	}
-	rec.calls = append(rec.calls, callEvent{pos: call.Pos(), fn: fn, looped: looped})
+	rec.calls = append(rec.calls, callEvent{pos: call.Pos(), fn: fn, looped: looped, amortized: st.amortizedAt(call.Pos())})
 }
 
 // classifyConversion records conversions that copy memory: string ↔
@@ -662,7 +664,7 @@ func (st *state) resolve(rec *funcRec) *resolved {
 			continue // allocation-free callee
 		}
 		for _, s := range sub.Sites {
-			res.addSite(bucketKey{s.Owner, s.Kind, s.Amortized},
+			res.addSite(bucketKey{s.Owner, s.Kind, s.Amortized || ev.amortized},
 				s.Count, s.Looped || ev.looped, ev.pos, extendVia(ev.fn, s.Via))
 		}
 		for _, d := range sub.Unknown {

@@ -1,6 +1,7 @@
 // Package ann exercises the allocflow annotation grammar: reasoned
 // allocflow:amortized and allocflow:cold annotations suppress
-// findings, bare ones are findings themselves.
+// findings, bare ones are findings themselves, and an amortized call
+// covers everything its callee allocates.
 package ann
 
 // Buf is a growable buffer with hot push/lookup paths.
@@ -49,4 +50,31 @@ func (b *Buf) RepairBare(v uint64) bool {
 		/* allocflow:cold */ b.data = make([]uint64, b.n) // want "bare allocflow:cold annotation" "1 make site"
 	}
 	return b.n > 0
+}
+
+// build allocates the lookup table.
+func (b *Buf) build() {
+	b.data = make([]uint64, 64)
+}
+
+// Lookup builds its table on first use: the annotated call marks every
+// site build allocates as amortized, so nothing is reported.
+//
+// hotpath: called once per stream item.
+func (b *Buf) Lookup(v uint64) uint64 {
+	if b.data == nil {
+		b.build() // allocflow:amortized the table is built once, by the first lookup
+	}
+	return b.data[v%64]
+}
+
+// LookupBare is the same lazy build without the annotation: build's
+// make is reported at the call.
+//
+// hotpath: called once per stream item.
+func (b *Buf) LookupBare(v uint64) uint64 {
+	if b.data == nil {
+		b.build() // want "1 make site"
+	}
+	return b.data[v%64]
 }

@@ -13,6 +13,7 @@ package distnet
 
 import (
 	"flag"
+	"io"
 	"testing"
 	"time"
 
@@ -35,13 +36,13 @@ func chaosOpts(seed uint64, proxy **faultnet.Proxy) Options {
 		Attempts:    25,
 		BackoffBase: time.Millisecond,
 		IOTimeout:   250 * time.Millisecond,
-		Intercept: func(serverAddr string) (string, error) {
+		Intercept: func(serverAddr string) (string, io.Closer, error) {
 			p, err := faultnet.New(serverAddr, faultnet.Seeded(seed))
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			*proxy = p
-			return p.Addr(), nil
+			return p.Addr(), p, nil
 		},
 	}
 }
@@ -64,13 +65,11 @@ func TestChaosNetworkRunMatchesSimulator(t *testing.T) {
 		run := func() (*distsim.Result, string) {
 			var proxy *faultnet.Proxy
 			got, err := RunOptions(p, srcs, false, chaosOpts(seed, &proxy))
-			if proxy != nil {
-				defer proxy.Close()
-			}
 			if err != nil {
 				t.Fatalf("seed %d: chaos run failed: %v", seed, err)
 			}
-			proxy.Close()
+			// RunOptions closed the proxy, waiting for its handlers,
+			// before shutting the coordinator down: the trace is final.
 			return got, proxy.TraceString()
 		}
 
@@ -115,9 +114,6 @@ func TestChaosConcurrentSitesThroughProxy(t *testing.T) {
 		}
 		var proxy *faultnet.Proxy
 		got, err := RunOptions(p, srcs, true, chaosOpts(seed, &proxy))
-		if proxy != nil {
-			defer proxy.Close()
-		}
 		if err != nil {
 			t.Fatalf("seed %d: concurrent chaos run failed: %v", seed, err)
 		}

@@ -17,6 +17,7 @@ package distnet
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -46,9 +47,13 @@ type Options struct {
 	ShutdownTimeout time.Duration
 	// Intercept, when set, rewrites the address every client dials: it
 	// receives the coordinator's real listen address and returns the
-	// address to use instead. The chaos suite uses it to route all
-	// site and query traffic through a faultnet proxy.
-	Intercept func(serverAddr string) (dialAddr string, err error)
+	// address to use instead, plus the closer of whatever now sits in
+	// between. The chaos suite uses it to route all site and query
+	// traffic through a faultnet proxy. The closer runs before the
+	// coordinator shuts down, so traffic still in flight inside the
+	// interceptor (a proxy replaying the last query) reaches a live
+	// coordinator.
+	Intercept func(serverAddr string) (dialAddr string, closer io.Closer, err error)
 }
 
 // Run executes the protocol over loopback TCP: it starts a
@@ -86,9 +91,11 @@ func RunOptions(p distsim.Protocol, sources []stream.Source, concurrent bool, op
 	}()
 	addr := ln.Addr().String()
 	if opts.Intercept != nil {
-		if addr, err = opts.Intercept(addr); err != nil {
+		var closer io.Closer
+		if addr, closer, err = opts.Intercept(addr); err != nil {
 			return nil, fmt.Errorf("distnet: intercept: %w", err)
 		}
+		defer closer.Close() // deferred after the shutdown, so it runs first
 	}
 
 	acct := distsim.NewByteAccountant()

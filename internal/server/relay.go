@@ -57,11 +57,11 @@ type relayState struct {
 	flushNow chan struct{}
 	wg       sync.WaitGroup
 
-	mu sync.Mutex // guards: flushing
-	// flushing serializes flush rounds: the timer, threshold triggers,
-	// and the drain flush must not interleave snapshots of the same
-	// group.
-	flushing bool
+	// round holds one token while a flush round runs, so rounds never
+	// interleave snapshots of the same group: the timer, threshold
+	// triggers and explicit calls skip a round when it is taken, and
+	// the drain flush waits for it.
+	round chan struct{}
 
 	flushes     atomic.Int64
 	groupsSent  atomic.Int64
@@ -88,6 +88,7 @@ func newRelayState(cfg RelayConfig) *relayState {
 			JitterSeed:  cfg.JitterSeed,
 		}),
 		flushNow: make(chan struct{}, 1),
+		round:    make(chan struct{}, 1),
 	}
 }
 
@@ -122,29 +123,31 @@ func (g *group) relayDirty(r *relayState) bool {
 
 // FlushRelay pushes every dirty group's envelope upstream over one
 // batched connection and returns how many groups were durably acked.
-// It is what the relay timer runs each tick, what Shutdown runs as
-// the drain flush, and what tests call to make relay timing
-// deterministic. Rounds are serialized; a round that finds one in
-// progress returns immediately (the running round will deliver the
-// dirt it snapshotted, and the next tick catches the rest).
+// It is what the relay timer runs each tick and what tests call to
+// make relay timing deterministic. Rounds are serialized; a round that
+// finds one in progress returns immediately (the running round will
+// deliver the dirt it snapshotted, and the next tick catches the
+// rest). Shutdown's drain flush, which has no next tick, waits
+// instead.
 func (s *Server) FlushRelay() (groups int, err error) {
 	r := s.relay
 	if r == nil {
 		return 0, fmt.Errorf("server: not a relay (no RelayConfig)")
 	}
-	r.mu.Lock()
-	if r.flushing {
-		r.mu.Unlock()
+	select {
+	case r.round <- struct{}{}:
+	default:
 		r.flushSkips.Add(1)
 		return 0, nil
 	}
-	r.flushing = true
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.flushing = false
-		r.mu.Unlock()
-	}()
+	return s.flushRound()
+}
+
+// flushRound runs one flush round. The caller must hold the round
+// token; flushRound releases it.
+func (s *Server) flushRound() (groups int, err error) {
+	r := s.relay
+	defer func() { <-r.round }()
 
 	if ferr := failpoint.Inject(failpoint.ServerRelayFlush); ferr != nil {
 		// Chaos hook: the whole cycle fails before any snapshot — every
@@ -233,7 +236,11 @@ func (s *Server) FlushRelay() (groups int, err error) {
 // happened.
 func (s *Server) drainRelay() {
 	s.relay.drainFlush.Store(true)
-	n, err := s.FlushRelay()
+	// Wait out a round still in flight (an explicit FlushRelay outlives
+	// the timer loop): its snapshot may predate the last absorbs, and
+	// no later tick will deliver them.
+	s.relay.round <- struct{}{}
+	n, err := s.flushRound()
 	s.relay.drainGroups.Store(int64(n))
 	if err != nil {
 		s.logf("unionstreamd: relay drain flush: %v", err)

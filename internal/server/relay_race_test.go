@@ -2,7 +2,7 @@ package server_test
 
 // Regression suite for the relay tier's worst interleaving: flush
 // rounds (timer-driven and explicit) racing Shutdown's drain. The
-// flushing flag in relayState serializes rounds, Shutdown must never
+// round token in relayState serializes rounds, Shutdown must never
 // hold a lock across the upstream push, and the drain flush must
 // still deliver every dirty group — so the whole dance has to finish
 // without deadlock and leave the parent bit-identical to a
@@ -25,7 +25,7 @@ import (
 // a FlushRelay hammer against a child whose flush timer actually
 // fires, then shuts the child down while the ServerDrain failpoint
 // injects one more flush in the middle of the drain — the exact
-// "flush fires mid-drain" schedule the flushing flag exists for.
+// "flush fires mid-drain" schedule the round token exists for.
 func TestRelayFlushRacesShutdownDrain(t *testing.T) {
 	envs := relayEnvelopes(t, 24)
 	parent, child, childAddr := relayPair(t, server.RelayConfig{
@@ -109,4 +109,66 @@ func TestRelayFlushRacesShutdownDrain(t *testing.T) {
 			t.Fatalf("group %016x diverged between relayed parent and direct control", p.Digest)
 		}
 	}
+}
+
+// TestRelayDrainWaitsForInFlightRound pins the drain flush's one
+// difference from every other round: it must not skip. An explicit
+// FlushRelay can outlive the relay timer and still be pushing a
+// snapshot taken before the last absorb when Shutdown drains; no later
+// tick will deliver that absorb, so the drain waits the round out and
+// then flushes what it left dirty.
+func TestRelayDrainWaitsForInFlightRound(t *testing.T) {
+	envs := relayEnvelopes(t, 2)
+	parent, child, childAddr := relayPair(t, server.RelayConfig{})
+	pushAll(t, childAddr, envs[:1])
+
+	// Park the round's upstream push inside the parent's absorb, after
+	// its snapshot of group 0 was taken. Later absorbs pass through.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hits atomic.Int32
+	failpoint.Enable(failpoint.ServerAbsorb, func() error {
+		if hits.Add(1) == 1 {
+			close(entered)
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return nil
+	})
+	defer failpoint.Disable(failpoint.ServerAbsorb)
+	roundDone := make(chan struct{})
+	go func() {
+		defer close(roundDone)
+		if _, err := child.FlushRelay(); err != nil {
+			t.Errorf("in-flight round: %v", err)
+		}
+	}()
+	<-entered
+	pushAll(t, childAddr, envs[1:]) // dirty, and not in the parked round's snapshot
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownDone <- child.Shutdown(ctx)
+	}()
+	// Give the drain time to reach the parked round before releasing
+	// it; a drain that skips instead of waiting returns in this window.
+	select {
+	case err := <-shutdownDone:
+		shutdownDone <- err
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	<-roundDone
+
+	snaps, err := parent.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSnapshotsEqual(t, "relayed parent", snaps, controlSnapshots(t, envs))
 }

@@ -62,9 +62,9 @@ type walState struct {
 	seal sync.RWMutex // guards:
 
 	mu sync.Mutex // guards: snapshotting
-	// snapshotting serializes snapshot rounds, like the relay's
-	// flushing flag: the timer, explicit SnapshotWAL calls, and the
-	// shutdown snapshot must not interleave.
+	// snapshotting serializes snapshot rounds, like the relay's round
+	// token: the timer, explicit SnapshotWAL calls, and the shutdown
+	// snapshot must not interleave.
 	snapshotting bool
 
 	// recoverOnce runs Open+Replay exactly once, before the first
@@ -275,7 +275,7 @@ func (s *Server) Abort() {
 
 // WALStats is the /statsz section a durable coordinator adds: the
 // log's geometry and counters, the recovery outcome, and the append/
-// snapshot error tallies.
+// rotate/snapshot error tallies.
 type WALStats struct {
 	Dir        string `json:"dir"`
 	SyncPolicy string `json:"sync_policy"`
@@ -285,9 +285,11 @@ type WALStats struct {
 	Recovered     bool `json:"recovered"`
 	ReplayDamaged bool `json:"replay_damaged"`
 	// CurrentSegment, LiveSegments, and SnapshotSegment describe the
-	// log's on-disk geometry; the Appended/Fsyncs/Rotations counters
-	// its append path; Snapshots/LastSnapshotGroups/PrunedSegments its
-	// snapshot path; the Replayed counters what boot restored.
+	// log's on-disk geometry; the Appended/Fsyncs/Rotations/
+	// RotateErrors counters its append path (a failed rotation does
+	// not fail its append); Snapshots/LastSnapshotGroups/
+	// PrunedSegments its snapshot path; the Replayed counters what
+	// boot restored.
 	CurrentSegment         uint64 `json:"current_segment"`
 	LiveSegments           int64  `json:"live_segments"`
 	SnapshotSegment        uint64 `json:"snapshot_segment"`
@@ -295,6 +297,7 @@ type WALStats struct {
 	AppendedBytes          int64  `json:"appended_bytes"`
 	Fsyncs                 int64  `json:"fsyncs"`
 	Rotations              int64  `json:"rotations"`
+	RotateErrors           int64  `json:"rotate_errors"`
 	Snapshots              int64  `json:"snapshots"`
 	LastSnapshotGroups     int64  `json:"last_snapshot_groups"`
 	PrunedSegments         int64  `json:"pruned_segments"`
@@ -305,7 +308,9 @@ type WALStats struct {
 	AppendErrors           int64  `json:"append_errors"`
 	SnapshotErrors         int64  `json:"snapshot_errors"`
 	SnapshotSkips          int64  `json:"snapshot_skips"`
-	LastError              string `json:"last_error,omitempty"`
+	// LastError is the latest append or snapshot error or, when there
+	// is none, the log's latest failed rotation.
+	LastError string `json:"last_error,omitempty"`
 }
 
 // walStats assembles the /statsz wal block. Before recovery has run
@@ -338,6 +343,10 @@ func (s *Server) walStats() *WALStats {
 	ws.AppendedBytes = ls.AppendedBytes
 	ws.Fsyncs = ls.Fsyncs
 	ws.Rotations = ls.Rotations
+	ws.RotateErrors = ls.RotateErrors
+	if ws.LastError == "" {
+		ws.LastError = ls.LastRotateError
+	}
 	ws.Snapshots = ls.Snapshots
 	ws.LastSnapshotGroups = ls.LastSnapshotGroups
 	ws.PrunedSegments = ls.PrunedSegments

@@ -11,6 +11,8 @@ package server_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,4 +103,33 @@ func TestWALRacesShutdownDrain(t *testing.T) {
 	}
 	assertSnapshotsEqual(t, "rebooted after snapshot storm", snaps, ref)
 	boot.Abort()
+}
+
+// TestWALRotateErrorsSurfaceInStats: with rotation faulted, pushes are
+// still logged and acked, and /statsz counts the failures in
+// wal.rotate_errors and names the latest in wal.last_error.
+func TestWALRotateErrorsSurfaceInStats(t *testing.T) {
+	failpoint.Enable(failpoint.WALRotate, failpoint.Error(errors.New("injected rotate failure")))
+	defer failpoint.Disable(failpoint.WALRotate)
+
+	srv := server.New(server.Config{WAL: &server.WALConfig{
+		Dir:           t.TempDir(),
+		SegmentBytes:  1, // every append rotates
+		SnapshotEvery: time.Hour,
+	}})
+	defer srv.Abort()
+	envs := relayEnvelopes(t, 3)
+	for i, env := range envs {
+		if err := srv.Absorb(env); err != nil {
+			t.Fatalf("push %d refused with rotation faulted: %v", i, err)
+		}
+	}
+	ws := srv.Stats().WAL
+	if ws.RotateErrors != int64(len(envs)) || ws.AppendErrors != 0 || ws.AppendedRecords != int64(len(envs)) {
+		t.Errorf("rotate_errors=%d append_errors=%d appended_records=%d, want %d, 0, %d",
+			ws.RotateErrors, ws.AppendErrors, ws.AppendedRecords, len(envs), len(envs))
+	}
+	if !strings.Contains(ws.LastError, "injected rotate failure") {
+		t.Errorf("last_error = %q, want the rotation failure", ws.LastError)
+	}
 }

@@ -31,9 +31,12 @@ var ErrMismatch = fmt.Errorf("fm: cannot merge sketches with different configura
 // Sketch is a PCSA distinct-count sketch. Construct with New or
 // NewWeak.
 type Sketch struct {
-	seed       uint64
-	weak       bool
-	numMaps    int
+	seed    uint64
+	weak    bool
+	numMaps int
+	// bucketHash and levelHash are derived from seed by the first
+	// Process, the only method that hashes: a sketch opened from an
+	// envelope merges, estimates and re-encodes without them.
 	bucketHash hashing.Family
 	levelHash  hashing.Family
 	bitmaps    []uint64
@@ -63,27 +66,29 @@ func newSketch(numMaps int, seed uint64, weak bool) *Sketch {
 	if numMaps < 1 {
 		panic(fmt.Sprintf("fm: numMaps must be >= 1, got %d", numMaps))
 	}
-	sm := hashing.NewSplitMix64(seed)
-	s := &Sketch{
-		seed:    seed,
-		weak:    weak,
-		numMaps: numMaps,
-		bitmaps: make([]uint64, numMaps),
-	}
-	if weak {
+	return &Sketch{seed: seed, weak: weak, numMaps: numMaps, bitmaps: make([]uint64, numMaps)}
+}
+
+// buildHashes derives the bucket and level hash functions from the
+// seed.
+func (s *Sketch) buildHashes() {
+	sm := hashing.NewSplitMix64(s.seed)
+	if s.weak {
 		s.bucketHash = hashing.NewPairwise(sm.Next())
 		s.levelHash = hashing.NewPairwise(sm.Next())
 	} else {
 		s.bucketHash = hashing.NewTabulation(sm.Next())
 		s.levelHash = hashing.NewTabulation(sm.Next())
 	}
-	return s
 }
 
 // Process observes one occurrence of label.
 //
 // hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
+	if s.bucketHash == nil {
+		s.buildHashes() // allocflow:amortized the hash tables are built once, by the first Process
+	}
 	bucket := s.bucketHash.Hash(label) % uint64(s.numMaps)
 	lvl := hashing.GeometricLevel(s.levelHash.Hash(label))
 	s.bitmaps[bucket] |= 1 << uint(lvl)

@@ -44,11 +44,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if uint64(len(rest)) != 8*numMaps {
 		return fmt.Errorf("%w: payload %d bytes, want %d", ErrCorrupt, len(rest), 8*numMaps)
 	}
-	tmp := newSketch(int(numMaps), seed, weak)
-	for i := range tmp.bitmaps {
-		tmp.bitmaps[i] = binary.LittleEndian.Uint64(rest[8*i:])
+	bitmaps := make([]uint64, numMaps)
+	for i := range bitmaps {
+		bitmaps[i] = binary.LittleEndian.Uint64(rest[8*i:])
 	}
-	*s = *tmp
+	*s = Sketch{seed: seed, weak: weak, numMaps: int(numMaps), bitmaps: bitmaps}
 	return nil
 }
 

@@ -13,6 +13,7 @@ package kmv
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hashing"
 	"repro/internal/sketch"
@@ -27,11 +28,10 @@ type Sketch struct {
 	k    int
 	seed uint64
 	hash hashing.Pairwise
-	// heap is a max-heap of the current bottom-k hash values, so the
-	// largest retained value (the eviction candidate) is at the root.
-	heap []uint64
-	// members dedups hash values currently in the heap.
-	members map[uint64]struct{}
+	// vals holds the retained hash values — the k smallest distinct
+	// values seen — strictly ascending: the last is the eviction
+	// candidate and the k-th value, and the encoding is one delta walk.
+	vals []uint64
 }
 
 // New returns a bottom-k sketch. Relative standard error ≈ 1/√(k-2).
@@ -40,87 +40,70 @@ func New(k int, seed uint64) *Sketch {
 	if k < 2 {
 		panic(fmt.Sprintf("kmv: k must be >= 2, got %d", k))
 	}
-	return &Sketch{
-		k:       k,
-		seed:    seed,
-		hash:    hashing.NewPairwise(seed),
-		heap:    make([]uint64, 0, k),
-		members: make(map[uint64]struct{}, k),
-	}
+	return &Sketch{k: k, seed: seed, hash: hashing.NewPairwise(seed), vals: make([]uint64, 0, k)}
 }
 
-// Process observes one occurrence of label.
+// Process observes one occurrence of label, folding its hash value
+// into the k smallest.
 //
 // hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
-	s.insert(s.hash.Hash(label))
-}
-
-// insert folds one hash value into the k smallest.
-//
-// hotpath: called once per stream item (from Process).
-func (s *Sketch) insert(v uint64) {
-	if len(s.heap) == s.k && v >= s.heap[0] {
+	v := s.hash.Hash(label)
+	n := len(s.vals)
+	if n == s.k && v >= s.vals[n-1] {
 		return // not smaller than the current k-th value
 	}
-	if _, dup := s.members[v]; dup {
+	i, dup := slices.BinarySearch(s.vals, v)
+	if dup {
 		return
 	}
-	if len(s.heap) < s.k {
-		s.members[v] = struct{}{}
-		// allocflow:amortized heap grows to k once, then replaces in place
-		s.heap = append(s.heap, v)
-		s.siftUp(len(s.heap) - 1)
-		return
+	if n < s.k {
+		// allocflow:amortized vals grows to k once, then shifts in place
+		s.vals = append(s.vals, 0)
 	}
-	// Replace the root (largest retained) with v.
-	delete(s.members, s.heap[0])
-	s.members[v] = struct{}{}
-	s.heap[0] = v
-	s.siftDown(0)
-}
-
-func (s *Sketch) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.heap[parent] >= s.heap[i] {
-			return
-		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
-		i = parent
-	}
-}
-
-func (s *Sketch) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && s.heap[l] > s.heap[largest] {
-			largest = l
-		}
-		if r < n && s.heap[r] > s.heap[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		s.heap[i], s.heap[largest] = s.heap[largest], s.heap[i]
-		i = largest
-	}
+	// Shift the tail up one slot (dropping the largest when full).
+	copy(s.vals[i+1:], s.vals[i:])
+	s.vals[i] = v
 }
 
 // Estimate returns the distinct-count estimate: exact while fewer than
 // k distinct hash values have been seen, (k-1)/v_k afterwards.
 func (s *Sketch) Estimate() float64 {
-	if len(s.heap) < s.k {
-		return float64(len(s.heap))
+	if len(s.vals) == 0 {
+		return 0
 	}
-	vk := hashing.Fraction(s.heap[0])
-	if vk == 0 {
-		return float64(s.k)
+	return estimate(s.k, len(s.vals), s.vals[len(s.vals)-1])
+}
+
+// estimate is the bottom-k estimator over n retained values whose
+// largest is vk.
+func estimate(k, n int, vk uint64) float64 {
+	if n < k {
+		return float64(n)
 	}
-	return float64(s.k-1) / vk
+	f := hashing.Fraction(vk)
+	if f == 0 {
+		return float64(k)
+	}
+	return float64(k-1) / f
+}
+
+// bottomUnion walks the k smallest distinct values of a ∪ b (both
+// strictly ascending) without materializing them. It returns how many
+// values of a and of b that prefix takes and how many of those are
+// shared, so the prefix holds ia+ib-both values.
+func bottomUnion(a, b []uint64, k int) (ia, ib, both int) {
+	for ia+ib-both < k && (ia < len(a) || ib < len(b)) {
+		switch {
+		case ib == len(b) || (ia < len(a) && a[ia] < b[ib]):
+			ia++
+		case ia == len(a) || b[ib] < a[ia]:
+			ib++
+		default:
+			ia, ib, both = ia+1, ib+1, both+1
+		}
+	}
+	return ia, ib, both
 }
 
 // Merge folds other into s, keeping the bottom-k of the union. Both
@@ -134,9 +117,29 @@ func (s *Sketch) Merge(o sketch.Sketch) error {
 	if other == nil || s.k != other.k || s.seed != other.seed {
 		return ErrMismatch
 	}
-	for _, v := range other.heap {
-		s.insert(v)
+	ia, ib, both := bottomUnion(s.vals, other.vals, s.k)
+	m := ia + ib - both
+	if m > cap(s.vals) {
+		// allocflow:amortized grows with the merged size, which is at most k
+		s.vals = append(s.vals, make([]uint64, m-len(s.vals))...)
 	}
+	// Merge the two prefixes back to front into s.vals[:m]. The write
+	// index never falls below the read index into s's own values,
+	// because the prefixes hold at least as many distinct values as
+	// s's prefix alone, so no unread value is overwritten.
+	a, b, out := s.vals, other.vals, s.vals[:m]
+	i, j := ia-1, ib-1
+	for w := m - 1; w >= 0; w-- {
+		switch {
+		case j < 0 || (i >= 0 && a[i] > b[j]):
+			out[w], i = a[i], i-1
+		case i < 0 || b[j] > a[i]:
+			out[w], j = b[j], j-1
+		default:
+			out[w], i, j = a[i], i-1, j-1
+		}
+	}
+	s.vals = out
 	return nil
 }
 
@@ -147,42 +150,25 @@ func (s *Sketch) Jaccard(other *Sketch) (float64, error) {
 	if other == nil || s.k != other.k || s.seed != other.seed {
 		return 0, ErrMismatch
 	}
-	union := New(s.k, s.seed)
-	if err := union.Merge(s); err != nil {
-		return 0, err
-	}
-	if err := union.Merge(other); err != nil {
-		return 0, err
-	}
-	inBoth := 0
-	for _, v := range union.heap {
-		_, inS := s.members[v]
-		_, inO := other.members[v]
-		if inS && inO {
-			inBoth++
-		}
-	}
-	if len(union.heap) == 0 {
+	inBoth, _, kPrime, _ := s.overlap(other)
+	if kPrime == 0 {
 		return 0, nil
 	}
-	return float64(inBoth) / float64(len(union.heap)), nil
+	return float64(inBoth) / float64(kPrime), nil
 }
 
 // Len returns the number of retained hash values.
-func (s *Sketch) Len() int { return len(s.heap) }
+func (s *Sketch) Len() int { return len(s.vals) }
 
 // K returns the configured k.
 func (s *Sketch) K() int { return s.k }
 
 // SizeBytes returns the sketch payload size: 8 bytes per retained
 // value.
-func (s *Sketch) SizeBytes() int { return 8 * len(s.heap) }
+func (s *Sketch) SizeBytes() int { return 8 * len(s.vals) }
 
 // Reset clears the sketch, keeping its configuration.
-func (s *Sketch) Reset() {
-	s.heap = s.heap[:0]
-	clear(s.members)
-}
+func (s *Sketch) Reset() { s.vals = s.vals[:0] }
 
 // KForEpsilon returns the k targeting relative error eps
 // (stderr ≈ 1/√(k-2)).

@@ -2,6 +2,7 @@ package kmv
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -32,23 +33,22 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestHeapInvariant(t *testing.T) {
+func TestSortedInvariant(t *testing.T) {
 	s := New(64, 7)
 	r := hashing.NewXoshiro256(2)
 	for i := 0; i < 10000; i++ {
 		s.Process(r.Uint64())
-		// Root must be the maximum of the heap at every step.
-		for j := 1; j < len(s.heap); j++ {
-			if s.heap[j] > s.heap[0] {
-				t.Fatalf("heap root %d < element %d at %d", s.heap[0], s.heap[j], j)
+		// The retained values must stay strictly ascending at every
+		// step: Estimate reads the k-th value off the end, and
+		// MarshalBinary delta-encodes them in place.
+		for j := 1; j < len(s.vals); j++ {
+			if s.vals[j] <= s.vals[j-1] {
+				t.Fatalf("step %d: vals[%d] = %d not above vals[%d] = %d", i, j, s.vals[j], j-1, s.vals[j-1])
 			}
 		}
 	}
-	if len(s.heap) != 64 {
-		t.Errorf("heap size %d, want 64", len(s.heap))
-	}
-	if len(s.members) != len(s.heap) {
-		t.Errorf("members %d != heap %d", len(s.members), len(s.heap))
+	if len(s.vals) != 64 {
+		t.Errorf("retained %d values, want 64", len(s.vals))
 	}
 }
 
@@ -71,9 +71,49 @@ func TestKeepsSmallestK(t *testing.T) {
 	for _, v := range all[:32] {
 		want[v] = true
 	}
-	for _, v := range s.heap {
+	if len(s.vals) != 32 {
+		t.Fatalf("retained %d values, want 32", len(s.vals))
+	}
+	for _, v := range s.vals {
 		if !want[v] {
 			t.Fatalf("sketch retained %d which is not in the true bottom-32", v)
+		}
+	}
+}
+
+// TestMergeMatchesBruteForce checks the in-place merge against the
+// bottom-k of the union of both retained sets, merging into a decoded
+// sketch, whose slice holds exactly its count and must grow.
+func TestMergeMatchesBruteForce(t *testing.T) {
+	r := hashing.NewXoshiro256(4)
+	for trial := 0; trial < 200; trial++ {
+		k := 2 + r.Intn(40)
+		a, b := New(k, 3), New(k, 3)
+		for i, n := 0, r.Intn(3*k); i < n; i++ {
+			a.Process(r.Uint64n(200))
+		}
+		for i, n := 0, r.Intn(3*k); i < n; i++ {
+			b.Process(r.Uint64n(200))
+		}
+		want := append(slices.Clone(a.vals), b.vals...)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if len(want) > k {
+			want = want[:k]
+		}
+		enc, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d Sketch
+		if err := d.UnmarshalBinary(enc); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(d.vals, want) {
+			t.Fatalf("trial %d (k=%d): merged %v, want %v", trial, k, d.vals, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package kmv
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/hashing"
 	"repro/internal/sketch"
@@ -22,16 +21,10 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	b := []byte{'K', 'V', '1'}
 	b = binary.LittleEndian.AppendUint64(b, s.seed)
 	b = binary.AppendUvarint(b, uint64(s.k))
-	b = binary.AppendUvarint(b, uint64(len(s.heap)))
-	vals := append([]uint64(nil), s.heap...)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	b = binary.AppendUvarint(b, uint64(len(s.vals)))
 	prev := uint64(0)
-	for i, v := range vals {
-		if i == 0 {
-			b = binary.AppendUvarint(b, v)
-		} else {
-			b = binary.AppendUvarint(b, v-prev)
-		}
+	for _, v := range s.vals {
+		b = binary.AppendUvarint(b, v-prev)
 		prev = v
 	}
 	return b, nil
@@ -55,38 +48,30 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: bad count", ErrCorrupt)
 	}
 	rest = rest[n:]
-	// Allocate by the actual retained count, not by k: a forged
-	// header with a huge k must not trigger a huge allocation.
-	tmp := &Sketch{
-		k:       int(k),
-		seed:    seed,
-		hash:    hashing.NewPairwise(seed),
-		heap:    make([]uint64, 0, count),
-		members: make(map[uint64]struct{}, count),
+	// Every value takes at least one byte, so a count the payload
+	// cannot hold is refused before anything is sized by it.
+	if count > uint64(len(rest)) {
+		return fmt.Errorf("%w: count %d exceeds the %d-byte payload", ErrCorrupt, count, len(rest))
 	}
-	var v uint64
-	for i := uint64(0); i < count; i++ {
+	vals := make([]uint64, count)
+	var prev uint64
+	for i := range vals {
 		delta, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return fmt.Errorf("%w: truncated value %d", ErrCorrupt, i)
 		}
 		rest = rest[n:]
-		if i == 0 {
-			v = delta
-		} else {
-			if delta == 0 {
-				return fmt.Errorf("%w: duplicate value", ErrCorrupt)
-			}
-			v += delta
+		v := prev + delta
+		if i > 0 && v <= prev {
+			// A zero delta repeats a value; a wrapping one breaks the
+			// order. Either would re-encode to different bytes.
+			return fmt.Errorf("%w: value %d not above its predecessor", ErrCorrupt, i)
 		}
-		tmp.insert(v)
+		vals[i], prev = v, v
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
-	if len(tmp.heap) != int(count) {
-		return fmt.Errorf("%w: duplicate values in encoding", ErrCorrupt)
-	}
-	*s = *tmp
+	*s = Sketch{k: int(k), seed: seed, hash: hashing.NewPairwise(seed), vals: vals}
 	return nil
 }

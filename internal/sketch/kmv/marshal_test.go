@@ -1,7 +1,10 @@
 package kmv
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -61,9 +64,55 @@ func TestUnmarshalCorrupt(t *testing.T) {
 		"magic":     append([]byte("XXX"), enc[3:]...),
 		"truncated": enc[:len(enc)-1],
 		"trailing":  append(append([]byte{}, enc...), 0, 0),
+		"count":     forgedCountPayload(),
+		"wrapping":  wrappingDeltaPayload(),
 	} {
 		if err := d.UnmarshalBinary(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// forgedCountPayload is a 20-byte encoding whose header declares 2^22
+// retained values (k = 2^22) but carries only one byte of them.
+func forgedCountPayload() []byte {
+	b := []byte{'K', 'V', '1'}
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = binary.AppendUvarint(b, 1<<22)
+	b = binary.AppendUvarint(b, 1<<22)
+	return append(b, 0x01)
+}
+
+// wrappingDeltaPayload holds two values whose second delta wraps past
+// 2^64: 2^64-5 followed by +10, which would decode to 5 and re-encode
+// to different bytes.
+func wrappingDeltaPayload() []byte {
+	b := []byte{'K', 'V', '1'}
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = binary.AppendUvarint(b, 8)
+	b = binary.AppendUvarint(b, 2)
+	b = binary.AppendUvarint(b, math.MaxUint64-4)
+	return binary.AppendUvarint(b, 10)
+}
+
+func TestForgedCountAllocatesLittle(t *testing.T) {
+	data := forgedCountPayload()
+	if len(data) != 20 {
+		t.Fatalf("forged payload is %d bytes, want 20", len(data))
+	}
+	// The refusal must come before anything is sized by the declared
+	// count: a few KiB per open at most, not ~42 B per declared value.
+	const runs = 20
+	var d Sketch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := d.UnmarshalBinary(data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
+		t.Errorf("refused open allocated %d B, want under 4 KiB", per)
 	}
 }

@@ -36,28 +36,20 @@ func (s *Sketch) setSibling(other sketch.Sketch) (*Sketch, error) {
 	return o, nil
 }
 
-// overlap merges the two sketches into a scratch union and counts,
-// over the union's retained bottom-k', the values present in both
-// operands and those present only in s.
-func (s *Sketch) overlap(o *Sketch) (inBoth, inFirstOnly, kPrime int, unionEst float64, err error) {
-	union := New(s.k, s.seed)
-	if err := union.Merge(s); err != nil {
-		return 0, 0, 0, 0, err
+// overlap walks the bottom-k' of the union of s and o once and
+// returns how many of its values are in both sketches and how many
+// only in s, with k' and the union's estimate.
+func (s *Sketch) overlap(o *Sketch) (inBoth, inFirstOnly, kPrime int, unionEst float64) {
+	ia, ib, both := bottomUnion(s.vals, o.vals, s.k)
+	kPrime = ia + ib - both
+	var vk uint64
+	if ia > 0 {
+		vk = s.vals[ia-1]
 	}
-	if err := union.Merge(o); err != nil {
-		return 0, 0, 0, 0, err
+	if ib > 0 && o.vals[ib-1] > vk {
+		vk = o.vals[ib-1]
 	}
-	for _, v := range union.heap {
-		_, inS := s.members[v]
-		_, inO := o.members[v]
-		switch {
-		case inS && inO:
-			inBoth++
-		case inS:
-			inFirstOnly++
-		}
-	}
-	return inBoth, inFirstOnly, len(union.heap), union.Estimate(), nil
+	return both, ia - both, kPrime, estimate(s.k, kPrime, vk)
 }
 
 // SetIntersect implements sketch.SetAlgebra:
@@ -67,9 +59,9 @@ func (s *Sketch) SetIntersect(other sketch.Sketch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	inBoth, _, kPrime, unionEst, err := s.overlap(o)
-	if err != nil || kPrime == 0 {
-		return 0, err
+	inBoth, _, kPrime, unionEst := s.overlap(o)
+	if kPrime == 0 {
+		return 0, nil
 	}
 	return float64(inBoth) / float64(kPrime) * unionEst, nil
 }
@@ -81,9 +73,9 @@ func (s *Sketch) SetDiff(other sketch.Sketch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	_, inFirstOnly, kPrime, unionEst, err := s.overlap(o)
-	if err != nil || kPrime == 0 {
-		return 0, err
+	_, inFirstOnly, kPrime, unionEst := s.overlap(o)
+	if kPrime == 0 {
+		return 0, nil
 	}
 	return float64(inFirstOnly) / float64(kPrime) * unionEst, nil
 }

@@ -25,9 +25,12 @@ var ErrMismatch = fmt.Errorf("ll: cannot merge sketches with different configura
 // Sketch is an HLL-style distinct count sketch. Construct with New or
 // NewWeak.
 type Sketch struct {
-	numRegs   int
-	seed      uint64
-	weak      bool
+	numRegs int
+	seed    uint64
+	weak    bool
+	// regHash and levelHash are derived from seed by the first
+	// Process, the only method that hashes: a sketch opened from an
+	// envelope merges, estimates and re-encodes without them.
 	regHash   hashing.Family
 	levelHash hashing.Family
 	regs      []uint8
@@ -53,27 +56,29 @@ func newSketch(numRegs int, seed uint64, weak bool) *Sketch {
 	if numRegs < 16 {
 		panic(fmt.Sprintf("ll: numRegs must be >= 16, got %d", numRegs))
 	}
-	sm := hashing.NewSplitMix64(seed)
-	s := &Sketch{
-		numRegs: numRegs,
-		seed:    seed,
-		weak:    weak,
-		regs:    make([]uint8, numRegs),
-	}
-	if weak {
+	return &Sketch{numRegs: numRegs, seed: seed, weak: weak, regs: make([]uint8, numRegs)}
+}
+
+// buildHashes derives the register and level hash functions from the
+// seed.
+func (s *Sketch) buildHashes() {
+	sm := hashing.NewSplitMix64(s.seed)
+	if s.weak {
 		s.regHash = hashing.NewPairwise(sm.Next())
 		s.levelHash = hashing.NewPairwise(sm.Next())
 	} else {
 		s.regHash = hashing.NewTabulation(sm.Next())
 		s.levelHash = hashing.NewTabulation(sm.Next())
 	}
-	return s
 }
 
 // Process observes one occurrence of label.
 //
 // hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
+	if s.regHash == nil {
+		s.buildHashes() // allocflow:amortized the hash tables are built once, by the first Process
+	}
 	reg := s.regHash.Hash(label) % uint64(s.numRegs)
 	rank := uint8(hashing.GeometricLevel(s.levelHash.Hash(label))) + 1
 	if rank > s.regs[reg] {

@@ -1,6 +1,7 @@
 package ll
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -42,14 +43,12 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if uint64(len(rest)) != numRegs {
 		return fmt.Errorf("%w: payload %d bytes, want %d", ErrCorrupt, len(rest), numRegs)
 	}
-	tmp := newSketch(int(numRegs), seed, weak)
 	for i, r := range rest {
 		if r > 63 {
 			return fmt.Errorf("%w: register %d value %d out of range", ErrCorrupt, i, r)
 		}
-		tmp.regs[i] = r
 	}
-	*s = *tmp
+	*s = Sketch{numRegs: int(numRegs), seed: seed, weak: weak, regs: bytes.Clone(rest)}
 	return nil
 }
 

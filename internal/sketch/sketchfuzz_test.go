@@ -9,6 +9,8 @@ package sketch_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/hashing"
@@ -64,6 +66,23 @@ func TestDecodersNeverPanic(t *testing.T) {
 	}
 }
 
+// kmvEnvelope frames a hand-built kmv payload — k, a declared count,
+// then raw uvarint deltas — under a correct envelope header.
+func kmvEnvelope(k, count uint64, deltas ...uint64) []byte {
+	const seed = 1
+	info, _ := sketch.Lookup(sketch.KindKMV)
+	b := []byte{sketch.EnvelopeMagic0, sketch.EnvelopeMagic1, byte(info.Kind), info.Version}
+	b = binary.LittleEndian.AppendUint64(b, sketch.ConfigDigest(sketch.KindKMV, k, seed))
+	b = append(b, 'K', 'V', '1')
+	b = binary.LittleEndian.AppendUint64(b, seed)
+	b = binary.AppendUvarint(b, k)
+	b = binary.AppendUvarint(b, count)
+	for _, d := range deltas {
+		b = binary.AppendUvarint(b, d)
+	}
+	return b
+}
+
 // FuzzSketchOpen drives Open with arbitrary bytes: it must never
 // panic, and anything it accepts must re-envelope to bytes Open
 // accepts again with the same kind and digest.
@@ -73,6 +92,10 @@ func FuzzSketchOpen(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{sketch.EnvelopeMagic0, sketch.EnvelopeMagic1})
+	// kmv payloads the decoder must refuse: a count of 2^22 values in a
+	// 20-byte payload, and a delta that wraps past 2^64.
+	f.Add(kmvEnvelope(1<<22, 1<<22, 1))
+	f.Add(kmvEnvelope(8, 2, math.MaxUint64-4, 10))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sk, err := sketch.Open(data)
 		if err != nil {

@@ -1,8 +1,9 @@
 // Package sketchtest is the conformance suite every registered sketch
 // kind must pass: the union algebra (merge commutativity,
 // associativity, idempotence) verified on canonical bytes, envelope
-// and encoding round-trips, and refusal of mismatched-configuration
-// and cross-kind merges. Kind packages run it from their own tests;
+// and encoding round-trips, ingest resumed on an opened sketch, and
+// refusal of mismatched-configuration and cross-kind merges. Kind
+// packages run it from their own tests;
 // internal/sketch/conformance_test.go runs it over the whole registry
 // so a kind cannot register without being held to the contract.
 package sketchtest
@@ -109,6 +110,19 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 		}
 		if !bytes.Equal(canon(t, dec), canon(t, a)) {
 			t.Errorf("envelope round-trip changed the sketch")
+		}
+	})
+
+	t.Run("resume-after-open", func(t *testing.T) {
+		// An opened sketch holds only what its envelope encodes; state
+		// it rebuilds on demand (hash functions, spare capacity) must
+		// not change what later labels do to it.
+		resumed := clone(t, a)
+		for x := uint64(1000); x < 2000; x++ {
+			resumed.Process(x)
+		}
+		if !bytes.Equal(canon(t, resumed), canon(t, build(t, info, 1, 0, 2000))) {
+			t.Errorf("open→process encodes differently from processing every label directly")
 		}
 	})
 

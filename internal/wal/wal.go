@@ -157,7 +157,7 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu sync.Mutex // guards: f, segBytes, liveSegs, replayed, closed
+	mu sync.Mutex // guards: f, segBytes, liveSegs, replayed, closed, rotateErr
 	f  *os.File
 	// segBytes is the active segment's current size; liveSegs counts
 	// segment files on disk.
@@ -165,6 +165,9 @@ type Log struct {
 	liveSegs int64
 	replayed bool
 	closed   bool
+	// rotateErr is the latest failed rotation's error: the append that
+	// triggered it succeeded, so Stats is where the failure shows.
+	rotateErr string
 
 	// seg is the active segment index, snapSeg the live snapshot's cut
 	// (0 = none); written under mu, read lock-free by Stats.
@@ -182,6 +185,7 @@ type Log struct {
 	appendedBytes   atomic.Int64
 	fsyncs          atomic.Int64
 	rotations       atomic.Int64
+	rotateErrors    atomic.Int64
 	snapshots       atomic.Int64
 	snapGroups      atomic.Int64
 	prunedSegs      atomic.Int64
@@ -202,6 +206,8 @@ type Stats struct {
 	AppendedBytes          int64
 	Fsyncs                 int64
 	Rotations              int64
+	RotateErrors           int64
+	LastRotateError        string
 	Snapshots              int64
 	LastSnapshotGroups     int64
 	PrunedSegments         int64
@@ -214,7 +220,7 @@ type Stats struct {
 // Stats returns the log's current counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
-	liveSegs := l.liveSegs
+	liveSegs, rotateErr := l.liveSegs, l.rotateErr
 	l.mu.Unlock()
 	return Stats{
 		Dir:                    l.dir,
@@ -225,6 +231,8 @@ func (l *Log) Stats() Stats {
 		AppendedBytes:          l.appendedBytes.Load(),
 		Fsyncs:                 l.fsyncs.Load(),
 		Rotations:              l.rotations.Load(),
+		RotateErrors:           l.rotateErrors.Load(),
+		LastRotateError:        rotateErr,
 		Snapshots:              l.snapshots.Load(),
 		LastSnapshotGroups:     l.snapGroups.Load(),
 		PrunedSegments:         l.prunedSegs.Load(),
@@ -433,10 +441,14 @@ func (l *Log) AppendNamed(stream string, envelope []byte) error {
 	}
 	if l.segBytes >= l.segmentBytes() {
 		// Rotation failure is not an append failure: the record above
-		// is already durable, so a failed rotation just leaves an
-		// oversized segment for the next append to retry.
+		// is already written. The failure is counted and kept for
+		// Stats, and a rotation that never switched files is retried
+		// by the next append.
 		// allocflow:cold rotation runs once per SegmentBytes of appends
-		_ = l.rotateLocked()
+		if err := l.rotateLocked(); err != nil {
+			l.rotateErrors.Add(1)
+			l.rotateErr = err.Error()
+		}
 	}
 	return nil
 }
@@ -454,15 +466,20 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: rotate: %w", err)
 	}
 	// Seal the old segment: sync it so a sealed segment is always
-	// durable regardless of policy, then move on.
-	l.f.Sync()
-	l.f.Close()
+	// durable regardless of policy, then move on. A failed seal is
+	// returned once the log has moved on: the old file is closed
+	// either way.
+	serr := l.f.Sync()
+	cerr := l.f.Close()
 	l.f = nf
 	l.segBytes = 0
 	l.liveSegs++
 	l.seg.Store(next)
 	l.rotations.Add(1)
 	l.syncDir()
+	if err := errors.Join(serr, cerr); err != nil {
+		return fmt.Errorf("wal: rotate: sealing segment %d: %w", next-1, err)
+	}
 	return nil
 }
 

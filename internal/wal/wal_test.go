@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/failpoint"
 	"repro/internal/sketch"
 	"repro/internal/sketch/kmv"
 	"repro/internal/wal"
@@ -381,4 +382,41 @@ func records(envs [][]byte) []wal.Record {
 		out[i] = wal.Record{Envelope: env}
 	}
 	return out
+}
+
+// TestRotateErrorCountedAppendSucceeds: a failed rotation must not
+// fail the append that triggered it (its record is already written),
+// but it must be counted and recorded in Stats, and the next append
+// after the fault clears must rotate the oversized segment.
+func TestRotateErrorCountedAppendSucceeds(t *testing.T) {
+	injected := errors.New("injected rotate failure")
+	failpoint.Enable(failpoint.WALRotate, failpoint.Error(injected))
+	defer failpoint.Disable(failpoint.WALRotate)
+
+	envs := walEnvelopes(t, 4)
+	// Every append fills its segment.
+	opts := wal.Options{SegmentBytes: int64(len(envs[0]) + wire.HeaderSize)}
+	l := openReplayed(t, t.TempDir(), opts)
+	defer l.Close()
+	for i, env := range envs[:3] {
+		if err := l.Append(env); err != nil {
+			t.Fatalf("append %d failed with rotation faulted: %v", i, err)
+		}
+	}
+	st := l.Stats()
+	if st.RotateErrors != 3 || st.Rotations != 0 || st.AppendedRecords != 3 {
+		t.Fatalf("after 3 faulted rotations: RotateErrors=%d Rotations=%d AppendedRecords=%d, want 3, 0, 3",
+			st.RotateErrors, st.Rotations, st.AppendedRecords)
+	}
+	if !strings.Contains(st.LastRotateError, injected.Error()) {
+		t.Fatalf("LastRotateError = %q, want the injected error", st.LastRotateError)
+	}
+
+	failpoint.Disable(failpoint.WALRotate)
+	if err := l.Append(envs[3]); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Rotations != 1 || st.RotateErrors != 3 {
+		t.Fatalf("after the fault cleared: Rotations=%d RotateErrors=%d, want 1, 3", st.Rotations, st.RotateErrors)
+	}
 }
