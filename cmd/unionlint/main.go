@@ -1,8 +1,8 @@
-// Command unionlint is the repository's static-analysis suite: ten
+// Command unionlint is the repository's static-analysis suite: eight
 // analyzers encoding the invariants the coordinated-sampling scheme
-// depends on (seedcheck, lockcheck, lockorder, floatcmp, errcontract,
-// allocflow, kindcheck, mergepure, ackcontract, failpointcheck —
-// see `unionlint -help` or README "Static analysis").
+// depends on (seedcheck, lockorder, floatcmp, errcontract, kindcheck,
+// mergepure, ackcontract, failpointcheck — see `unionlint -help` or
+// README "Static analysis").
 //
 // It runs in two modes:
 //
@@ -18,9 +18,8 @@
 // way) and prints findings grouped per analyzer. Standalone-only
 // flags: -fix applies the mechanical suggested fixes (errcontract's
 // %w rewrites); -json emits one JSON object per diagnostic for CI
-// artifacts; -allocflow.update regenerates the allocation-budget
-// baseline (lint/allocflow.baseline); -summarize regroups vet-mode
-// output read from stdin.
+// artifacts; -summarize regroups vet-mode output read from stdin.
+// The analyzers themselves take no flags.
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/registry"
 )
@@ -51,7 +49,9 @@ func run(argv []string) int {
 		return 0
 	}
 	if len(args) == 1 && args[0] == "-flags" {
-		driver.PrintFlagDefs(os.Stdout, analyzers)
+		// The go command splices the listed analyzer flags into its
+		// own vet flag parsing; there are none.
+		fmt.Println("[]")
 		return 0
 	}
 
@@ -59,20 +59,7 @@ func run(argv []string) int {
 	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree (standalone mode)")
 	jsonOut := fs.Bool("json", false, "print findings as JSON Lines (one diagnostic per line) instead of the grouped summary")
 	summarize := fs.Bool("summarize", false, "read vet-mode diagnostics from stdin and print a per-analyzer summary")
-	update := fs.Bool("allocflow.update", false, "regenerate lint/allocflow.baseline from the current tree (alias for -allocflow.write=1)")
-	// hotpathalloc was superseded by allocflow (PR 10); keep its update
-	// flag as a signpost instead of a silent unknown-flag error.
-	retired := fs.Bool("hotpathalloc.update", false, "retired: hotpathalloc was superseded by allocflow; use -allocflow.update")
 	verbose := fs.Bool("v", false, "also list analyzers that found nothing")
-	var flagVals []*string
-	var flagRefs []*analysis.Flag
-	for _, a := range analyzers {
-		for _, f := range a.Flags {
-			v := fs.String(a.Name+"."+f.Name, f.Value, f.Usage)
-			flagVals = append(flagVals, v)
-			flagRefs = append(flagRefs, f)
-		}
-	}
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] [package patterns | path/to/vet.cfg]\n\nAnalyzers:\n", progname)
 		for _, a := range analyzers {
@@ -83,9 +70,6 @@ func run(argv []string) int {
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	for i, f := range flagRefs {
-		f.Value = *flagVals[i]
 	}
 
 	if *summarize {
@@ -107,21 +91,6 @@ func run(argv []string) int {
 	patterns := rest
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if *retired {
-		fmt.Fprintf(os.Stderr, "%s: -hotpathalloc.update is retired: the intra-function scan was superseded by the interprocedural allocflow analyzer; run -allocflow.update to regenerate lint/allocflow.baseline\n", progname)
-		return 2
-	}
-	if *update {
-		// -allocflow.update is the documented way to regenerate the
-		// baseline; it simply arms the analyzer's write flag.
-		if w := lookupFlag(analyzers, "allocflow", "write"); w != nil {
-			w.Value = "1"
-		}
-	}
-	if err := prepareBaselineWrite(analyzers); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-		return 1
 	}
 	pkgs, err := driver.LoadModulePackages(".", patterns...)
 	if err != nil {
@@ -154,9 +123,6 @@ func run(argv []string) int {
 		fmt.Printf("%s: applied %d suggested fix(es)\n", progname, n)
 		return 0
 	}
-	if *update {
-		fmt.Printf("%s: regenerated allocflow baseline\n", progname)
-	}
 	if *jsonOut {
 		if err := driver.PrintJSON(os.Stdout, findings); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
@@ -179,51 +145,6 @@ func run(argv []string) int {
 	driver.PrintGrouped(os.Stdout, findings)
 	fmt.Printf("%s: %d finding(s)\n", progname, len(findings))
 	return 1
-}
-
-// lookupFlag finds one analyzer flag by analyzer and flag name.
-func lookupFlag(analyzers []*analysis.Analyzer, analyzer, name string) *analysis.Flag {
-	for _, a := range analyzers {
-		if a.Name == analyzer {
-			return a.Lookup(name)
-		}
-	}
-	return nil
-}
-
-// prepareBaselineWrite truncates the allocflow baseline before an
-// -allocflow.update / -allocflow.write sweep (each package pass
-// appends to it), filling in the default module path when the flag is
-// unset.
-func prepareBaselineWrite(analyzers []*analysis.Analyzer) error {
-	var af *analysis.Analyzer
-	for _, a := range analyzers {
-		if a.Name == "allocflow" {
-			af = a
-		}
-	}
-	if af == nil {
-		return nil
-	}
-	w, b := af.Lookup("write"), af.Lookup("baseline")
-	if w == nil || b == nil || (w.Value != "1" && w.Value != "true") {
-		return nil
-	}
-	if b.Value == "" {
-		root, _, err := driver.FindModule(".")
-		if err != nil {
-			return err
-		}
-		b.Value = filepath.Join(root, "lint", "allocflow.baseline")
-	}
-	if err := os.MkdirAll(filepath.Dir(b.Value), 0o755); err != nil {
-		return err
-	}
-	header := "# allocflow baseline: accepted transitive allocation budgets for hotpath roots.\n" +
-		"# One \"root<TAB>owner<TAB>kind<TAB>count\" line per bucket (kind calls-unknown\n" +
-		"# counts dynamic calls the analyzer cannot bound). Do not edit by hand; regenerate with:\n" +
-		"#   go run ./cmd/unionlint -allocflow.update ./...\n"
-	return os.WriteFile(b.Value, []byte(header), 0o644)
 }
 
 func firstLine(s string) string {

@@ -2,10 +2,10 @@ package allocgate
 
 import (
 	"runtime"
-	"sync"
+	"runtime/debug"
 	"testing"
 
-	"repro/internal/analysis/allocbudget"
+	"repro/internal/core"
 	"repro/internal/hashing"
 	"repro/internal/server"
 	"repro/internal/sketch"
@@ -13,176 +13,227 @@ import (
 	"repro/internal/wal"
 )
 
-// Gate-sized configuration: small sketches, a modest distinct-label
-// set, warmed before measurement so steady-state growth (amortized
-// sites) has already happened.
+// The measured configuration: the registry's ε, a fixed seed, and
+// sketches warmed with tableLabels seeded labels.
 const (
-	gateEps    = 0.5
-	gateSeed   = 42
-	gateLabels = 64
-	gateRuns   = 50
+	tableEps    = 0.1
+	tableSeed   = 42
+	tableLabels = 4096
 )
 
-var (
-	loadOnce sync.Once
-	loadSet  *allocbudget.Set
-	loadErr  error
-)
+// allocTable holds the heap allocations each path makes on its fixed,
+// seeded input (see kindPaths and otherPaths). It is exact: a count
+// that rises is a regression, and a count that falls must be written
+// down, so the table carries no slack for a later regression to hide
+// in.
+var allocTable = map[string]uint64{
+	"gt/process":  0,
+	"gt/merge":    0,
+	"gt/decode":   3,
+	"gt/absorb":   3,
+	"gt/envelope": 35,
 
-// budgets harvests the allocflow summaries once per test binary: it
-// re-runs the analyzer over the module, so the licensed ceilings are
-// always those of the tree under test, never a stale artifact.
-func budgets(t *testing.T) *allocbudget.Set {
+	"exact/process":  33,
+	"exact/merge":    33,
+	"exact/decode":   20,
+	"exact/absorb":   53,
+	"exact/envelope": 4,
+
+	"ams/process":  0,
+	"ams/merge":    0,
+	"ams/decode":   4,
+	"ams/absorb":   4,
+	"ams/envelope": 4,
+
+	"bjkst/process":  0,
+	"bjkst/merge":    0,
+	"bjkst/decode":   5,
+	"bjkst/absorb":   7,
+	"bjkst/envelope": 10,
+
+	"fm/process":  0,
+	"fm/merge":    0,
+	"fm/decode":   2,
+	"fm/absorb":   2,
+	"fm/envelope": 7,
+
+	"kmv/process":  0,
+	"kmv/merge":    0,
+	"kmv/decode":   2,
+	"kmv/absorb":   2,
+	"kmv/envelope": 8,
+
+	"hll/process":  0,
+	"hll/merge":    0,
+	"hll/decode":   2,
+	"hll/absorb":   2,
+	"hll/envelope": 3,
+
+	"window/process":  29,
+	"window/merge":    712,
+	"window/decode":   534,
+	"window/absorb":   1252,
+	"window/envelope": 21,
+
+	"gt/process-weighted": 0,
+	"sum/process":         0,
+	"wal/append":          2,
+}
+
+// ceilingRows are the rows whose count does not repeat run to run.
+// Each holds the largest count observed and fails only on a rise.
+var ceilingRows = map[string]bool{
+	// Each window level keeps a map whose evict-and-insert churn
+	// rehashes it at points that depend on the map's random hash seed,
+	// 5 mallocs at a time: 3,000 runs read 19 (104 times), 24 (2,834)
+	// and 29 (62).
+	"window/process": true,
+}
+
+// cost returns the heap allocations and bytes f makes, read from
+// runtime.MemStats before and after one call. GOMAXPROCS 1 keeps other
+// goroutines from allocating in between, and the collector is off
+// because a cycle that starts inside f allocates its own mark workers.
+// It counts every malloc: testing.AllocsPerRun floors a mean per run,
+// so a branch that allocates once in a hundred items would read 0
+// there.
+func cost(f func()) (mallocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+func mallocs(f func()) uint64 {
+	n, _ := cost(f)
+	return n
+}
+
+// warmed returns a table-configured sketch of info's kind fed
+// tableLabels labels from a generator seeded with labelSeed, and that
+// generator, whose next labels the sketch has not seen.
+func warmed(info sketch.KindInfo, labelSeed uint64) (sketch.Sketch, *hashing.Xoshiro256) {
+	s := info.New(tableEps, tableSeed)
+	r := hashing.NewXoshiro256(labelSeed)
+	for i := 0; i < tableLabels; i++ {
+		s.Process(r.Uint64())
+	}
+	return s, r
+}
+
+func envelope(t *testing.T, s sketch.Sketch) []byte {
 	t.Helper()
-	loadOnce.Do(func() {
-		loadSet, loadErr = allocbudget.Load(".",
-			"./internal/server", "./internal/wal", "./internal/sketch/...",
-			"./internal/core", "./internal/exact", "./internal/window")
-	})
-	if loadErr != nil {
-		t.Fatalf("harvesting allocflow summaries: %v", loadErr)
+	env, err := sketch.Envelope(s)
+	if err != nil {
+		t.Fatalf("envelope: %v", err)
 	}
-	return loadSet
+	return env
 }
 
-// mustBeBounded lists the paths whose static boundedness is
-// ratcheted: these are bounded today, and a change that reintroduces
-// an unlicensed allocation or dynamic call on one of them fails here
-// (an unbounded path only logs otherwise, since the numeric gate has
-// nothing to compare against).
-var mustBeBounded = map[string]bool{
-	"gt/process": true, "exact/process": true, "ams/process": true,
-	"bjkst/process": true, "fm/process": true, "kmv/process": true,
-	"hll/process": true, "window/process": true,
-	"gt/merge": true, "exact/merge": true, "ams/merge": true,
-	"bjkst/merge": true, "fm/merge": true, "kmv/merge": true, "hll/merge": true,
-	"gt/decode": true, "exact/decode": true, "ams/decode": true,
-	"bjkst/decode": true, "fm/decode": true, "kmv/decode": true,
-	"hll/decode": true, "window/decode": true,
-	"gt/absorb": true, "exact/absorb": true, "ams/absorb": true,
-	"bjkst/absorb": true, "fm/absorb": true, "kmv/absorb": true,
-	"hll/absorb": true,
-	// window/merge and window/absorb stay unbounded by design:
-	// window.mergeLevel rebuilds per-level samples on every merge.
-	"wal/append": true,
-}
-
-// gate compares one observed AllocsPerRun figure against the path's
-// licensed ceiling. Unbounded paths are logged (and ratchet-checked);
-// bounded paths fail when the runtime out-allocates the license.
-func gate(t *testing.T, set *allocbudget.Set, name string, p allocbudget.Path, perRun int, f func()) {
-	t.Helper()
-	res := set.Eval(p)
-	if !res.Bounded {
-		t.Logf("%s: statically unbounded (no numeric gate): %v", name, res.Blockers)
-		if mustBeBounded[name] {
-			t.Errorf("%s: must stay statically bounded, blockers: %v", name, res.Blockers)
-		}
-		return
-	}
-	budget := float64(res.Ceiling * perRun)
-	observed := testing.AllocsPerRun(gateRuns, f)
-	t.Logf("%s: observed %.1f allocs/run, licensed %d (ceiling %d × %d ops)",
-		name, observed, res.Ceiling*perRun, res.Ceiling, perRun)
-	if observed > budget {
-		t.Errorf("%s: observed %.1f allocs/run exceeds the licensed ceiling %d — either the summaries under-count (fix allocflow) or the path grew an allocation (hoist or annotate it)",
-			name, observed, res.Ceiling*perRun)
-	}
-}
-
-// newWarm builds a sketch of the kind and feeds it the gate label
-// set, so capacity growth is behind it.
-func newWarm(t *testing.T, info sketch.KindInfo) sketch.Sketch {
-	t.Helper()
-	s := info.New(gateEps, gateSeed)
-	for l := uint64(0); l < gateLabels; l++ {
-		s.Process(l)
-	}
-	return s
-}
-
-// TestHotPathAllocSummaries is the runtime cross-check of the
-// allocflow analyzer: for every registered kind it drives the
-// Process, Merge, envelope-decode, coordinator-absorb, and WAL-append
-// paths under testing.AllocsPerRun and fails if observed allocations
-// exceed the malloc ceiling the kind's summaries license.
-func TestHotPathAllocSummaries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harvesting summaries re-analyzes the module; skipped in -short")
-	}
-	set := budgets(t)
-
-	for _, kind := range allocbudget.Kinds() {
-		kind := kind
-		t.Run(kind, func(t *testing.T) {
-			info, ok := sketch.LookupName(kind)
-			if !ok {
-				t.Fatalf("kind %q not registered", kind)
+// kindPaths drive one row per registered kind each. Every path runs
+// once unmeasured where a first call would pay a one-time cost, then
+// once measured.
+var kindPaths = []struct {
+	name    string
+	measure func(t *testing.T, info sketch.KindInfo) uint64
+}{
+	// tableLabels fresh labels into a warm sketch: inserts and level
+	// raises happen inside the measured window.
+	{"process", func(t *testing.T, info sketch.KindInfo) uint64 {
+		s, r := warmed(info, 1)
+		return mallocs(func() {
+			for i := 0; i < tableLabels; i++ {
+				s.Process(r.Uint64())
 			}
-
-			t.Run("process", func(t *testing.T) {
-				p, _ := allocbudget.ProcessPath(kind)
-				s := newWarm(t, info)
-				gate(t, set, kind+"/process", p, gateLabels, func() {
-					for l := uint64(0); l < gateLabels; l++ {
-						s.Process(l)
-					}
-				})
-			})
-
-			t.Run("merge", func(t *testing.T) {
-				p, _ := allocbudget.MergePath(kind)
-				a, b := newWarm(t, info), newWarm(t, info)
-				if err := a.Merge(b); err != nil { // warm: reach merge steady state
-					t.Fatalf("warm merge: %v", err)
-				}
-				gate(t, set, kind+"/merge", p, 1, func() {
-					if err := a.Merge(b); err != nil {
-						t.Fatalf("merge: %v", err)
-					}
-				})
-			})
-
-			t.Run("decode", func(t *testing.T) {
-				p, _ := allocbudget.DecodePath(kind)
-				env, err := sketch.Envelope(newWarm(t, info))
-				if err != nil {
-					t.Fatalf("envelope: %v", err)
-				}
-				gate(t, set, kind+"/decode", p, 1, func() {
-					if _, err := sketch.Open(env); err != nil {
-						t.Fatalf("open: %v", err)
-					}
-				})
-			})
-
-			t.Run("absorb", func(t *testing.T) {
-				p, _ := allocbudget.AbsorbPath(kind)
-				env, err := sketch.Envelope(newWarm(t, info))
-				if err != nil {
-					t.Fatalf("envelope: %v", err)
-				}
-				srv := server.New(server.Config{Workers: 1})
-				if err := srv.Absorb(env); err != nil { // warm: create the group
-					t.Fatalf("warm absorb: %v", err)
-				}
-				gate(t, set, kind+"/absorb", p, 1, func() {
-					if err := srv.Absorb(env); err != nil {
-						t.Fatalf("absorb: %v", err)
-					}
-				})
-			})
 		})
-	}
-
-	t.Run("wal/append", func(t *testing.T) {
-		info, _ := sketch.LookupName("gt")
-		env, err := sketch.Envelope(newWarm(t, info))
-		if err != nil {
-			t.Fatalf("envelope: %v", err)
+	}},
+	// One merge of two sketches built from different labels.
+	{"merge", func(t *testing.T, info sketch.KindInfo) uint64 {
+		a, _ := warmed(info, 1)
+		b, _ := warmed(info, 2)
+		return mallocs(func() {
+			if err := a.Merge(b); err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+		})
+	}},
+	{"decode", func(t *testing.T, info sketch.KindInfo) uint64 {
+		s, _ := warmed(info, 1)
+		env := envelope(t, s)
+		open := func() {
+			if _, err := sketch.Open(env); err != nil {
+				t.Fatalf("open: %v", err)
+			}
 		}
-		// A huge segment keeps rotation (cold-annotated) out of the
-		// measured runs; SyncNever keeps fsync policy out of them too.
+		open()
+		return mallocs(open)
+	}},
+	// Server.Absorb of a second site's envelope into a group the
+	// first site's envelope created.
+	{"absorb", func(t *testing.T, info sketch.KindInfo) uint64 {
+		a, _ := warmed(info, 1)
+		b, _ := warmed(info, 2)
+		srv := server.New(server.Config{Workers: 1})
+		if err := srv.Absorb(envelope(t, a)); err != nil {
+			t.Fatalf("absorb: %v", err)
+		}
+		env := envelope(t, b)
+		return mallocs(func() {
+			if err := srv.Absorb(env); err != nil {
+				t.Fatalf("absorb: %v", err)
+			}
+		})
+	}},
+	// sketch.AppendEnvelope into a buffer reused from a first encode.
+	{"envelope", func(t *testing.T, info sketch.KindInfo) uint64 {
+		s, _ := warmed(info, 1)
+		buf := envelope(t, s)
+		return mallocs(func() {
+			var err error
+			if buf, err = sketch.AppendEnvelope(buf[:0], s); err != nil {
+				t.Fatalf("envelope: %v", err)
+			}
+		})
+	}},
+}
+
+// otherPaths drive the rows that belong to no single kind.
+var otherPaths = []struct {
+	name    string
+	measure func(t *testing.T) uint64
+}{
+	{"gt/process-weighted", func(t *testing.T) uint64 {
+		info, _ := sketch.LookupName("gt")
+		s, r := warmed(info, 1)
+		w := s.(sketch.Weighted)
+		return mallocs(func() {
+			for i := 0; i < tableLabels; i++ {
+				w.ProcessWeighted(r.Uint64(), 1+r.Uint64n(16))
+			}
+		})
+	}},
+	{"sum/process", func(t *testing.T) uint64 {
+		s := core.NewSumSampler(core.Config{Capacity: core.CapacityForEpsilon(tableEps), Seed: tableSeed}, 16)
+		r := hashing.NewXoshiro256(1)
+		feed := func() {
+			for i := 0; i < tableLabels; i++ {
+				if err := s.Process(r.Uint64n(core.MaxSumLabel), 1+r.Uint64n(16)); err != nil {
+					t.Fatalf("process: %v", err)
+				}
+			}
+		}
+		feed()
+		return mallocs(feed)
+	}},
+	// One AppendNamed under the default SyncAlways policy; a huge
+	// segment keeps rotation out of the measured call.
+	{"wal/append", func(t *testing.T) uint64 {
+		info, _ := sketch.LookupName("gt")
+		s, _ := warmed(info, 1)
+		env := envelope(t, s)
 		l, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 1 << 40})
 		if err != nil {
 			t.Fatalf("wal open: %v", err)
@@ -191,140 +242,140 @@ func TestHotPathAllocSummaries(t *testing.T) {
 		if _, err := l.Replay(func(string, []byte) error { return nil }); err != nil {
 			t.Fatalf("wal replay: %v", err)
 		}
-		if err := l.AppendNamed("s", env); err != nil { // warm
-			t.Fatalf("warm append: %v", err)
-		}
-		gate(t, set, "wal/append", allocbudget.WALAppendPath(), 1, func() {
+		appendOne := func() {
 			if err := l.AppendNamed("s", env); err != nil {
 				t.Fatalf("append: %v", err)
 			}
-		})
-	})
+		}
+		appendOne()
+		return mallocs(appendOne)
+	}},
 }
 
-// The production gt configuration: the registry's ε = 0.1 (capacity
-// 1200, 11 copies) after 4096 distinct labels, the envelope size the
-// pipeline benchmark pushes.
-const (
-	prodEps    = 0.1
-	prodLabels = 4096
-	// prodOpenAllocs bounds one gt envelope Open: the estimator, its
-	// copies and one slab for every copy's table.
-	prodOpenAllocs = 4
-	// prodAbsorbAllocs bounds one steady-state Server.Absorb: the Open
-	// plus the coordinator's own bookkeeping; the merge allocates
-	// nothing once the group's tables are sized.
-	prodAbsorbAllocs = 9
-)
+// checkRow compares one measured count with its table row.
+func checkRow(t *testing.T, row string, got uint64) {
+	t.Helper()
+	want, ok := allocTable[row]
+	switch {
+	case !ok:
+		t.Errorf("%s: %d mallocs, and no table row", row, got)
+	case got > want:
+		t.Errorf("%s: %d mallocs, table says %d: the path allocates more than it did", row, got, want)
+	case got < want && !ceilingRows[row]:
+		t.Errorf("%s: %d mallocs, table says %d: lower the row to %d", row, got, want, got)
+	default:
+		t.Logf("%s: %d mallocs", row, got)
+	}
+}
 
-// TestGTProductionConfigAllocs pins absolute allocation counts on the
-// gt decode and absorb paths at the production configuration, where
-// the static ceilings above (sized for gate-sized sketches) say
-// nothing: decoding rebuilds the sample, so its cost must not grow
-// with the number of copies or entries.
+// TestHotPathAllocSummaries measures every path in allocTable on its
+// fixed input and checks the count against the table.
+func TestHotPathAllocSummaries(t *testing.T) {
+	kinds := sketch.Kinds()
+	measured := map[string]bool{}
+	for _, info := range kinds {
+		for _, p := range kindPaths {
+			measured[info.Name+"/"+p.name] = true
+		}
+	}
+	for _, p := range otherPaths {
+		measured[p.name] = true
+	}
+	for row := range allocTable {
+		if !measured[row] {
+			t.Errorf("%s: no path measures this table row", row)
+		}
+	}
+
+	for _, info := range kinds {
+		info := info
+		t.Run(info.Name, func(t *testing.T) {
+			for _, p := range kindPaths {
+				p := p
+				t.Run(p.name, func(t *testing.T) {
+					checkRow(t, info.Name+"/"+p.name, p.measure(t, info))
+				})
+			}
+		})
+	}
+	for _, p := range otherPaths {
+		p := p
+		t.Run(p.name, func(t *testing.T) { checkRow(t, p.name, p.measure(t)) })
+	}
+}
+
+// TestGTProductionConfigAllocs checks the gt/decode and gt/absorb
+// rows, measured at the registry's 11 copies of capacity 1200 only,
+// at other copy counts and capacities: an envelope decode carves every
+// copy's table from one slab, so its count holds for any number of
+// copies or entries. An absorb holds its row where each decoded table
+// already has room for Capacity+1 entries; at capacity 64 the group's
+// tables, sized by their decoded counts, can double while the second
+// site merges in, so that capacity is left out of the absorb check.
 func TestGTProductionConfigAllocs(t *testing.T) {
-	info, ok := sketch.LookupName("gt")
+	gt, ok := sketch.LookupName("gt")
 	if !ok {
 		t.Fatal("gt kind not registered")
 	}
-	s := info.New(prodEps, gateSeed)
-	r := hashing.NewXoshiro256(gateSeed)
-	for i := 0; i < prodLabels; i++ {
-		s.Process(r.Uint64n(1 << 20))
-	}
-	env, err := sketch.Envelope(s)
-	if err != nil {
-		t.Fatalf("envelope: %v", err)
-	}
-
-	open := testing.AllocsPerRun(gateRuns, func() {
-		if _, err := sketch.Open(env); err != nil {
-			t.Fatalf("open: %v", err)
+	measure := func(name string) func(*testing.T, sketch.KindInfo) uint64 {
+		for _, p := range kindPaths {
+			if p.name == name {
+				return p.measure
+			}
 		}
-	})
-	t.Logf("gt/open at eps=%v: %.1f allocs/op (bound %d)", prodEps, open, prodOpenAllocs)
-	if open > prodOpenAllocs {
-		t.Errorf("gt envelope Open: %.1f allocs/op, want ≤ %d", open, prodOpenAllocs)
+		t.Fatalf("no %s path", name)
+		return nil
 	}
-
-	srv := server.New(server.Config{Workers: 1})
-	if err := srv.Absorb(env); err != nil { // warm: create the group
-		t.Fatalf("warm absorb: %v", err)
-	}
-	absorb := testing.AllocsPerRun(gateRuns, func() {
-		if err := srv.Absorb(env); err != nil {
-			t.Fatalf("absorb: %v", err)
+	decode, absorb := measure("decode"), measure("absorb")
+	for _, copies := range []int{1, 11, 31} {
+		// After tableLabels labels, capacity 64 holds a sample raised
+		// several levels, 1200 one raised to level 2, and 4800 every
+		// label unraised.
+		for _, capacity := range []int{64, core.CapacityForEpsilon(tableEps), 4800} {
+			info := gt
+			info.New = func(_ float64, seed uint64) sketch.Sketch {
+				return core.NewEstimator(core.EstimatorConfig{Capacity: capacity, Copies: copies, Seed: seed})
+			}
+			if got, want := decode(t, info), allocTable["gt/decode"]; got != want {
+				t.Errorf("gt/decode with %d copies of capacity %d: %d mallocs, want %d", copies, capacity, got, want)
+			}
+			if capacity == 64 {
+				continue
+			}
+			if got, want := absorb(t, info), allocTable["gt/absorb"]; got != want {
+				t.Errorf("gt/absorb with %d copies of capacity %d: %d mallocs, want %d", copies, capacity, got, want)
+			}
 		}
-	})
-	t.Logf("gt/absorb at eps=%v: %.1f allocs/op (bound %d)", prodEps, absorb, prodAbsorbAllocs)
-	if absorb > prodAbsorbAllocs {
-		t.Errorf("gt Server.Absorb: %.1f allocs/op, want ≤ %d", absorb, prodAbsorbAllocs)
 	}
 }
 
-// Registry ε = 0.1 opens of the register and bottom-k kinds. An opened
-// sketch holds only what its envelope encodes: an hll or fm open pays
-// for its registers or bitmaps (not the two 16 KiB tabulation tables
-// the first Process builds), and a kmv open for the sketch and one
-// slice of values.
-const (
-	// prodRegisterOpenBytes bounds the heap bytes of one hll or fm
-	// envelope Open.
-	prodRegisterOpenBytes = 1 << 10
-	// prodKMVOpenAllocs bounds one kmv envelope Open.
-	prodKMVOpenAllocs = 2
-)
+// registerOpenBytes bounds the heap bytes of one hll or fm envelope
+// Open at the table configuration. An opened sketch holds only what
+// its envelope encodes: its registers or bitmaps, not the two 16 KiB
+// tabulation tables the first Process builds.
+const registerOpenBytes = 1 << 10
 
-// openCost returns the mean mallocs and heap bytes of one sketch.Open
-// of env, measured the way testing.AllocsPerRun counts mallocs.
-func openCost(t *testing.T, env []byte) (allocs, bytes float64) {
-	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	open := func() {
-		if _, err := sketch.Open(env); err != nil {
-			t.Fatalf("open: %v", err)
-		}
-	}
-	open() // warm
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < gateRuns; i++ {
-		open()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / gateRuns, float64(after.TotalAlloc-before.TotalAlloc) / gateRuns
-}
-
-// TestProductionConfigOpenCost ratchets the per-envelope cost of
-// opening hll, fm and kmv sketches at the registry's ε = 0.1, the
-// cost a shard pays on every push and its parent on every relayed
-// envelope.
+// TestProductionConfigOpenCost bounds the bytes an hll or fm open
+// costs, which a shard pays on every push and its parent on every
+// relayed envelope.
 func TestProductionConfigOpenCost(t *testing.T) {
-	for _, kind := range []string{"hll", "fm", "kmv"} {
+	for _, kind := range []string{"hll", "fm"} {
 		info, ok := sketch.LookupName(kind)
 		if !ok {
 			t.Fatalf("kind %q not registered", kind)
 		}
-		s := info.New(prodEps, gateSeed)
-		r := hashing.NewXoshiro256(gateSeed)
-		for i := 0; i < prodLabels; i++ {
-			s.Process(r.Uint64n(1 << 20))
-		}
-		env, err := sketch.Envelope(s)
-		if err != nil {
-			t.Fatalf("%s envelope: %v", kind, err)
-		}
-		allocs, bytes := openCost(t, env)
-		t.Logf("%s/open at eps=%v: %.1f allocs, %.0f B per op", kind, prodEps, allocs, bytes)
-		switch kind {
-		case "kmv":
-			if allocs > prodKMVOpenAllocs {
-				t.Errorf("kmv envelope Open: %.1f allocs/op, want ≤ %d", allocs, prodKMVOpenAllocs)
+		s, _ := warmed(info, 1)
+		env := envelope(t, s)
+		open := func() {
+			if _, err := sketch.Open(env); err != nil {
+				t.Fatalf("open: %v", err)
 			}
-		default:
-			if bytes >= prodRegisterOpenBytes {
-				t.Errorf("%s envelope Open: %.0f B/op, want under %d", kind, bytes, prodRegisterOpenBytes)
-			}
+		}
+		open()
+		_, bytes := cost(open)
+		t.Logf("%s/open: %d B", kind, bytes)
+		if bytes >= registerOpenBytes {
+			t.Errorf("%s envelope Open: %d B, want under %d", kind, bytes, registerOpenBytes)
 		}
 	}
 }

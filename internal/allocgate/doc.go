@@ -1,11 +1,9 @@
-// Package allocgate closes the loop between allocflow's static
-// allocation summaries and the runtime: its test harvests the
-// analyzer's AllocSummary facts through internal/analysis/allocbudget
-// and drives every per-kind hot path — Process, Merge, envelope
-// decode, the coordinator's absorb, the WAL append — under
-// testing.AllocsPerRun, failing if observed allocations exceed what
-// the summaries license. The static side anchors the benches (a
-// summary gone unbounded is caught before a bench regresses); the
-// runtime side anchors the static side (a summary that under-counts
-// real allocations fails here, not silently).
+// Package allocgate holds the allocation table: the heap allocations
+// (runtime.MemStats.Mallocs) that each registered kind's Process,
+// Merge, envelope decode and encode and coordinator absorb, and the
+// WAL append, make on a fixed, seeded input. Its test fails when a
+// count rises, and when one falls until the table is lowered to
+// match, so the table stays exact. The process rows feed fresh labels
+// to warm sketches, so an allocation that a sketch makes only when it
+// inserts or raises its level shows up in the count.
 package allocgate

@@ -5,7 +5,7 @@
 //     comment (the machine-readable half of the prose that already
 //     documents each code), and no two constants share a value; each
 //     classification is exported as an object fact on the constant;
-//   - in the client (scope flag), every switch over an AckCode maps
+//   - in the client, every switch over an AckCode maps
 //     each code to a retry disposition consistent with its fact: a
 //     permanent-fact code must resolve to a sentinel the package's
 //     permanent() classifier recognizes, a transient-fact code must
@@ -42,18 +42,15 @@ func (*Class) AFact() {}
 
 var validClasses = map[string]bool{"success": true, "transient": true, "permanent": true}
 
-var scopeFlag = &analysis.Flag{
-	Name:  "scope",
-	Usage: "regexp of import paths whose AckCode switches must agree with the ackclass facts",
-	Value: `(^|/)internal/client(/|$)`,
-}
+// scope matches the packages whose AckCode switches must agree with
+// the ackclass facts.
+var scope = regexp.MustCompile(`(^|/)internal/client(/|$)`)
 
 // Analyzer is the ackcontract analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "ackcontract",
 	Doc: "require exactly one ackclass annotation per wire.AckCode and retry logic that " +
 		"agrees with it (only transient codes may be retried)",
-	Flags:     []*analysis.Flag{scopeFlag},
 	FactTypes: []analysis.Fact{(*Class)(nil)},
 	Run:       run,
 }
@@ -65,10 +62,6 @@ func wirePath(path string) bool {
 func run(pass *analysis.Pass) error {
 	if wirePath(pass.PkgPath()) {
 		checkDeclarations(pass)
-	}
-	scope, err := regexp.Compile(scopeFlag.Value)
-	if err != nil {
-		return err
 	}
 	if scope.MatchString(pass.PkgPath()) {
 		checkRetrySwitches(pass)

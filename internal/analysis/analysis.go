@@ -32,39 +32,18 @@ import (
 
 // An Analyzer is one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags
-	// (-<name>.<flag>), and unionlint:allow annotations.
+	// Name identifies the analyzer in diagnostics and unionlint:allow
+	// annotations.
 	Name string
 	// Doc is a one-paragraph description; the first line is the
 	// summary shown by `unionlint -help`.
 	Doc string
-	// Flags holds analyzer-specific flags, registered by drivers under
-	// the -<name>. prefix. Nil means no flags.
-	Flags []*Flag
 	// FactTypes lists one zero value per concrete Fact type the
 	// analyzer exports or imports, so drivers can register them for
 	// gob (de)serialization. Nil means the analyzer uses no facts.
 	FactTypes []Fact
 	// Run performs the check on one package.
 	Run func(*Pass) error
-}
-
-// A Flag is one analyzer-specific string flag. (All unionlint analyzer
-// flags are strings; a richer set is not needed.)
-type Flag struct {
-	Name  string // without the analyzer prefix
-	Usage string
-	Value string // default; drivers overwrite before Run
-}
-
-// Lookup returns the analyzer's flag with the given name, or nil.
-func (a *Analyzer) Lookup(name string) *Flag {
-	for _, f := range a.Flags {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
 }
 
 // A Pass presents one type-checked package to an Analyzer.
@@ -127,8 +106,8 @@ func (p *Pass) ReportDiag(d Diagnostic) {
 }
 
 // PkgPath returns the package's import path with any test-variant
-// suffix ("pkg [pkg.test]") stripped, so scope regexps and baseline
-// keys treat a package and its internal-test compilation alike.
+// suffix ("pkg [pkg.test]") stripped, so scope regexps treat a
+// package and its internal-test compilation alike.
 func (p *Pass) PkgPath() string {
 	path := p.Pkg.Path()
 	if i := strings.Index(path, " ["); i >= 0 {

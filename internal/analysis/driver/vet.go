@@ -48,25 +48,6 @@ func PrintVersion(w io.Writer, progname string) {
 	fmt.Fprintf(w, "%s version devel buildID=%s\n", progname, id)
 }
 
-// PrintFlagDefs implements the `-flags` handshake: a JSON array
-// describing the tool's flags, which the go command splices into its
-// own vet flag parsing so `go vet -vettool=... -<name>.<flag>=v` works.
-func PrintFlagDefs(w io.Writer, analyzers []*analysis.Analyzer) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	defs := []jsonFlag{}
-	for _, a := range analyzers {
-		for _, f := range a.Flags {
-			defs = append(defs, jsonFlag{Name: a.Name + "." + f.Name, Usage: f.Usage})
-		}
-	}
-	data, _ := json.Marshal(defs)
-	fmt.Fprintf(w, "%s\n", data)
-}
-
 // RunVetUnit analyzes the single compilation unit described by the
 // .cfg file, printing findings to stderr in plain form. Its exit-code
 // contract matches x/tools unitchecker: 0 clean, nonzero otherwise

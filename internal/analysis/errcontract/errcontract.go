@@ -41,30 +41,19 @@ import (
 	"repro/internal/analysis"
 )
 
-// DefaultScope is the set of packages forming the network boundary.
-const DefaultScope = `(^|/)internal/(wire|client|server|distnet)(/|$)`
-
-var scopeFlag = &analysis.Flag{
-	Name:  "scope",
-	Usage: "regexp of package import paths the analyzer applies to",
-	Value: DefaultScope,
-}
+// scope matches the packages forming the network boundary.
+var scope = regexp.MustCompile(`(^|/)internal/(wire|client|server|distnet)(/|$)`)
 
 // Analyzer is the errcontract analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:  "errcontract",
-	Doc:   "errors crossing the wire/client boundary must wrap with %w, not flatten to text",
-	Flags: []*analysis.Flag{scopeFlag},
-	Run:   run,
+	Name: "errcontract",
+	Doc:  "errors crossing the wire/client boundary must wrap with %w, not flatten to text",
+	Run:  run,
 }
 
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 func run(pass *analysis.Pass) error {
-	scope, err := regexp.Compile(scopeFlag.Value)
-	if err != nil {
-		return err
-	}
 	if !scope.MatchString(pass.PkgPath()) {
 		return nil
 	}

@@ -28,28 +28,17 @@ import (
 	"repro/internal/analysis"
 )
 
-// DefaultScope is the estimator code the rule applies to.
-const DefaultScope = `(^|/)internal/(core|estimate)(/|$)`
-
-var scopeFlag = &analysis.Flag{
-	Name:  "scope",
-	Usage: "regexp of package import paths the analyzer applies to",
-	Value: DefaultScope,
-}
+// scope matches the estimator code the rule applies to.
+var scope = regexp.MustCompile(`(^|/)internal/(core|estimate)(/|$)`)
 
 // Analyzer is the floatcmp analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:  "floatcmp",
-	Doc:   "forbid ==/!= on floats in estimator code (except against exact zero)",
-	Flags: []*analysis.Flag{scopeFlag},
-	Run:   run,
+	Name: "floatcmp",
+	Doc:  "forbid ==/!= on floats in estimator code (except against exact zero)",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	scope, err := regexp.Compile(scopeFlag.Value)
-	if err != nil {
-		return err
-	}
 	if !scope.MatchString(pass.PkgPath()) {
 		return nil
 	}

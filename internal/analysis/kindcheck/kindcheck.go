@@ -11,7 +11,7 @@
 //     the blank-import aggregator internal/sketch/kinds) reports the
 //     collision;
 //   - retired tags are never reused: sketch kind tags listed in
-//     -kindcheck.retired, and wire frame type 7 (the retired MsgOpaque)
+//     retiredKindTags, and wire frame type 7 (the retired MsgOpaque)
 //     in internal/wire;
 //   - every kind package wraps the typed sentinels sketch.ErrMismatch
 //     and sketch.ErrCorrupt (and, where used, sketch.ErrUnknownKind)
@@ -22,7 +22,6 @@
 package kindcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -44,18 +43,11 @@ type RegisteredKind struct {
 // AFact marks RegisteredKind as a fact type.
 func (*RegisteredKind) AFact() {}
 
-var retiredFlag = &analysis.Flag{
-	Name:  "retired",
-	Usage: "comma-separated retired sketch kind tags as tag=reason pairs (e.g. '9=legacy opaque'); registering one is an error",
-	Value: "",
-}
-
 // Analyzer is the kindcheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "kindcheck",
 	Doc: "enforce sketch-registry invariants: one Register per kind package, constant unique " +
 		"never-reused tags, %w-wrapped typed sentinels, consistent receivers",
-	Flags:     []*analysis.Flag{retiredFlag},
 	FactTypes: []analysis.Fact{(*RegisteredKind)(nil)},
 	Run:       run,
 }
@@ -69,6 +61,11 @@ func registryPath(path string) bool {
 func wirePath(path string) bool {
 	return path == "internal/wire" || strings.HasSuffix(path, "/internal/wire")
 }
+
+// retiredKindTags are sketch kind tags that were once assigned and
+// must never come back, each with the kind it named; reusing one would
+// make old envelopes decode as the new kind. None is retired yet.
+var retiredKindTags = map[uint64]string{}
 
 // retiredFrameTypes are wire frame type values that were once assigned
 // and must never come back; reusing one would make old captures and
@@ -100,11 +97,6 @@ var sketchMethodNames = map[string]bool{
 const coreMethodCount = 4
 
 func run(pass *analysis.Pass) error {
-	retired, err := parseRetired(retiredFlag.Value)
-	if err != nil {
-		return err
-	}
-
 	// Collect sketch.Register call sites and the sentinel objects of
 	// the registry package this package uses.
 	var registerCalls []*ast.CallExpr
@@ -124,7 +116,7 @@ func run(pass *analysis.Pass) error {
 	})
 
 	if len(registerCalls) > 0 {
-		checkRegistrations(pass, registerCalls, retired)
+		checkRegistrations(pass, registerCalls)
 		checkSentinelWrapping(pass, registryPkg, registerCalls[0])
 		checkReceiverConsistency(pass)
 	}
@@ -137,21 +129,21 @@ func run(pass *analysis.Pass) error {
 
 // checkRegistrations validates the shape of each Register call and
 // exports the package's RegisteredKind fact.
-func checkRegistrations(pass *analysis.Pass, calls []*ast.CallExpr, retired map[uint64]string) {
+func checkRegistrations(pass *analysis.Pass, calls []*ast.CallExpr) {
 	for i, call := range calls {
 		if i > 0 {
 			pass.Reportf(call.Pos(),
 				"package registers %d sketch kinds; each kind package must register exactly one", len(calls))
 			continue
 		}
-		fact := checkOneRegistration(pass, call, retired)
+		fact := checkOneRegistration(pass, call)
 		if fact != nil {
 			pass.ExportPackageFact(fact)
 		}
 	}
 }
 
-func checkOneRegistration(pass *analysis.Pass, call *ast.CallExpr, retired map[uint64]string) *RegisteredKind {
+func checkOneRegistration(pass *analysis.Pass, call *ast.CallExpr) *RegisteredKind {
 	if len(call.Args) != 1 {
 		return nil // does not typecheck as sketch.Register; nothing to do
 	}
@@ -186,7 +178,7 @@ func checkOneRegistration(pass *analysis.Pass, call *ast.CallExpr, retired map[u
 		pass.Reportf(fields["Kind"].Pos(), "sketch kind tag 0 is reserved for 'unset' and cannot be registered")
 		ok = false
 	default:
-		if reason, isRetired := retired[tag]; isRetired {
+		if reason, isRetired := retiredKindTags[tag]; isRetired {
 			pass.Reportf(fields["Kind"].Pos(),
 				"sketch kind tag %d is retired (%s) and must never be reused", tag, reason)
 			ok = false
@@ -510,25 +502,4 @@ func scanVerbs(format string) []byte {
 		out = append(out, format[i])
 	}
 	return out
-}
-
-// parseRetired parses the -kindcheck.retired flag value.
-func parseRetired(s string) (map[uint64]string, error) {
-	out := map[uint64]string{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		tagStr, reason, _ := strings.Cut(part, "=")
-		tag, err := strconv.ParseUint(strings.TrimSpace(tagStr), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("kindcheck: bad -kindcheck.retired entry %q: %v", part, err)
-		}
-		if reason == "" {
-			reason = "retired"
-		}
-		out[tag] = strings.TrimSpace(reason)
-	}
-	return out, nil
 }

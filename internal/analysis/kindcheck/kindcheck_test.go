@@ -31,11 +31,3 @@ func TestKindcheck(t *testing.T) {
 func TestKindcheckWire(t *testing.T) {
 	analysistest.Run(t, testdata(t), kindcheck.Analyzer, "repro/internal/wire")
 }
-
-func TestKindcheckRetired(t *testing.T) {
-	f := kindcheck.Analyzer.Lookup("retired")
-	old := f.Value
-	f.Value = "9=legacy envelope tag"
-	defer func() { f.Value = old }()
-	analysistest.Run(t, testdata(t), kindcheck.Analyzer, "repro/internal/sketch/retiredpkg")
-}

@@ -1,5 +1,5 @@
-// Package retiredpkg reuses a retired sketch kind tag (the test sets
-// -kindcheck.retired=9=legacy envelope tag).
+// Package retiredpkg reuses a retired sketch kind tag (the test adds
+// tag 9 to retiredKindTags as "legacy envelope tag").
 package retiredpkg
 
 import (

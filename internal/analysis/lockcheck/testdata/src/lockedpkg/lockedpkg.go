@@ -1,4 +1,4 @@
-// Package lockedpkg is the lockcheck golden package.
+// Package lockedpkg is the golden package for guarded field accesses.
 package lockedpkg
 
 import "sync"

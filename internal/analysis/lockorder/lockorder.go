@@ -1,8 +1,29 @@
-// Package lockorder is the whole-module deadlock analyzer: it tracks
-// which `// guards:`-annotated mutexes (lockcheck's grammar) each
-// function may acquire, propagates those summaries across package
-// boundaries as object facts, and reports the three ways the
-// concurrent tier can wedge:
+// Package lockorder is the whole-module lock analyzer. A struct
+// field's `// guards:` comment names the mutex that protects its
+// sibling fields:
+//
+//	mu sync.Mutex // guards: groups, ln, conns
+//
+// and a function's `// locked: mu` doc line says its callers hold mu
+// (a bare `// locked:` covers every mutex of the receiver). The
+// analyzer checks those annotations and the code they describe:
+//
+//   - a guards: list must sit on a single sync.Mutex/sync.RWMutex
+//     field and name only fields of the same struct (a rename that
+//     orphans the list is itself a diagnostic);
+//   - a function that touches a guarded field must declare
+//     `// locked:` for its mutex or call Lock/RLock on that mutex
+//     somewhere in its body, nested function literals included. This
+//     rule is lexical, not a path analysis: locking any instance's
+//     mutex satisfies accesses through any value of the struct type.
+//     It exists to catch the easy, common misuse — a new code path
+//     reading s.groups without s.mu — because the coordinator is only
+//     bit-identical to serial merging while every access to a merge
+//     group's state happens under its group mutex;
+//
+// and it tracks which annotated mutexes each function may acquire,
+// propagates those summaries across package boundaries as object
+// facts, and reports the three ways the concurrent tier can wedge:
 //
 //   - self-deadlock: acquiring a mutex the function (or a transitive
 //     callee) already holds — sync mutexes are not reentrant;
@@ -19,10 +40,10 @@
 //     deadlock risk is exactly this shape: a flush that pushes
 //     upstream TCP while holding a group lock stalls every absorb.
 //
-// The held-set tracking is lexical and per function declaration, like
-// lockcheck: a `x.Lock()` statement adds the mutex, `x.Unlock()`
-// removes it, `defer x.Unlock()` keeps it held to the end of the
-// body. A `// locked: mu` doc annotation seeds the held set from the
+// The held-set tracking is lexical and per function declaration: a
+// `x.Lock()` statement adds the mutex, `x.Unlock()` removes it,
+// `defer x.Unlock()` keeps it held to the end of the body. A
+// `// locked: mu` doc annotation seeds the held set from the
 // receiver's annotated mutexes. Function literals launched with `go`
 // are checked as separate goroutines (their acquisitions do not count
 // against the enclosing call path); deferred and inline literals are
@@ -39,9 +60,9 @@
 //
 //	// lockorder:allow <reason>
 //
-// on the offending line (or the line above) suppresses lockorder
-// diagnostics there; the reason is mandatory — a bare annotation is
-// itself reported.
+// on the offending line (or the line above) suppresses lockorder's
+// deadlock diagnostics there; the reason is mandatory — a bare
+// annotation is itself reported.
 package lockorder
 
 import (
@@ -101,8 +122,9 @@ func (*LockGraph) AFact() {}
 // Analyzer is the lockorder analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "build whole-module lock acquisition summaries over `// guards:`-annotated mutexes; " +
-		"report self-deadlocks, cross-package ordering cycles, and blocking calls made while locked",
+	Doc: "accesses to `// guards:`-annotated fields must hold the declared mutex; build whole-module " +
+		"lock acquisition summaries and report self-deadlocks, cross-package ordering cycles, and " +
+		"blocking calls made while locked",
 	FactTypes: []analysis.Fact{(*LockSummary)(nil), (*GuardedMutexes)(nil), (*LockGraph)(nil)},
 	Run:       run,
 }
@@ -133,6 +155,11 @@ type blockEvent struct {
 // A structMutex is one annotated mutex field of a local struct.
 type structMutex struct {
 	field, id string
+}
+
+// A guard is the mutex that protects one guarded field.
+type guard struct {
+	structName, mutex, id string
 }
 
 // funcRec accumulates one function's lock behavior.
@@ -167,6 +194,7 @@ type localEdge struct {
 type state struct {
 	pass      *analysis.Pass
 	annotated map[*types.Var]string      // local annotated mutex field → mutex ID
+	guarded   map[*types.Var]guard       // local guarded field → its mutex
 	byStruct  map[string][]structMutex   // local struct name → its annotated mutexes
 	names     []string                   // local "Struct.field" names (GuardedMutexes fact)
 	foreignMu map[string]map[string]bool // pkg path → annotated "Struct.field" set
@@ -180,6 +208,7 @@ func run(pass *analysis.Pass) error {
 	st := &state{
 		pass:      pass,
 		annotated: map[*types.Var]string{},
+		guarded:   map[*types.Var]guard{},
 		byStruct:  map[string][]structMutex{},
 		foreignMu: map[string]map[string]bool{},
 		byObj:     map[types.Object]*funcRec{},
@@ -211,6 +240,7 @@ func run(pass *analysis.Pass) error {
 			w := &walker{st: st, rec: rec, held: st.seedHeld(fd)}
 			w.scan(fd.Body)
 			st.recs = append(st.recs, rec)
+			st.checkGuarded(fd)
 		}
 	}
 
@@ -227,7 +257,8 @@ func run(pass *analysis.Pass) error {
 // --- annotation collection -------------------------------------------------
 
 // collectMutexes indexes the package's `// guards:`-annotated mutex
-// fields (lockcheck owns validating the annotations themselves).
+// fields and the fields each guards, reporting an annotation that
+// does not sit on one mutex field or lists a field its struct lacks.
 func (st *state) collectMutexes() {
 	pkgPath := analysis.TrimPkgPath(st.pass.Pkg.Path())
 	for _, file := range st.pass.Files {
@@ -240,19 +271,41 @@ func (st *state) collectMutexes() {
 			if !ok {
 				return true
 			}
+			structName := ts.Name.Name
+			fieldByName := map[string]*types.Var{}
 			for _, f := range stt.Fields.List {
-				if !hasGuardsComment(f) || len(f.Names) != 1 {
+				for _, name := range f.Names {
+					if v, ok := st.pass.TypesInfo.Defs[name].(*types.Var); ok {
+						fieldByName[name.Name] = v
+					}
+				}
+			}
+			for _, f := range stt.Fields.List {
+				names, ok := parseGuardList(f)
+				if !ok {
 					continue
 				}
-				v, ok := st.pass.TypesInfo.Defs[f.Names[0]].(*types.Var)
-				if !ok || !isMutexType(v.Type()) {
+				var v *types.Var
+				if len(f.Names) == 1 {
+					v, _ = st.pass.TypesInfo.Defs[f.Names[0]].(*types.Var)
+				}
+				if v == nil || !isMutexType(v.Type()) {
+					st.pass.Reportf(f.Pos(), "guards: annotation must sit on a single sync.Mutex/sync.RWMutex field")
 					continue
 				}
-				id := pkgPath + "." + ts.Name.Name + "." + v.Name()
+				id := pkgPath + "." + structName + "." + v.Name()
 				st.annotated[v] = id
-				st.byStruct[ts.Name.Name] = append(st.byStruct[ts.Name.Name],
+				st.byStruct[structName] = append(st.byStruct[structName],
 					structMutex{field: v.Name(), id: id})
-				st.names = append(st.names, ts.Name.Name+"."+v.Name())
+				st.names = append(st.names, structName+"."+v.Name())
+				for _, g := range names {
+					gv, ok := fieldByName[g]
+					if !ok {
+						st.pass.Reportf(f.Pos(), "guards: lists %q, which is not a field of %s (stale annotation after a rename?)", g, structName)
+						continue
+					}
+					st.guarded[gv] = guard{structName: structName, mutex: v.Name(), id: id}
+				}
 			}
 			return true
 		})
@@ -260,21 +313,30 @@ func (st *state) collectMutexes() {
 	sort.Strings(st.names)
 }
 
-// hasGuardsComment reports whether field f carries a guards: comment
-// (doc or trailing), lockcheck's grammar.
-func hasGuardsComment(f *ast.Field) bool {
+// parseGuardList extracts the field names from a `// guards: a, b`
+// comment attached to field f (doc or trailing). ok reports whether
+// the comment is there at all: a bare `// guards:` annotates a mutex
+// for the deadlock checks without guarding any field.
+func parseGuardList(f *ast.Field) (names []string, ok bool) {
 	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
 		if cg == nil {
 			continue
 		}
 		for _, c := range cg.List {
 			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if strings.HasPrefix(text, "guards:") {
-				return true
+			rest, found := strings.CutPrefix(text, "guards:")
+			if !found {
+				continue
+			}
+			ok = true
+			for _, n := range strings.Split(rest, ",") {
+				if n = strings.TrimSpace(n); n != "" {
+					names = append(names, n)
+				}
 			}
 		}
 	}
-	return false
+	return names, ok
 }
 
 // isMutexType reports whether t is sync.Mutex or sync.RWMutex.
@@ -362,9 +424,9 @@ func (st *state) seedHeld(fd *ast.FuncDecl) []heldLock {
 	return held
 }
 
-// parseLockedAnnotation reads lockcheck's `// locked:` doc-comment
-// grammar: bare means every mutex, otherwise comma-separated names
-// (with an optional trailing free-text reason per name).
+// parseLockedAnnotation reads a `// locked:` doc-comment line: bare
+// means every mutex, otherwise comma-separated names (with an optional
+// trailing free-text reason per name).
 func parseLockedAnnotation(fd *ast.FuncDecl) (all bool, names map[string]bool) {
 	names = map[string]bool{}
 	if fd.Doc == nil {
@@ -414,6 +476,54 @@ func funcName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
+// checkGuarded reports fd's accesses to guarded fields whose mutex fd
+// neither declares with `// locked:` nor locks anywhere in its body.
+func (st *state) checkGuarded(fd *ast.FuncDecl) {
+	if len(st.guarded) == 0 {
+		return
+	}
+	all, held := parseLockedAnnotation(fd)
+	if all {
+		return
+	}
+	locked := map[string]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if ok && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") {
+			if id, ok := st.mutexOf(sel.X); ok {
+				locked[id] = true
+			}
+		}
+		return true
+	})
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		s, ok := st.pass.TypesInfo.Selections[sel]
+		if !ok {
+			return true
+		}
+		v, ok := s.Obj().(*types.Var)
+		if !ok {
+			return true
+		}
+		g, ok := st.guarded[v]
+		if !ok || locked[g.id] || held[g.mutex] {
+			return true
+		}
+		st.pass.Reportf(sel.Pos(),
+			"%s.%s is guarded by %s.%s, but %s neither locks it nor declares `// locked: %s`",
+			g.structName, v.Name(), g.structName, g.mutex, funcName(fd), g.mutex)
+		return true
+	})
+}
+
 // --- body walk -------------------------------------------------------------
 
 // walker tracks the lexical held set through one function body.
@@ -452,7 +562,7 @@ func (w *walker) holds(id string) *heldLock {
 
 // scan visits n and its children in source order, maintaining the held
 // set. It is a pre-order walk: branch-local lock state leaks into the
-// following statements (lexical, like lockcheck — documented).
+// following statements (lexical, as documented).
 func (w *walker) scan(n ast.Node) {
 	if n == nil {
 		return

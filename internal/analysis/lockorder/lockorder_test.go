@@ -24,7 +24,8 @@ func testdata(t *testing.T) string {
 // and via an imported LockSummary fact), blocking-while-locked (direct
 // ops, a cross-package call classified through its fact, and a
 // `// locked:` seeded held set), and the lockorder:allow escape (with
-// and without the mandatory reason).
+// and without the mandatory reason). The guards: checks have their own
+// golden test, lockcheck.TestLockcheck.
 func TestLockorder(t *testing.T) {
 	analysistest.Run(t, testdata(t), lockorder.Analyzer,
 		"repro/internal/locks/a",

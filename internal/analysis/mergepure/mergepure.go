@@ -45,7 +45,7 @@
 //
 // Integer counters, delete, and keyed map/index writes are order-
 // independent and never flagged. The check is scoped to the sketch
-// state packages by -mergepure.scope.
+// state packages.
 package mergepure
 
 import (
@@ -68,18 +68,15 @@ type Impure struct {
 // AFact marks Impure as a fact type.
 func (*Impure) AFact() {}
 
-var scopeFlag = &analysis.Flag{
-	Name:  "scope",
-	Usage: "regexp of package paths whose determinism roots are reported (facts are exported everywhere)",
-	Value: `(^|/)internal/(core|exact|window|sketch)(/|$)`,
-}
+// scope matches the packages whose determinism roots are reported;
+// facts are exported everywhere.
+var scope = regexp.MustCompile(`(^|/)internal/(core|exact|window|sketch)(/|$)`)
 
 // Analyzer is the mergepure analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "mergepure",
 	Doc: "require functions on the sketch merge/estimate path to be deterministic: no clocks, " +
 		"no randomness, no goroutine fan-out outside declared seams, no map-order leaks",
-	Flags:     []*analysis.Flag{scopeFlag},
 	FactTypes: []analysis.Fact{(*Impure)(nil)},
 	Run:       run,
 }
@@ -122,11 +119,7 @@ type funcInfo struct {
 }
 
 func run(pass *analysis.Pass) error {
-	scopeRe, err := regexp.Compile(scopeFlag.Value)
-	if err != nil {
-		return err
-	}
-	inScope := scopeRe.MatchString(pass.PkgPath())
+	inScope := scope.MatchString(pass.PkgPath())
 
 	funcs := map[types.Object]*funcInfo{}
 	for _, f := range pass.Files {

@@ -7,12 +7,10 @@ package registry
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/ackcontract"
-	"repro/internal/analysis/allocflow"
 	"repro/internal/analysis/errcontract"
 	"repro/internal/analysis/failpointcheck"
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/kindcheck"
-	"repro/internal/analysis/lockcheck"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/mergepure"
 	"repro/internal/analysis/seedcheck"
@@ -22,12 +20,10 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ackcontract.Analyzer,
-		allocflow.Analyzer,
 		errcontract.Analyzer,
 		failpointcheck.Analyzer,
 		floatcmp.Analyzer,
 		kindcheck.Analyzer,
-		lockcheck.Analyzer,
 		lockorder.Analyzer,
 		mergepure.Analyzer,
 		seedcheck.Analyzer,

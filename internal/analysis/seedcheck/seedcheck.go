@@ -32,23 +32,16 @@ import (
 	"repro/internal/analysis"
 )
 
-// DefaultScope matches the packages in which nondeterminism is a
+// scope matches the packages in which nondeterminism is a
 // correctness bug: the sampler core, hash families, baseline sketches,
 // the trial harness, the window extension, and the site client.
-const DefaultScope = `(^|/)internal/(core|hashing|sketch|estimate|window|client)(/|$)`
-
-var scopeFlag = &analysis.Flag{
-	Name:  "scope",
-	Usage: "regexp of package import paths the analyzer applies to",
-	Value: DefaultScope,
-}
+var scope = regexp.MustCompile(`(^|/)internal/(core|hashing|sketch|estimate|window|client)(/|$)`)
 
 // Analyzer is the seedcheck analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:  "seedcheck",
-	Doc:   "forbid unseeded or clock-seeded randomness in coordinated-sampling packages",
-	Flags: []*analysis.Flag{scopeFlag},
-	Run:   run,
+	Name: "seedcheck",
+	Doc:  "forbid unseeded or clock-seeded randomness in coordinated-sampling packages",
+	Run:  run,
 }
 
 // globalRandFuncs are the math/rand (v1 and v2) top-level functions
@@ -65,10 +58,6 @@ var globalRandFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	scope, err := regexp.Compile(scopeFlag.Value)
-	if err != nil {
-		return err
-	}
 	if !scope.MatchString(pass.PkgPath()) {
 		return nil
 	}

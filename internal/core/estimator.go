@@ -79,8 +79,6 @@ func (e *Estimator) Copies() int { return len(e.copies) }
 func (e *Estimator) Copy(i int) *Sampler { return &e.copies[i] }
 
 // Process observes one occurrence of label in every copy.
-//
-// hotpath: called once per stream item.
 func (e *Estimator) Process(label uint64) {
 	for i := range e.copies {
 		e.copies[i].Process(label)
@@ -89,8 +87,6 @@ func (e *Estimator) Process(label uint64) {
 
 // ProcessWeighted observes label with a value in every copy; see
 // Sampler.ProcessWeighted for the fixed-value-per-label contract.
-//
-// hotpath: called once per stream item.
 func (e *Estimator) ProcessWeighted(label, value uint64) {
 	for i := range e.copies {
 		e.copies[i].ProcessWeighted(label, value)
@@ -104,22 +100,18 @@ func (e *Estimator) ProcessWeighted(label, value uint64) {
 func (e *Estimator) Merge(o sketch.Sketch) error {
 	other, ok := o.(*Estimator)
 	if !ok {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: cannot merge %T into *core.Estimator", ErrMismatch, o)
 	}
 	if other == nil {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: nil estimator", ErrMismatch)
 	}
 	if e.cfg != other.cfg {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: estimator configs %+v vs %+v", ErrMismatch, e.cfg, other.cfg)
 	}
 	// Validate every pair first so a failed merge cannot leave e
 	// half-updated.
 	for i := range e.copies {
 		if e.copies[i].cfg.Seed != other.copies[i].cfg.Seed {
-			// allocflow:cold a mismatched merge is refused, not streamed
 			return fmt.Errorf("%w: copy %d seed divergence", ErrMismatch, i)
 		}
 	}

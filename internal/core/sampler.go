@@ -198,7 +198,7 @@ func (s *Sampler) insert(label, weight uint64, lv int32) bool {
 	}
 	if 4*(s.n+1) > 3*len(s.table) {
 		old := s.table
-		// allocflow:amortized the table doubles at most log2(Capacity) times; Len stays ≤ Capacity+1 between raises
+		// The table doubles at most log2(Capacity) times; Len stays ≤ Capacity+1 between raises.
 		s.table = make([]entry, 2*len(old))
 		for _, o := range old {
 			if o.lv != 0 {
@@ -257,8 +257,6 @@ func (s *Sampler) Len() int { return s.n }
 // Process observes one occurrence of label. Duplicate occurrences are
 // free: the sampler's state is a function of the distinct label set
 // only.
-//
-// hotpath: called once per stream item.
 func (s *Sampler) Process(label uint64) {
 	s.ProcessWeighted(label, 1)
 }
@@ -268,8 +266,6 @@ func (s *Sampler) Process(label uint64) {
 // carry the same value; ProcessWeighted keeps the first value it
 // retains and ignores repeats, matching the paper's "each label has a
 // fixed associated value" semantics.
-//
-// hotpath: called once per stream item.
 func (s *Sampler) ProcessWeighted(label, value uint64) {
 	lvl := s.levelOf(label)
 	if lvl < s.level {
@@ -316,11 +312,9 @@ func (s *Sampler) raise() {
 // entries.
 func (s *Sampler) Merge(other *Sampler) error {
 	if other == nil {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: nil sampler", ErrMismatch)
 	}
 	if s.cfg.Seed != other.cfg.Seed || s.cfg.Capacity != other.cfg.Capacity || s.cfg.Family != other.cfg.Family {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: %+v vs %+v", ErrMismatch, s.describe(), other.describe())
 	}
 	if other.level > s.level {

@@ -46,15 +46,11 @@ func NewSumSampler(cfg Config, maxValue uint64) *SumSampler {
 // duplicate-insensitive model); violations are not detected — the
 // first-expanded sub-items win, as in the weighted sampler.
 // It returns an error if label or value is out of range.
-//
-// hotpath: called once per stream item.
 func (s *SumSampler) Process(label, value uint64) error {
 	if value > s.maxValue {
-		// allocflow:cold out-of-range input is rejected, not streamed
 		return fmt.Errorf("core: value %d exceeds SumSampler bound %d", value, s.maxValue)
 	}
 	if label > MaxSumLabel {
-		// allocflow:cold out-of-range input is rejected, not streamed
 		return fmt.Errorf("core: label %d exceeds SumSampler label space", label)
 	}
 	for j := uint64(1); j <= value; j++ {

@@ -34,8 +34,6 @@ func newKindSite(sk sketch.Sketch) *kindSite {
 }
 
 // Process implements SiteSketch.
-//
-// hotpath: called once per stream item.
 func (s *kindSite) Process(it stream.Item) {
 	if s.w != nil {
 		s.w.ProcessWeighted(it.Label, it.Value)

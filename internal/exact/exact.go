@@ -79,7 +79,6 @@ func (d *Distinct) SumWhere(pred func(label uint64) bool) uint64 {
 func (d *Distinct) Merge(o sketch.Sketch) error {
 	other, ok := o.(*Distinct)
 	if !ok {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: cannot merge %T into *exact.Distinct", sketch.ErrMismatch, o)
 	}
 	if other == nil {

@@ -65,9 +65,11 @@ const (
 	// written; an error fails the append (the absorb is refused with a
 	// transient ack and no group or log state changes).
 	WALAppend = "wal/append"
-	// WALFsync fires before each WAL fsync; an error fails the append
-	// after the bytes were written — the record may or may not survive
-	// a crash, which idempotent replay makes safe either way.
+	// WALFsync fires before each append's fsync (SyncAlways only; the
+	// seal, snapshot and close syncs do not pass through it); an error
+	// fails the append after the bytes were written — the record may
+	// or may not survive a crash, which idempotent replay makes safe
+	// either way.
 	WALFsync = "wal/fsync"
 	// WALRotate fires before a full segment is rotated; an error skips
 	// the rotation (appends continue into the oversized segment and the
@@ -121,7 +123,7 @@ func Inject(name string) error {
 	if reg.armed.Load() == 0 {
 		return nil
 	}
-	// allocflow:cold the slow path is armed only in chaos runs
+	// The slow path is armed only in chaos runs.
 	return inject(name)
 }
 

@@ -27,8 +27,6 @@ func NewPairwise(seed uint64) Pairwise {
 }
 
 // Hash returns h(x) ∈ [0, p).
-//
-// hotpath: called at least once per stream item.
 func (h Pairwise) Hash(x uint64) uint64 {
 	return AddModP(MulModP(h.a, modP(x)), h.b)
 }
@@ -64,8 +62,6 @@ func NewKWise(k int, seed uint64) KWise {
 func (h KWise) K() int { return len(h.coef) }
 
 // Hash returns h(x) ∈ [0, p).
-//
-// hotpath: called at least once per stream item.
 func (h KWise) Hash(x uint64) uint64 {
 	xm := modP(x)
 	acc := h.coef[len(h.coef)-1]

@@ -25,8 +25,6 @@ func NewTabulation(seed uint64) *Tabulation {
 }
 
 // Hash returns the tabulation hash of x folded into [0, p).
-//
-// hotpath: called at least once per stream item.
 func (t *Tabulation) Hash(x uint64) uint64 {
 	var v uint64
 	for i := 0; i < 8; i++ {

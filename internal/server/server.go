@@ -367,7 +367,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if _, serr := s.SnapshotWAL(); serr != nil {
 			s.logf("unionstreamd: shutdown wal snapshot: %v", serr)
 		}
-		w.log.Close()
+		if cerr := w.log.Close(); cerr != nil {
+			s.logf("unionstreamd: shutdown wal close: %v", cerr)
+		}
 	}
 	s.logf("unionstreamd: shutdown complete (%d sketches absorbed)", s.stats.absorbed.Load())
 	return err
@@ -511,15 +513,12 @@ func (s *Server) AbsorbNamed(stream string, envelope []byte) error {
 // absorbSketch opens a pushed sketch envelope and merges it into its
 // (stream, kind, config digest) group, creating the group on first
 // contact.
-//
-// hotpath: called once per pushed envelope (TCP and in-process).
 func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
 	if err := wire.ValidStreamName(stream); err != nil {
-		// allocflow:cold a bad stream name refuses the push, it is not streamed
 		return wire.Ack{Code: wire.AckCorrupt, Detail: err.Error()}
 	}
 	sk, err := sketch.Open(payload)
-	if err != nil { // allocflow:cold a refused envelope aborts the absorb, it is not streamed
+	if err != nil {
 		if errors.Is(err, sketch.ErrUnknownKind) {
 			return wire.Ack{Code: wire.AckUnsupported, Detail: err.Error()}
 		}
@@ -527,12 +526,10 @@ func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
 	}
 	info, _ := sketch.Lookup(sk.Kind())
 	if s.cfg.RequireKind != "" && info.Name != s.cfg.RequireKind {
-		// allocflow:cold a kind-pinned coordinator refuses the push outright
 		return wire.Ack{Code: wire.AckKindMismatch,
 			Detail: fmt.Sprintf("sketch kind %q, coordinator requires %q", info.Name, s.cfg.RequireKind)}
 	}
 	if s.cfg.RequireSeed != nil && sk.Seed() != *s.cfg.RequireSeed {
-		// allocflow:cold a seed-pinned coordinator refuses the push outright
 		return wire.Ack{Code: wire.AckSeedMismatch,
 			Detail: fmt.Sprintf("sketch seed %d, coordinator requires %d", sk.Seed(), *s.cfg.RequireSeed)}
 	}
@@ -540,7 +537,6 @@ func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
 		// Chaos hook: the absorb fails after validation but before the
 		// group is touched — the site must see a retryable error and the
 		// group state must be exactly as if the push never arrived.
-		// allocflow:cold the failing arm exists only in chaos runs
 		return wire.Ack{Code: wire.AckError, Detail: ferr.Error()}
 	}
 
@@ -551,14 +547,14 @@ func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
 		// walState.seal); an append failure refuses the push with a
 		// transient ack — an acked push the log cannot replay would be
 		// a durability lie.
-		if err := s.ensureRecovered(); err != nil { // allocflow:cold recovery runs once per process, before the first logged push
+		if err := s.ensureRecovered(); err != nil {
 			return wire.Ack{Code: wire.AckError, Detail: err.Error()}
 		}
 		w.seal.RLock()
 		defer w.seal.RUnlock()
 		if err := w.log.AppendNamed(stream, payload); err != nil {
 			w.appendErrors.Add(1)
-			w.lastErr.Store(err.Error()) // allocflow:cold a failed append refuses the push; not the streaming path
+			w.lastErr.Store(err.Error())
 			return wire.Ack{Code: wire.AckError, Detail: err.Error()}
 		}
 	}
@@ -575,7 +571,6 @@ func (s *Server) foldIntoGroup(stream string, sk sketch.Sketch, kindName string,
 	s.mu.Lock()
 	g, ok := s.groups[key]
 	if !ok {
-		// allocflow:amortized a group is allocated once per (stream, kind, digest), then reused
 		g = &group{stream: stream, kind: key.kind, name: kindName, seed: sk.Seed(), digest: key.digest}
 		s.groups[key] = g
 	}
@@ -608,7 +603,7 @@ func (s *Server) foldIntoGroup(stream string, sk sketch.Sketch, kindName string,
 		default:
 		}
 	}
-	if merr != nil { // allocflow:cold a refused merge is the error path, not the streaming path
+	if merr != nil {
 		// Unreachable while groups are keyed by config digest (equal
 		// digest means mergeable), but a future key relaxation must not
 		// turn this into a silent drop.

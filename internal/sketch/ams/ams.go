@@ -54,8 +54,6 @@ func New(copies int, seed uint64) *Sketch {
 }
 
 // Process observes one occurrence of label.
-//
-// hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
 	for i, h := range s.hashes {
 		lvl := int8(hashing.GeometricLevel(h.Hash(label)))
@@ -84,7 +82,6 @@ func (s *Sketch) Estimate() float64 {
 func (s *Sketch) Merge(o sketch.Sketch) error {
 	other, ok := o.(*Sketch)
 	if !ok {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: cannot merge %T into *ams.Sketch", ErrMismatch, o)
 	}
 	if other == nil || len(s.maxLvl) != len(other.maxLvl) || s.seed != other.seed {

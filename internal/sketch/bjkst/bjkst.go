@@ -73,8 +73,6 @@ func fingerprintMod(capacity int) uint64 {
 }
 
 // Process observes one occurrence of label.
-//
-// hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
 	lvl := int8(hashing.GeometricLevel(s.levelHash.Hash(label)))
 	if int(lvl) < s.z {
@@ -104,7 +102,6 @@ func (s *Sketch) Estimate() float64 {
 func (s *Sketch) Merge(o sketch.Sketch) error {
 	other, ok := o.(*Sketch)
 	if !ok {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: cannot merge %T into *bjkst.Sketch", ErrMismatch, o)
 	}
 	if other == nil || s.capacity != other.capacity || s.seed != other.seed {

@@ -33,9 +33,6 @@ const (
 
 // AppendEnvelope appends s's envelope (header + payload) to b and
 // returns the extended slice.
-//
-// hotpath: called once per site message / server snapshot encode; the
-// absorb benchmarks sit on top of it.
 func AppendEnvelope(b []byte, s Sketch) ([]byte, error) {
 	payload, err := s.MarshalBinary()
 	if err != nil {
@@ -43,12 +40,11 @@ func AppendEnvelope(b []byte, s Sketch) ([]byte, error) {
 	}
 	info, ok := Lookup(s.Kind())
 	if !ok {
-		// allocflow:cold an unregistered kind is a wiring bug caught in tests
 		return nil, fmt.Errorf("%w: %d (kind not registered)", ErrUnknownKind, uint8(s.Kind()))
 	}
-	b = append(b, EnvelopeMagic0, EnvelopeMagic1, byte(info.Kind), info.Version) // allocflow:amortized grows the caller's reusable buffer
+	b = append(b, EnvelopeMagic0, EnvelopeMagic1, byte(info.Kind), info.Version)
 	b = binary.LittleEndian.AppendUint64(b, s.Digest())
-	return append(b, payload...), nil // allocflow:amortized grows the caller's reusable buffer
+	return append(b, payload...), nil
 }
 
 // Envelope returns a fresh envelope encoding of s.
@@ -82,25 +78,19 @@ func PeekHeader(b []byte) (kind Kind, digest uint64, ok bool) {
 // sketch's configuration digest against the header. Every failure is
 // typed: ErrUnknownKind for an unregistered tag, ErrCorrupt for
 // everything structurally wrong.
-//
-// hotpath: called once per absorbed message / replayed WAL record.
 func Open(b []byte) (Sketch, error) {
 	if len(b) < EnvelopeHeaderSize {
-		// allocflow:cold corrupt envelopes abort the absorb, they are not streamed
 		return nil, fmt.Errorf("%w: envelope %d bytes, need %d-byte header", ErrCorrupt, len(b), EnvelopeHeaderSize)
 	}
 	if b[0] != EnvelopeMagic0 || b[1] != EnvelopeMagic1 {
-		// allocflow:cold corrupt envelopes abort the absorb, they are not streamed
 		return nil, fmt.Errorf("%w: bad envelope magic %q", ErrCorrupt, b[:2])
 	}
 	kind := Kind(b[2])
 	info, ok := Lookup(kind)
 	if !ok {
-		// allocflow:cold an unregistered kind is a wiring bug caught in tests
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, b[2])
 	}
 	if b[3] != info.Version {
-		// allocflow:cold version skew aborts the absorb, it is not streamed
 		return nil, fmt.Errorf("%w: %s payload version %d, this build speaks %d", ErrCorrupt, info.Name, b[3], info.Version)
 	}
 	digest := binary.LittleEndian.Uint64(b[4:12])
@@ -109,11 +99,9 @@ func Open(b []byte) (Sketch, error) {
 		return nil, err
 	}
 	if s.Kind() != kind {
-		// allocflow:cold kind mismatch aborts the absorb, it is not streamed
 		return nil, fmt.Errorf("%w: %s payload decoded to kind %s", ErrCorrupt, info.Name, s.Kind())
 	}
 	if got := s.Digest(); got != digest {
-		// allocflow:cold digest mismatch aborts the absorb, it is not streamed
 		return nil, fmt.Errorf("%w: %s config digest %016x, envelope says %016x", ErrCorrupt, info.Name, got, digest)
 	}
 	return s, nil

@@ -83,11 +83,9 @@ func (s *Sketch) buildHashes() {
 }
 
 // Process observes one occurrence of label.
-//
-// hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
 	if s.bucketHash == nil {
-		s.buildHashes() // allocflow:amortized the hash tables are built once, by the first Process
+		s.buildHashes()
 	}
 	bucket := s.bucketHash.Hash(label) % uint64(s.numMaps)
 	lvl := hashing.GeometricLevel(s.levelHash.Hash(label))
@@ -110,7 +108,6 @@ func (s *Sketch) Estimate() float64 {
 func (s *Sketch) Merge(o sketch.Sketch) error {
 	other, ok := o.(*Sketch)
 	if !ok {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: cannot merge %T into *fm.Sketch", ErrMismatch, o)
 	}
 	if other == nil || s.numMaps != other.numMaps || s.seed != other.seed || s.weak != other.weak {

@@ -45,8 +45,6 @@ func New(k int, seed uint64) *Sketch {
 
 // Process observes one occurrence of label, folding its hash value
 // into the k smallest.
-//
-// hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
 	v := s.hash.Hash(label)
 	n := len(s.vals)
@@ -58,7 +56,7 @@ func (s *Sketch) Process(label uint64) {
 		return
 	}
 	if n < s.k {
-		// allocflow:amortized vals grows to k once, then shifts in place
+		// vals grows to k once, then shifts in place.
 		s.vals = append(s.vals, 0)
 	}
 	// Shift the tail up one slot (dropping the largest when full).
@@ -111,7 +109,6 @@ func bottomUnion(a, b []uint64, k int) (ia, ib, both int) {
 func (s *Sketch) Merge(o sketch.Sketch) error {
 	other, ok := o.(*Sketch)
 	if !ok {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: cannot merge %T into *kmv.Sketch", ErrMismatch, o)
 	}
 	if other == nil || s.k != other.k || s.seed != other.seed {
@@ -120,7 +117,7 @@ func (s *Sketch) Merge(o sketch.Sketch) error {
 	ia, ib, both := bottomUnion(s.vals, other.vals, s.k)
 	m := ia + ib - both
 	if m > cap(s.vals) {
-		// allocflow:amortized grows with the merged size, which is at most k
+		// Grows with the merged size, which is at most k.
 		s.vals = append(s.vals, make([]uint64, m-len(s.vals))...)
 	}
 	// Merge the two prefixes back to front into s.vals[:m]. The write

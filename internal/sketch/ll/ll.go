@@ -73,11 +73,9 @@ func (s *Sketch) buildHashes() {
 }
 
 // Process observes one occurrence of label.
-//
-// hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
 	if s.regHash == nil {
-		s.buildHashes() // allocflow:amortized the hash tables are built once, by the first Process
+		s.buildHashes()
 	}
 	reg := s.regHash.Hash(label) % uint64(s.numRegs)
 	rank := uint8(hashing.GeometricLevel(s.levelHash.Hash(label))) + 1
@@ -123,7 +121,6 @@ func alpha(m int) float64 {
 func (s *Sketch) Merge(o sketch.Sketch) error {
 	other, ok := o.(*Sketch)
 	if !ok {
-		// allocflow:cold a mismatched merge is refused, not streamed
 		return fmt.Errorf("%w: cannot merge %T into *ll.Sketch", ErrMismatch, o)
 	}
 	if other == nil || s.numRegs != other.numRegs || s.seed != other.seed || s.weak != other.weak {

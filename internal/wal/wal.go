@@ -394,11 +394,8 @@ func (l *Log) Append(envelope []byte) error {
 // bit-identical to what every pre-stream log holds — so logs written
 // by old coordinators and new ones carrying only default-stream
 // traffic are interchangeable. Named records are MsgPushNamed frames.
-//
-// hotpath: called once per accepted push when the WAL is armed.
 func (l *Log) AppendNamed(stream string, envelope []byte) error {
 	if err := failpoint.Inject(failpoint.WALAppend); err != nil {
-		// allocflow:cold a chaos-armed append failure refuses the push
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	var frame []byte
@@ -407,7 +404,6 @@ func (l *Log) AppendNamed(stream string, envelope []byte) error {
 	} else {
 		payload, err := wire.EncodePushNamed(stream, envelope)
 		if err != nil {
-			// allocflow:cold a bad stream name refuses the append outright
 			return fmt.Errorf("wal: append: %w", err)
 		}
 		frame = wire.EncodeFrame(wire.MsgPushNamed, payload)
@@ -422,7 +418,6 @@ func (l *Log) AppendNamed(stream string, envelope []byte) error {
 		return ErrNotReplayed
 	}
 	if _, err := l.f.Write(frame); err != nil {
-		// allocflow:cold a failed write refuses the push; not the streaming path
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.segBytes += int64(len(frame))
@@ -430,11 +425,9 @@ func (l *Log) AppendNamed(stream string, envelope []byte) error {
 	l.appendedBytes.Add(int64(len(frame)))
 	if l.opts.Sync == SyncAlways {
 		if err := failpoint.Inject(failpoint.WALFsync); err != nil {
-			// allocflow:cold a chaos-armed fsync failure refuses the push
 			return fmt.Errorf("wal: fsync: %w", err)
 		}
 		if err := l.f.Sync(); err != nil {
-			// allocflow:cold a failed fsync refuses the push; not the streaming path
 			return fmt.Errorf("wal: fsync: %w", err)
 		}
 		l.fsyncs.Add(1)
@@ -444,7 +437,6 @@ func (l *Log) AppendNamed(stream string, envelope []byte) error {
 		// is already written. The failure is counted and kept for
 		// Stats, and a rotation that never switched files is retried
 		// by the next append.
-		// allocflow:cold rotation runs once per SegmentBytes of appends
 		if err := l.rotateLocked(); err != nil {
 			l.rotateErrors.Add(1)
 			l.rotateErr = err.Error()
@@ -495,7 +487,8 @@ func (l *Log) syncDir() {
 
 // Close syncs and closes the active segment. It does not snapshot;
 // the server's Shutdown does that first (and its Abort deliberately
-// does not).
+// does not). A failed sync is returned even though the file is closed:
+// under SyncNever it is the only sync the segment's tail gets.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -506,9 +499,8 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	l.f.Sync()
-	err := l.f.Close()
-	if err != nil {
+	serr := l.f.Sync()
+	if err := errors.Join(serr, l.f.Close()); err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
 	return nil

@@ -57,8 +57,6 @@ func init() {
 
 // Process implements sketch.Sketch, stamping label with the next
 // logical-clock tick.
-//
-// hotpath: called once per stream item.
 func (u *Union) Process(label uint64) {
 	u.now++
 	// Cannot fail: now is strictly increasing and never behind the

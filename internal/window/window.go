@@ -111,11 +111,10 @@ func (ls *levelSample) touch(label uint64, ts uint64, capacity int) {
 	if n := len(ls.free); n > 0 {
 		i = ls.free[n-1]
 		ls.free = ls.free[:n-1]
-		// allocflow:amortized writes into the recycled entry slab, no per-call heap allocation
 		ls.entries[i] = entry{label: label, ts: ts, prev: -1, next: -1}
 	} else {
 		i = len(ls.entries)
-		// allocflow:amortized entry slab grows to capacity once, then recycles via the free list
+		// The entry slab grows to capacity once, then recycles via the free list.
 		ls.entries = append(ls.entries, entry{label: label, ts: ts, prev: -1, next: -1})
 	}
 	ls.idx[label] = i
@@ -159,7 +158,7 @@ func (ls *levelSample) evictOldest() {
 	e := ls.entries[i]
 	ls.unlink(i)
 	delete(ls.idx, e.label)
-	// allocflow:amortized free-list capacity is bounded by the entry slab it indexes
+	// The free list never outgrows the entry slab it indexes.
 	ls.free = append(ls.free, i)
 	ls.evicted = true
 	if e.ts > ls.evictedTo {
@@ -226,7 +225,6 @@ func (s *Sketch) Config() Config { return s.cfg }
 // non-decreasing within the stream.
 func (s *Sketch) Process(label uint64, ts uint64) error {
 	if s.seen && ts < s.lastTS {
-		// allocflow:cold out-of-order timestamps are a caller contract violation
 		return fmt.Errorf("%w: %d after %d", ErrOutOfOrder, ts, s.lastTS)
 	}
 	s.lastTS = ts

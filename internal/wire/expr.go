@@ -36,7 +36,6 @@ const (
 // empty name is the default stream and is valid everywhere a name is.
 func validStreamName(s string) error {
 	if len(s) > MaxStreamName {
-		// allocflow:cold an oversized name refuses the frame, it is not streamed
 		return fmt.Errorf("%w: stream name %d bytes, limit %d", ErrFrame, len(s), MaxStreamName)
 	}
 	return nil
