@@ -2,9 +2,9 @@
 # ci.sh — the repository's tier-1 gate, plus the race detector, the
 # unionlint static-analysis suite, and a short fuzz smoke run.
 #
-# The networked coordinator (internal/server) absorbs sketches from
-# concurrent connections through a worker pool; every change must keep
-# that path race-clean, so CI always runs the full suite under -race.
+# The networked coordinator (internal/server) absorbs sketches on every
+# connection's reader goroutine at once; every change must keep that
+# path race-clean, so CI always runs the full suite under -race.
 # unionlint (cmd/unionlint, see README "Static analysis") enforces the
 # invariants the compiler can't: coordinated seeding, documented mutex
 # guards, the %w error contract at the wire boundary, float comparison
@@ -41,13 +41,16 @@ echo "== unionlint self-test (golden suites) =="
 go test ./internal/analysis/...
 
 echo "== unionlint =="
-UNIONLINT="$(go env GOPATH)/bin/unionlint"
+# Built into a temporary directory that the EXIT trap removes, so the
+# gate installs nothing into GOPATH.
+UNIONLINT_DIR="$(mktemp -d)"
+UNIONLINT_OUT="$(mktemp)"
+trap 'rm -rf "$UNIONLINT_DIR" "$UNIONLINT_OUT"' EXIT
+UNIONLINT="$UNIONLINT_DIR/unionlint"
 go build -o "$UNIONLINT" ./cmd/unionlint
 # Run through `go vet -vettool` so test compilations are analyzed too
 # and results cache per package. Diagnostics are captured and regrouped
 # into a per-analyzer summary when the gate fails.
-UNIONLINT_OUT="$(mktemp)"
-trap 'rm -f "$UNIONLINT_OUT"' EXIT
 if ! go vet -vettool="$UNIONLINT" ./... 2>"$UNIONLINT_OUT"; then
     cat "$UNIONLINT_OUT"
     echo
@@ -73,7 +76,7 @@ echo "== unionlint JSONL report freshness (lint/report.jsonl) =="
 # expected clean (-json exits 1 on findings, which still fails here),
 # and the committed artifact must match the regeneration byte for byte.
 REPORT_TMP="$(mktemp)"
-trap 'rm -f "$UNIONLINT_OUT" "$REPORT_TMP"' EXIT
+trap 'rm -rf "$UNIONLINT_DIR" "$UNIONLINT_OUT" "$REPORT_TMP"' EXIT
 "$UNIONLINT" -json ./... > "$REPORT_TMP"
 if ! diff -u lint/report.jsonl "$REPORT_TMP"; then
     echo "ci.sh: lint/report.jsonl is stale; regenerate with:" \
@@ -117,8 +120,9 @@ go test -race -run '^TestConformance$' -count=1 ./internal/sketch
 
 echo "== hot-path allocation table (internal/allocgate, -race) =="
 # Every registered kind's Process/Merge/decode/absorb/envelope path,
-# plus gt ProcessWeighted, SumSampler.Process and the WAL append, is
-# driven on a fixed seeded input and its malloc count compared with
+# plus gt ProcessWeighted, SumSampler.Process, the WAL append and one
+# TCP push to a serving coordinator (server/push), is driven on a fixed
+# seeded input and its malloc count compared with
 # the measured table in internal/allocgate: a rise fails, and so does
 # a fall until the table is lowered. Already part of the ./... run
 # above, but named here so a table breach is unmistakable in the log.
@@ -202,8 +206,8 @@ fi
 
 echo "== WAL crash-recovery matrix (every wal/* failpoint + torn tail, seeds 1..3, -race) =="
 # The durability tentpole: a coordinator killed at each wal/append,
-# wal/fsync, wal/rotate, wal/snapshot, and wal/replay failpoint — plus
-# a torn-tail crash — must reboot from its log and converge
+# wal/fsync, wal/rotate, wal/snapshot, wal/dirsync, and wal/replay
+# failpoint — plus a torn-tail crash — must reboot from its log and converge
 # bit-identically to an uninterrupted control, in the single, relay,
 # and 3-shard cluster topologies (internal/server/recovery_test.go and
 # internal/distnet/recovery_test.go).

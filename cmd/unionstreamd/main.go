@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	unionstreamd [-addr :7600] [-statsz :7601] [-workers N]
+//	unionstreamd [-addr :7600] [-statsz :7601]
 //	             [-require-seed N] [-require-kind gt]
 //	             [-max-frame BYTES] [-quiet]
 //	             [-relay-to host:7600] [-relay-interval 1s] [-relay-after N]
@@ -62,7 +62,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":7600", "TCP listen address for the sketch protocol")
 		statsz      = flag.String("statsz", "", "HTTP listen address for /statsz (empty = disabled)")
-		workers     = flag.Int("workers", 0, "absorb worker pool size (0 = GOMAXPROCS)")
 		maxFrame    = flag.Uint("max-frame", 0, "maximum accepted frame payload in bytes (0 = 16 MiB)")
 		requireSeed = flag.Uint64("require-seed", 0, "reject sketches whose coordination seed differs (with -pin-seed)")
 		pinSeed     = flag.Bool("pin-seed", false, "enforce -require-seed (otherwise any seed forms its own group)")
@@ -98,7 +97,6 @@ func main() {
 	}
 	cfg := server.Config{
 		Addr:        *addr,
-		Workers:     *workers,
 		MaxPayload:  uint32(*maxFrame),
 		RequireKind: *requireKind,
 		Logf:        logf,

@@ -1,6 +1,10 @@
 package allocgate
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -11,6 +15,7 @@ import (
 	"repro/internal/sketch"
 	_ "repro/internal/sketch/kinds"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // The measured configuration: the registry's ε, a fixed seed, and
@@ -78,6 +83,7 @@ var allocTable = map[string]uint64{
 	"gt/process-weighted": 0,
 	"sum/process":         0,
 	"wal/append":          2,
+	"server/push":         9,
 }
 
 // ceilingRows are the rows whose count does not repeat run to run.
@@ -88,6 +94,12 @@ var ceilingRows = map[string]bool{
 	// 5 mallocs at a time: 3,000 runs read 19 (104 times), 24 (2,834)
 	// and 29 (62).
 	"window/process": true,
+	// The runtime can allocate inside the measured push on its own
+	// account, 1 malloc at a time: a profiled case was the background
+	// scavenger growing its timer heap after a collection. 300 fresh
+	// processes read 8 (282 times) and 9 (18); 1,000 runs in one
+	// process read 8 (996) and 9 (4).
+	"server/push": true,
 }
 
 // cost returns the heap allocations and bytes f makes, read from
@@ -176,7 +188,7 @@ var kindPaths = []struct {
 	{"absorb", func(t *testing.T, info sketch.KindInfo) uint64 {
 		a, _ := warmed(info, 1)
 		b, _ := warmed(info, 2)
-		srv := server.New(server.Config{Workers: 1})
+		srv := server.New(server.Config{})
 		if err := srv.Absorb(envelope(t, a)); err != nil {
 			t.Fatalf("absorb: %v", err)
 		}
@@ -249,6 +261,63 @@ var otherPaths = []struct {
 		}
 		appendOne()
 		return mallocs(appendOne)
+	}},
+	// One MsgPush frame of a warm gt envelope written on a raw loopback
+	// connection to a serving coordinator, and its ack read back into a
+	// reused buffer: only the coordinator's reader allocates, around
+	// the gt/absorb row — the frame read and the ack write.
+	{"server/push", func(t *testing.T) uint64 {
+		info, _ := sketch.LookupName("gt")
+		a, _ := warmed(info, 1)
+		b, _ := warmed(info, 2)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		srv := server.New(server.Config{})
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		defer func() {
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+			if err := <-served; err != nil {
+				t.Errorf("serve: %v", err)
+			}
+		}()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		// A concrete conn converts to io.Reader without a runtime call.
+		conn := c.(*net.TCPConn)
+		defer conn.Close()
+		// The runtime fills the cache behind a net.Conn to io.Reader or
+		// io.Writer conversion on about 1 in 1,024 misses, allocating
+		// as it does so. Refused pushes run the reader's two conversion
+		// sites (frame read, ack write) until both are cached.
+		junk := wire.EncodeFrame(wire.MsgPush, []byte("not a sketch"))
+		for i := 0; i < 1<<13; i++ {
+			if _, err := conn.Write(junk); err != nil {
+				t.Fatalf("push: %v", err)
+			}
+			if typ, _, err := wire.ReadFrame(conn, 0); err != nil || typ != wire.MsgAck {
+				t.Fatalf("push: reply %v, err %v", typ, err)
+			}
+		}
+		okAck := wire.EncodeFrame(wire.MsgAck, wire.Ack{Code: wire.AckOK}.Encode())
+		reply := make([]byte, len(okAck))
+		push := func(frame []byte) {
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatalf("push: %v", err)
+			}
+			if _, err := io.ReadFull(conn, reply); err != nil || !bytes.Equal(reply, okAck) {
+				t.Fatalf("push: reply %q, want %q (err %v)", reply, okAck, err)
+			}
+		}
+		push(wire.EncodeFrame(wire.MsgPush, envelope(t, a)))
+		frame := wire.EncodeFrame(wire.MsgPush, envelope(t, b))
+		return mallocs(func() { push(frame) })
 	}},
 }
 

@@ -3,9 +3,7 @@ package client
 import (
 	"fmt"
 	"net"
-	"time"
 
-	"repro/internal/failpoint"
 	"repro/internal/wire"
 )
 
@@ -31,91 +29,39 @@ func (c *Client) PushBatch(envelopes [][]byte) (pushed int, err error) {
 // message (Push's one-shot contract) would dominate the cost of
 // 10^5-group flushes.
 //
-// Records are pushed in order, each individually acked. A transient
-// failure (dropped connection, damaged frame, coordinator error)
-// closes the connection, backs off, redials, and resumes from the
-// failing envelope — so an envelope can be delivered more than once
-// across a retry, which the coordinator's idempotent merge absorbs.
-// Attempts are budgeted per envelope (cfg.Attempts each), not per
-// batch, so one flaky message cannot starve the rest of their
-// retries. A permanent refusal (mismatch, corrupt, unsupported)
-// aborts the batch and reports the offending index; everything before
-// it was delivered and acked.
+// Records are pushed in order, each individually acked, through the
+// client's retry loop (see exchange): a transient failure redials and
+// resumes from the failing record, attempts are budgeted per record,
+// and a permanent refusal (mismatch, corrupt, unsupported) aborts the
+// batch. The error names the failing index; everything before it was
+// delivered and acked.
 //
 // It returns the number of records durably acked.
 func (c *Client) PushBatchNamed(records []Record) (pushed int, err error) {
-	var conn net.Conn
-	defer func() {
-		if conn != nil {
-			conn.Close()
+	pushed, _, err = c.exchange(len(records), func(conn net.Conn, i int) error {
+		t, payload, err := encodePush(records[i])
+		if err != nil {
+			return err
 		}
-	}()
-
-	attempt := 1 // dial/push attempts for the record at `pushed`
-	for pushed < len(records) {
-		if conn == nil {
-			if attempt > 1 {
-				time.Sleep(c.backoff(attempt - 1))
-			}
-			conn, err = c.dialBatch()
-			if err != nil {
-				if attempt++; attempt > c.cfg.Attempts {
-					return pushed, fmt.Errorf("client: batch push stalled at envelope %d/%d after %d attempts: %w",
-						pushed, len(records), c.cfg.Attempts, err)
-				}
-				continue
-			}
-		}
-		err = c.pushOne(conn, records[pushed])
-		switch {
-		case err == nil:
-			pushed++
-			attempt = 1
-		case permanent(err):
-			return pushed, fmt.Errorf("client: batch envelope %d/%d refused: %w", pushed, len(records), err)
-		default:
-			// Transient: the connection is in an unknown state (a
-			// half-written frame, a lost ack) — drop it and resume on a
-			// fresh one. The envelope may have been absorbed before the
-			// ack was lost; the redelivery merges idempotently.
-			conn.Close()
-			conn = nil
-			if attempt++; attempt > c.cfg.Attempts {
-				return pushed, fmt.Errorf("client: batch push stalled at envelope %d/%d after %d attempts: %w",
-					pushed, len(records), c.cfg.Attempts, err)
-			}
-		}
+		_, err = c.request(conn, t, payload, wire.MsgAck)
+		return err
+	})
+	if err != nil {
+		err = fmt.Errorf("client: batch envelope %d/%d: %w", pushed, len(records), err)
 	}
-	return pushed, nil
+	return pushed, err
 }
 
-// dialBatch opens the batch connection, honoring the same failpoint
-// the one-shot dial path injects through.
-func (c *Client) dialBatch() (net.Conn, error) {
-	if err := failpoint.Inject(failpoint.ClientDial); err != nil {
-		return nil, err
-	}
-	return net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
-}
-
-// pushOne writes one push frame on the standing connection and reads
-// its ack, bounding the round trip with the per-operation deadline.
+// encodePush returns the frame type and payload that push rec.
 // Default-stream records travel as plain MsgPush frames (the exact
 // bytes an old client would send); named records as MsgPushNamed.
-func (c *Client) pushOne(conn net.Conn, rec Record) error {
-	if err := conn.SetDeadline(time.Now().Add(c.cfg.IOTimeout)); err != nil {
-		return err
+func encodePush(rec Record) (wire.MsgType, []byte, error) {
+	if rec.Stream == "" {
+		return wire.MsgPush, rec.Envelope, nil
 	}
-	t, payload := wire.MsgPush, rec.Envelope
-	if rec.Stream != "" {
-		var err error
-		if payload, err = wire.EncodePushNamed(rec.Stream, rec.Envelope); err != nil {
-			return fmt.Errorf("%w: %w", ErrRejected, err)
-		}
-		t = wire.MsgPushNamed
+	payload, err := wire.EncodePushNamed(rec.Stream, rec.Envelope)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
-	if err := c.writeFrame(conn, t, payload); err != nil {
-		return err
-	}
-	return c.readAck(conn)
+	return wire.MsgPushNamed, payload, nil
 }

@@ -48,8 +48,9 @@ var (
 	// message, so the push is retried with the same payload. Transient.
 	ErrFrameDamaged = errors.New("client: frame damaged in transit")
 	// ErrCoordinator: the coordinator reported a server-side failure
-	// (AckError: shutting down, internal fault). The message itself
-	// was never condemned, so the operation is retried. Transient.
+	// (AckError: a failed WAL append, an internal fault). The message
+	// itself was never condemned, so the operation is retried.
+	// Transient.
 	ErrCoordinator = errors.New("client: coordinator reported an internal error")
 )
 
@@ -124,67 +125,33 @@ func New(cfg Config) *Client {
 // failures. It returns the number of attempts made alongside any
 // final error.
 func (c *Client) Push(envelope []byte) (attempts int, err error) {
-	return c.pushFrame(wire.MsgPush, envelope)
+	return c.PushNamed("", envelope)
 }
 
 // PushNamed sends one sketch message bound for the named stream. The
 // empty stream name is the default stream, and the push travels as a
 // plain MsgPush — byte-identical to what an un-upgraded site sends.
 func (c *Client) PushNamed(stream string, envelope []byte) (attempts int, err error) {
-	if stream == "" {
-		return c.pushFrame(wire.MsgPush, envelope)
+	t, payload, err := encodePush(Record{Stream: stream, Envelope: envelope})
+	if err != nil {
+		return 0, err
 	}
-	payload, perr := wire.EncodePushNamed(stream, envelope)
-	if perr != nil {
-		return 0, fmt.Errorf("%w: %w", ErrRejected, perr)
-	}
-	return c.pushFrame(wire.MsgPushNamed, payload)
-}
-
-func (c *Client) pushFrame(t wire.MsgType, payload []byte) (int, error) {
-	var lastErr error
-	for attempt := 1; attempt <= c.cfg.Attempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(c.backoff(attempt - 1))
-		}
-		err := c.roundTrip(func(conn net.Conn) error {
-			if err := c.writeFrame(conn, t, payload); err != nil {
-				return err
-			}
-			return c.readAck(conn)
-		})
-		if err == nil {
-			return attempt, nil
-		}
-		if permanent(err) {
-			return attempt, err
-		}
-		lastErr = err
-	}
-	return c.cfg.Attempts, fmt.Errorf("client: push failed after %d attempts: %w", c.cfg.Attempts, lastErr)
+	_, attempts, err = c.exchange(1, func(conn net.Conn, _ int) error {
+		_, err := c.request(conn, t, payload, wire.MsgAck)
+		return err
+	})
+	return attempts, err
 }
 
 // Query asks the coordinator for one estimate, retrying transient
 // failures (queries are read-only, so retries are safe).
-func (c *Client) Query(q wire.Query) (float64, error) {
-	var est float64
-	err := c.retried(func(conn net.Conn) error {
-		if err := c.writeFrame(conn, wire.MsgQuery, q.Encode()); err != nil {
-			return err
+func (c *Client) Query(q wire.Query) (est float64, err error) {
+	_, _, err = c.exchange(1, func(conn net.Conn, _ int) error {
+		reply, err := c.request(conn, wire.MsgQuery, q.Encode(), wire.MsgQueryResult)
+		if err == nil {
+			est, err = wire.DecodeQueryResult(reply)
 		}
-		typ, payload, err := c.readFrame(conn)
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case wire.MsgQueryResult:
-			est, err = wire.DecodeQueryResult(payload)
-			return err
-		case wire.MsgAck:
-			return ackError(payload)
-		default:
-			return fmt.Errorf("%w: unexpected %s reply to query", ErrRejected, typ)
-		}
+		return err
 	})
 	return est, err
 }
@@ -193,29 +160,17 @@ func (c *Client) Query(q wire.Query) (float64, error) {
 // named streams and returns the per-node result tree (value and error
 // bound at every operator). Retried like Query — expression queries
 // are read-only.
-func (c *Client) QueryExpr(eq wire.ExprQuery) (*wire.ExprResult, error) {
+func (c *Client) QueryExpr(eq wire.ExprQuery) (res *wire.ExprResult, err error) {
 	payload, err := eq.Encode()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
-	var res *wire.ExprResult
-	err = c.retried(func(conn net.Conn) error {
-		if err := c.writeFrame(conn, wire.MsgQueryExpr, payload); err != nil {
-			return err
-		}
-		typ, reply, err := c.readFrame(conn)
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case wire.MsgQueryExprResult:
+	_, _, err = c.exchange(1, func(conn net.Conn, _ int) error {
+		reply, err := c.request(conn, wire.MsgQueryExpr, payload, wire.MsgQueryExprResult)
+		if err == nil {
 			res, err = wire.DecodeExprResult(reply)
-			return err
-		case wire.MsgAck:
-			return ackError(reply)
-		default:
-			return fmt.Errorf("%w: unexpected %s reply to expression query", ErrRejected, typ)
 		}
+		return err
 	})
 	return res, err
 }
@@ -236,69 +191,91 @@ func (c *Client) SumDistinct(seed uint64) (float64, error) {
 // is decoded into out (pass a *server.Stats or any compatible
 // struct/map); pass nil to only check reachability.
 func (c *Client) Stats(out any) error {
-	return c.retried(func(conn net.Conn) error {
-		if err := c.writeFrame(conn, wire.MsgStats, nil); err != nil {
+	_, _, err := c.exchange(1, func(conn net.Conn, _ int) error {
+		reply, err := c.request(conn, wire.MsgStats, nil, wire.MsgStatsResult)
+		if err != nil || out == nil {
 			return err
 		}
-		typ, payload, err := c.readFrame(conn)
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case wire.MsgStatsResult:
-			if out == nil {
-				return nil
-			}
-			return json.Unmarshal(payload, out)
-		case wire.MsgAck:
-			return ackError(payload)
-		default:
-			return fmt.Errorf("%w: unexpected %s reply to stats", ErrRejected, typ)
-		}
+		return json.Unmarshal(reply, out)
 	})
+	return err
 }
 
-// retried runs op through the dial/backoff loop.
-func (c *Client) retried(op func(net.Conn) error) error {
-	var lastErr error
-	for attempt := 1; attempt <= c.cfg.Attempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(c.backoff(attempt - 1))
+// exchange is the client's one retry loop: it runs ops [0, n) in
+// order over one connection, each under a fresh IOTimeout deadline. A
+// transient failure closes the connection, backs off, redials and
+// resumes at the failing op, so an op may be delivered more than once
+// — which the coordinator's idempotent merge absorbs. Each op gets
+// cfg.Attempts tries, dial failures included, so one flaky op cannot
+// starve the rest of their retries. A permanent failure stops the
+// loop. It returns the number of ops completed and the attempts spent
+// on the last op it ran.
+func (c *Client) exchange(n int, op func(conn net.Conn, i int) error) (done, attempts int, err error) {
+	var conn net.Conn
+	defer func() {
+		if conn != nil {
+			conn.Close()
 		}
-		err := c.roundTrip(op)
+	}()
+	for done < n {
+		if attempts++; attempts > 1 {
+			time.Sleep(c.backoff(attempts - 1))
+		}
+		if conn == nil {
+			if err = failpoint.Inject(failpoint.ClientDial); err == nil {
+				conn, err = net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+			}
+		}
 		if err == nil {
-			return nil
+			if err = conn.SetDeadline(time.Now().Add(c.cfg.IOTimeout)); err == nil {
+				err = op(conn, done)
+			}
 		}
-		if permanent(err) {
-			return err
+		switch {
+		case err == nil:
+			if done++; done < n {
+				attempts = 0
+			}
+		case permanent(err):
+			return done, attempts, err
+		default:
+			// The connection is in an unknown state (a half-written
+			// frame, a lost reply): drop it and resume on a fresh one.
+			if conn != nil {
+				conn.Close()
+				conn = nil
+			}
+			if attempts == c.cfg.Attempts {
+				return done, attempts, fmt.Errorf("client: failed after %d attempts: %w", attempts, err)
+			}
 		}
-		lastErr = err
 	}
-	return fmt.Errorf("client: failed after %d attempts: %w", c.cfg.Attempts, lastErr)
+	return done, attempts, nil
 }
 
-// roundTrip dials, applies the per-operation deadline, and runs op.
-func (c *Client) roundTrip(op func(net.Conn) error) error {
-	if err := failpoint.Inject(failpoint.ClientDial); err != nil {
-		return err
-	}
-	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(c.cfg.IOTimeout)); err != nil {
-		return err
-	}
-	return op(conn)
-}
-
-// writeFrame sends one frame toward the coordinator.
-func (c *Client) writeFrame(conn net.Conn, t wire.MsgType, payload []byte) error {
+// request writes one frame and reads the reply, which must be of type
+// want. An ack in its place is mapped through ackError, so a refusal
+// surfaces as its typed error.
+func (c *Client) request(conn net.Conn, t wire.MsgType, payload []byte, want wire.MsgType) ([]byte, error) {
 	if err := failpoint.Inject(failpoint.ClientWrite); err != nil {
-		return err
+		return nil, err
 	}
-	return wire.WriteFrame(conn, t, payload)
+	if err := wire.WriteFrame(conn, t, payload); err != nil {
+		return nil, err
+	}
+	typ, reply, err := c.readFrame(conn)
+	if err != nil {
+		return nil, err
+	}
+	if typ == wire.MsgAck {
+		if err := ackError(reply); err != nil || want == wire.MsgAck {
+			return nil, err
+		}
+	}
+	if typ != want {
+		return nil, fmt.Errorf("%w: unexpected %s reply to %s", ErrRejected, typ, t)
+	}
+	return reply, nil
 }
 
 // readFrame reads one coordinator reply frame, typing version
@@ -315,17 +292,6 @@ func (c *Client) readFrame(r io.Reader) (wire.MsgType, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: %w", ErrVersionMismatch, err)
 	}
 	return typ, payload, err
-}
-
-func (c *Client) readAck(conn net.Conn) error {
-	typ, payload, err := c.readFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != wire.MsgAck {
-		return fmt.Errorf("%w: unexpected %s reply to push", ErrRejected, typ)
-	}
-	return ackError(payload)
 }
 
 // ackError maps an ack payload to nil or a typed error.

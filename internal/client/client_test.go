@@ -2,6 +2,8 @@ package client
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -107,17 +109,42 @@ func fakeServer(t *testing.T, ack wire.Ack) string {
 	return ln.Addr().String()
 }
 
+// ackCase is one ack code's client disposition: the typed error it
+// maps to. permanentAcks and transientAcks together cover every ack
+// code but AckOK, split by whether the retry loop stops or resends.
+type ackCase struct {
+	code wire.AckCode
+	want error
+}
+
+var permanentAcks = []ackCase{
+	{wire.AckVersionMismatch, ErrVersionMismatch},
+	{wire.AckSeedMismatch, ErrSeedMismatch},
+	{wire.AckCorrupt, ErrRejected},
+	{wire.AckUnsupported, ErrRejected},
+	{wire.AckKindMismatch, ErrKindMismatch},
+}
+
+var transientAcks = []ackCase{
+	{wire.AckBadFrame, ErrFrameDamaged},
+	{wire.AckError, ErrCoordinator},
+}
+
 func TestTypedAckErrorsArePermanent(t *testing.T) {
-	cases := []struct {
-		code wire.AckCode
-		want error
-	}{
-		{wire.AckVersionMismatch, ErrVersionMismatch},
-		{wire.AckSeedMismatch, ErrSeedMismatch},
-		{wire.AckCorrupt, ErrRejected},
-		{wire.AckUnsupported, ErrRejected},
+	// A named ack code in neither table has a retry behaviour nobody
+	// decided on.
+	covered := map[wire.AckCode]bool{wire.AckOK: true}
+	for _, c := range append(permanentAcks, transientAcks...) {
+		covered[c.code] = true
 	}
-	for _, c := range cases {
+	for i := 0; i <= math.MaxUint8; i++ {
+		code := wire.AckCode(i)
+		if code.String() != fmt.Sprintf("AckCode(%d)", i) && !covered[code] {
+			t.Errorf("ack code %v has no client disposition: add it to permanentAcks or transientAcks", code)
+		}
+	}
+
+	for _, c := range permanentAcks {
 		addr := fakeServer(t, wire.Ack{Code: c.code, Detail: "detail"})
 		cl := New(Config{Addr: addr, Attempts: 5, BackoffBase: time.Millisecond, JitterSeed: 1})
 		attempts, err := cl.Push([]byte("msg"))
@@ -134,14 +161,7 @@ func TestTypedAckErrorsArePermanent(t *testing.T) {
 // server-side failures (AckError) do not condemn the message — the
 // retry loop must resend the same payload until attempts run out.
 func TestTransientAcksAreRetried(t *testing.T) {
-	cases := []struct {
-		code wire.AckCode
-		want error
-	}{
-		{wire.AckBadFrame, ErrFrameDamaged},
-		{wire.AckError, ErrCoordinator},
-	}
-	for _, c := range cases {
+	for _, c := range transientAcks {
 		addr := fakeServer(t, wire.Ack{Code: c.code, Detail: "detail"})
 		cl := New(Config{Addr: addr, Attempts: 3, BackoffBase: time.Millisecond, JitterSeed: 1})
 		attempts, err := cl.Push([]byte("msg"))

@@ -66,6 +66,7 @@ func TestWALClusterParentCrashRecovery(t *testing.T) {
 		{"fsync", failpoint.WALFsync},
 		{"rotate", failpoint.WALRotate},
 		{"snapshot", failpoint.WALSnapshot},
+		{"dirsync", failpoint.WALDirSync},
 		{"replay", failpoint.WALReplay},
 		{"torn-tail", ""},
 	}

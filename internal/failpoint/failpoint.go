@@ -79,6 +79,12 @@ const (
 	// temp file is created; an error skips the snapshot round (segments
 	// are kept and the next round retries).
 	WALSnapshot = "wal/snapshot"
+	// WALDirSync fires before each fsync of the log directory: after a
+	// rotation opens the next segment, after a snapshot's rename, and
+	// after a prune. An error fails that step — a rotation counts it
+	// in rotate_errors (its append still succeeds), and a snapshot
+	// returns it before pruning anything.
+	WALDirSync = "wal/dirsync"
 	// WALReplay fires once before the snapshot and once before each
 	// segment is replayed at boot; an error aborts recovery (the
 	// coordinator refuses to serve rather than serve partial state).

@@ -45,6 +45,7 @@ var walCrashLegs = []struct {
 	{"fsync", failpoint.WALFsync},
 	{"rotate", failpoint.WALRotate},
 	{"snapshot", failpoint.WALSnapshot},
+	{"dirsync", failpoint.WALDirSync},
 	{"torn-tail", ""},
 }
 

@@ -16,19 +16,21 @@
 //
 // # Concurrency model
 //
-// Each accepted connection gets a reader goroutine. Absorb work
-// (decode + merge) flows through a bounded worker pool so a burst of
-// sites cannot stampede the merge path; each merge group is guarded by
-// its own mutex. Because coordinated sketches merge commutatively and
-// associatively, the group state after N concurrent absorbs is
-// bit-identical to absorbing the same messages serially in any order —
-// the server tests assert this byte-for-byte under the race detector.
+// Each accepted connection gets one reader goroutine, which absorbs
+// (decodes and merges) each push itself and then writes its ack: a
+// connection runs one absorb at a time and its acks stay in frame
+// order, while different connections absorb in parallel up to
+// GOMAXPROCS. Each merge group is guarded by its own mutex. Because
+// coordinated sketches merge commutatively and associatively, the
+// group state after N concurrent absorbs is bit-identical to absorbing
+// the same messages serially in any order — the server tests assert
+// this byte-for-byte under the race detector.
 //
 // # Shutdown
 //
-// Shutdown stops the accept loop, wakes blocked readers, lets every
-// in-flight message finish absorbing (and its ack get written), then
-// retires the worker pool. cmd/unionstreamd wires this to SIGTERM.
+// Shutdown stops the accept loop, wakes readers blocked between
+// frames, and waits for every in-flight message to finish absorbing
+// and be acked. cmd/unionstreamd wires this to SIGTERM.
 package server
 
 import (
@@ -38,7 +40,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -56,8 +57,6 @@ type Config struct {
 	// Addr is the TCP listen address for ListenAndServe (e.g.
 	// ":7600"). Ignored by Serve, which takes a listener.
 	Addr string
-	// Workers bounds the absorb pool; <= 0 selects GOMAXPROCS.
-	Workers int
 	// MaxPayload bounds accepted frame payloads in bytes; 0 selects
 	// wire.DefaultMaxPayload.
 	MaxPayload uint32
@@ -141,28 +140,15 @@ type group struct {
 	relayPushes  int64
 }
 
-// absorbJob is one queued push. The reader goroutine that enqueued it
-// blocks on done, then writes the ack on its own connection — so acks
-// stay ordered per connection while absorbs from different sites run
-// in parallel up to the pool bound.
-type absorbJob struct {
-	stream  string
-	payload []byte
-	ack     wire.Ack
-	done    chan struct{}
-}
-
 // Server is the coordinator daemon. Create with New, start with
 // ListenAndServe or Serve, stop with Shutdown.
 type Server struct {
 	cfg   Config
-	jobs  chan *absorbJob
 	quit  chan struct{}
 	relay *relayState // nil unless cfg.Relay is set
 	wal   *walState   // nil unless cfg.WAL is set
 
-	workerWG sync.WaitGroup
-	connWG   sync.WaitGroup
+	connWG sync.WaitGroup
 
 	mu       sync.Mutex // guards: groups, ln, conns, started, shutdown
 	groups   map[groupKey]*group
@@ -176,15 +162,11 @@ type Server struct {
 
 // New returns an unstarted server.
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.MaxPayload == 0 {
 		cfg.MaxPayload = wire.DefaultMaxPayload
 	}
 	s := &Server{
 		cfg:    cfg,
-		jobs:   make(chan *absorbJob),
 		quit:   make(chan struct{}),
 		groups: make(map[groupKey]*group),
 		conns:  make(map[net.Conn]struct{}),
@@ -238,10 +220,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 
-	s.workerWG.Add(s.cfg.Workers)
-	for i := 0; i < s.cfg.Workers; i++ {
-		go s.worker()
-	}
 	if s.relay != nil {
 		s.relay.wg.Add(1)
 		go s.relayLoop()
@@ -254,8 +232,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.logf("unionstreamd: logging accepted envelopes to %s (fsync %s)",
 			s.wal.cfg.Dir, s.wal.cfg.Sync)
 	}
-	s.logf("unionstreamd: serving on %s (%d absorb workers, %d byte frame limit)",
-		ln.Addr(), s.cfg.Workers, s.cfg.MaxPayload)
+	s.logf("unionstreamd: serving on %s (%d byte frame limit)", ln.Addr(), s.cfg.MaxPayload)
 
 	for {
 		conn, err := ln.Accept()
@@ -301,8 +278,8 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Shutdown drains the server: it stops accepting, wakes connection
-// readers, waits (bounded by ctx) for every in-flight message to be
-// absorbed and acked, then stops the worker pool. It is idempotent.
+// readers, and waits (bounded by ctx) for every in-flight message to
+// be absorbed and acked. It is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.shutdown {
@@ -355,10 +332,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.drainRelay()
 		}
 	}
-	if started {
-		close(s.jobs)
-		s.workerWG.Wait()
-	}
 	if w := s.wal; w != nil && w.recovered.Load() {
 		// With every absorb drained and acked, one final snapshot
 		// captures the groups and prunes the log, so the next boot
@@ -373,14 +346,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.logf("unionstreamd: shutdown complete (%d sketches absorbed)", s.stats.absorbed.Load())
 	return err
-}
-
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for job := range s.jobs {
-		job.ack = s.absorbSketch(job.stream, job.payload)
-		close(job.done)
-	}
 }
 
 func (s *Server) handleConn(conn net.Conn) {
@@ -408,6 +373,13 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.stats.rejected.Add(1)
 				s.writeAck(conn, wire.Ack{Code: wire.AckVersionMismatch,
 					Detail: fmt.Sprintf("server speaks wire version %d", wire.Version)})
+				return
+			case errors.Is(err, wire.ErrOversize):
+				// A well-formed frame over this coordinator's payload
+				// limit (named in the detail): resending the same bytes
+				// cannot help, so the refusal is permanent.
+				s.stats.rejected.Add(1)
+				s.writeAck(conn, wire.Ack{Code: wire.AckUnsupported, Detail: err.Error()})
 				return
 			default:
 				// Wire-level damage (bad magic, truncation, checksum):
@@ -439,18 +411,11 @@ func (s *Server) handleConn(conn net.Conn) {
 					continue
 				}
 			}
-			job := &absorbJob{stream: stream, payload: envelope, done: make(chan struct{})}
-			select {
-			case s.jobs <- job:
-				<-job.done
-			case <-s.quit:
-				s.writeAck(conn, wire.Ack{Code: wire.AckError, Detail: "server shutting down"})
-				return
-			}
-			if job.ack.Code != wire.AckOK {
+			ack := s.absorbSketch(stream, envelope)
+			if ack.Code != wire.AckOK {
 				s.stats.rejected.Add(1)
 			}
-			if !s.writeAck(conn, job.ack) {
+			if !s.writeAck(conn, ack) {
 				return
 			}
 		case wire.MsgQuery:

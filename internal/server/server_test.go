@@ -189,7 +189,7 @@ func TestConcurrentAbsorbBitIdentical(t *testing.T) {
 
 	rng := hashing.NewXoshiro256(11)
 	for trial := 0; trial < 3; trial++ {
-		srv := server.New(server.Config{Workers: 4})
+		srv := server.New(server.Config{})
 		addr := startServer(t, srv)
 		order := make([]int, len(msgs))
 		for i := range order {
@@ -417,6 +417,26 @@ func TestCorruptPushRejected(t *testing.T) {
 	}
 }
 
+// TestOversizePushRefusedOnce: a push larger than the coordinator's
+// frame limit can never land, so its refusal must be permanent — one
+// attempt, one rejection — not the transient bad-frame ack that
+// damaged bytes get.
+func TestOversizePushRefusedOnce(t *testing.T) {
+	srv := server.New(server.Config{MaxPayload: 1024})
+	addr := startServer(t, srv)
+	cl := client.New(client.Config{Addr: addr, Attempts: 4, BackoffBase: time.Millisecond, JitterSeed: 1})
+	attempts, err := cl.Push(make([]byte, 4<<10))
+	if !errors.Is(err, client.ErrRejected) {
+		t.Fatalf("err = %v, want ErrRejected", err)
+	}
+	if attempts != 1 {
+		t.Errorf("oversize push made %d attempts, want 1", attempts)
+	}
+	if st := srv.Stats(); st.Rejected != 1 {
+		t.Errorf("rejected = %d, want 1", st.Rejected)
+	}
+}
+
 // A gt envelope whose copy seed is not derived from its master seed
 // carries a valid digest, so before decode checked the derivation it
 // opened cleanly, became its group's sketch on first contact, and
@@ -610,7 +630,7 @@ func TestConcurrentAbsorbAllKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			srv := server.New(server.Config{Workers: 4})
+			srv := server.New(server.Config{})
 			addr := startServer(t, srv)
 			var wg sync.WaitGroup
 			for _, msg := range msgs {

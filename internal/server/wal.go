@@ -254,15 +254,10 @@ func (s *Server) Abort() {
 	for c := range s.conns {
 		c.Close()
 	}
-	started := s.started
 	s.mu.Unlock()
 	s.connWG.Wait()
 	if s.relay != nil {
 		s.relay.wg.Wait()
-	}
-	if started {
-		close(s.jobs)
-		s.workerWG.Wait()
 	}
 	if w := s.wal; w != nil && w.recovered.Load() {
 		// Release the directory so the rebooted server can reopen it;

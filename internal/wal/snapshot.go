@@ -88,7 +88,11 @@ func (l *Log) Snapshot(cut uint64, records []Record) error {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: snapshot rename: %w", err)
 	}
-	l.syncDir()
+	// Until the rename is durable the snapshot may vanish in a power
+	// cut, so nothing it supersedes may go yet.
+	if err := l.syncDir(); err != nil {
+		return err
+	}
 
 	// The snapshot is live; everything it supersedes can go. A crash
 	// from here on just leaves garbage for the next Open to collect.
@@ -99,16 +103,15 @@ func (l *Log) Snapshot(cut uint64, records []Record) error {
 	if prev > 0 && prev != cut {
 		os.Remove(filepath.Join(l.dir, snapName(prev)))
 	}
-	l.prune(cut)
-	return nil
+	return l.prune(cut)
 }
 
-// prune removes segment files strictly below cut and updates the live
-// segment count.
-func (l *Log) prune(cut uint64) {
+// prune removes segment files strictly below cut, updates the live
+// segment count, and syncs the directory.
+func (l *Log) prune(cut uint64) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
-		return
+		return fmt.Errorf("wal: prune: %w", err)
 	}
 	var pruned, live int64
 	for _, e := range entries {
@@ -128,5 +131,5 @@ func (l *Log) prune(cut uint64) {
 	l.mu.Lock()
 	l.liveSegs = live
 	l.mu.Unlock()
-	l.syncDir()
+	return l.syncDir()
 }

@@ -468,21 +468,27 @@ func (l *Log) rotateLocked() error {
 	l.liveSegs++
 	l.seg.Store(next)
 	l.rotations.Add(1)
-	l.syncDir()
+	var seal error
 	if err := errors.Join(serr, cerr); err != nil {
-		return fmt.Errorf("wal: rotate: sealing segment %d: %w", next-1, err)
+		seal = fmt.Errorf("wal: rotate: sealing segment %d: %w", next-1, err)
 	}
-	return nil
+	return errors.Join(seal, l.syncDir())
 }
 
 // syncDir fsyncs the log directory so renames and new segment files
-// survive a crash. Best-effort: filesystems without directory sync
-// still get the data-file syncs.
-func (l *Log) syncDir() {
-	if d, err := os.Open(l.dir); err == nil {
-		d.Sync()
-		d.Close()
+// survive a crash.
+func (l *Log) syncDir() error {
+	if err := failpoint.Inject(failpoint.WALDirSync); err != nil {
+		return fmt.Errorf("wal: dir sync: %w", err)
 	}
+	d, err := os.Open(l.dir)
+	if err != nil {
+		return fmt.Errorf("wal: dir sync: %w", err)
+	}
+	if err := errors.Join(d.Sync(), d.Close()); err != nil {
+		return fmt.Errorf("wal: dir sync: %w", err)
+	}
+	return nil
 }
 
 // Close syncs and closes the active segment. It does not snapshot;

@@ -420,3 +420,74 @@ func TestRotateErrorCountedAppendSucceeds(t *testing.T) {
 		t.Fatalf("after the fault cleared: Rotations=%d RotateErrors=%d, want 1, 3", st.Rotations, st.RotateErrors)
 	}
 }
+
+// TestDirSyncErrorStopsSnapshotPrune: until the directory entry for a
+// snapshot's rename is synced, a power cut can lose the snapshot, so a
+// failed directory sync must fail the snapshot before it prunes the
+// segments the snapshot would supersede.
+func TestDirSyncErrorStopsSnapshotPrune(t *testing.T) {
+	dir := t.TempDir()
+	envs := walEnvelopes(t, 4)
+	// Every append fills its segment.
+	opts := wal.Options{SegmentBytes: int64(len(envs[0]) + wire.HeaderSize)}
+	l := openReplayed(t, dir, opts)
+	defer l.Close()
+	for _, env := range envs {
+		if err := l.Append(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := func() []string {
+		matches, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matches
+	}
+	before := segs()
+
+	injected := errors.New("injected dir sync failure")
+	failpoint.Enable(failpoint.WALDirSync, failpoint.Error(injected))
+	defer failpoint.Disable(failpoint.WALDirSync)
+	cut := l.CurrentSegment()
+	if err := l.Snapshot(cut, records(envs)); !errors.Is(err, injected) {
+		t.Fatalf("snapshot with the directory sync faulted: err = %v, want the injected error", err)
+	}
+	if hits := failpoint.Hits(failpoint.WALDirSync); hits != 1 {
+		t.Fatalf("wal/dirsync fired %d times, want 1", hits)
+	}
+	if after := segs(); len(after) != len(before) || uint64(len(before)) != cut {
+		t.Fatalf("segments before the snapshot %v, after %v; want all %d up to cut %d kept", before, after, cut, cut)
+	}
+	if st := l.Stats(); st.PrunedSegments != 0 {
+		t.Fatalf("PrunedSegments = %d after a snapshot whose directory sync failed", st.PrunedSegments)
+	}
+}
+
+// TestDirSyncErrorCountedAsRotateError: a rotation whose directory
+// sync fails has already switched segments, so the append that
+// triggered it succeeds, and the failure is counted in RotateErrors.
+func TestDirSyncErrorCountedAsRotateError(t *testing.T) {
+	injected := errors.New("injected dir sync failure")
+	failpoint.Enable(failpoint.WALDirSync, failpoint.Error(injected))
+	defer failpoint.Disable(failpoint.WALDirSync)
+
+	envs := walEnvelopes(t, 1)
+	opts := wal.Options{SegmentBytes: int64(len(envs[0]) + wire.HeaderSize)}
+	l := openReplayed(t, t.TempDir(), opts)
+	defer l.Close()
+	if err := l.Append(envs[0]); err != nil {
+		t.Fatalf("append failed with the directory sync faulted: %v", err)
+	}
+	if hits := failpoint.Hits(failpoint.WALDirSync); hits != 1 {
+		t.Fatalf("wal/dirsync fired %d times, want 1", hits)
+	}
+	st := l.Stats()
+	if st.RotateErrors != 1 || st.Rotations != 1 || st.AppendedRecords != 1 {
+		t.Fatalf("RotateErrors=%d Rotations=%d AppendedRecords=%d, want 1, 1, 1",
+			st.RotateErrors, st.Rotations, st.AppendedRecords)
+	}
+	if !strings.Contains(st.LastRotateError, injected.Error()) {
+		t.Fatalf("LastRotateError = %q, want the injected error", st.LastRotateError)
+	}
+}
