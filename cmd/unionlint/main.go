@@ -1,8 +1,8 @@
-// Command unionlint is the repository's static-analysis suite: eight
-// analyzers encoding the invariants the coordinated-sampling scheme
-// depends on (seedcheck, lockorder, floatcmp, errcontract, kindcheck,
-// mergepure, ackcontract, failpointcheck — see `unionlint -help` or
-// README "Static analysis").
+// Command unionlint is the repository's static-analysis suite: five
+// analyzers encoding invariants the coordinated-sampling scheme
+// depends on that `go test` does not catch (seedcheck, lockorder,
+// floatcmp, errcontract, mergepure — see `unionlint -help` or README
+// "Static analysis").
 //
 // It runs in two modes:
 //

@@ -7,7 +7,7 @@
 // <import/path> (so scope-sensitive analyzers see realistic paths).
 // Imports between testdata packages are resolved from source,
 // recursively, within one shared fact store — so fact-driven analyzers
-// (kindcheck, ackcontract, ...) see their dependencies' facts exactly
+// (lockorder, mergepure) see their dependencies' facts exactly
 // as the real drivers deliver them. Standard-library imports resolve
 // through the build cache. Expectations are comments of the form
 //

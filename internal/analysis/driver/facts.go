@@ -261,24 +261,3 @@ func (v *storeView) AllPackageFacts() []analysis.PackageFact {
 	})
 	return out
 }
-
-func (v *storeView) AllObjectFacts() []analysis.ObjectFact {
-	v.store.mu.Lock()
-	var out []analysis.ObjectFact
-	for k, f := range v.store.facts {
-		if k.obj != "" && v.canSee(k.pkg) {
-			out = append(out, analysis.ObjectFact{Path: k.pkg, Object: k.obj, Fact: f})
-		}
-	}
-	v.store.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path < out[j].Path
-		}
-		if out[i].Object != out[j].Object {
-			return out[i].Object < out[j].Object
-		}
-		return fmt.Sprintf("%T", out[i].Fact) < fmt.Sprintf("%T", out[j].Fact)
-	})
-	return out
-}

@@ -8,14 +8,15 @@ import (
 	"testing"
 )
 
-// TestVetFactsRoundTrip proves the facts protocol end to end under
-// `go vet -vettool`: a temp module has two kind packages registering
-// the same sketch tag and a blank-import aggregator; the collision is
-// only detectable by combining RegisteredKind facts from two separate
-// compilation units, so it appearing at all shows facts flow through
-// .vetx files. The second run re-analyzes only the (touched)
-// aggregator, whose dependencies' facts now come from go's vet cache —
-// the collision surviving that run is the round-trip.
+// TestVetFactsRoundTrip proves the package-fact protocol end to end
+// under `go vet -vettool`: in a temp module, package b establishes the
+// lock-ordering edge Beta.mu → Alpha.Mu and exports it in its
+// LockGraph fact, and package c closes the cycle by taking Beta.mu
+// while holding Alpha.Mu. Neither package shows the cycle alone, so
+// its report at all shows b's fact reached c through the .vetx files.
+// The second run re-analyzes only the (touched) c, whose imports' facts
+// now come from go's vet cache — the cycle surviving that run is the
+// round-trip.
 func TestVetFactsRoundTrip(t *testing.T) {
 	root, err := filepath.Abs("../../..")
 	if err != nil {
@@ -31,40 +32,68 @@ func TestVetFactsRoundTrip(t *testing.T) {
 	tmod := t.TempDir()
 	writeTree(t, tmod, map[string]string{
 		"go.mod": "module tmod\n\ngo 1.22\n",
-		"internal/sketch/sketch.go": `package sketch
+		"a/a.go": `// Package a owns an exported guarded mutex.
+package a
 
-import "errors"
+import "sync"
 
-type Kind uint8
-
-var (
-	ErrMismatch    = errors.New("sketch: mismatch")
-	ErrCorrupt     = errors.New("sketch: corrupt")
-	ErrUnknownKind = errors.New("sketch: unknown kind")
-)
-
-type Sketch interface{ Kind() Kind }
-
-type KindInfo struct {
-	Kind    Kind
-	Name    string
-	Version uint8
-	New     func() Sketch
-	Decode  func([]byte) (Sketch, error)
+type Alpha struct {
+	Mu sync.Mutex // guards: N
+	N  int
 }
 
-func Register(info KindInfo) {}
+var Shared Alpha
+
+// LockA takes Alpha.Mu.
+func LockA() {
+	Shared.Mu.Lock()
+	Shared.N++
+	Shared.Mu.Unlock()
+}
 `,
-		"internal/sketch/a/a.go": kindPackage("a", "alpha"),
-		"internal/sketch/b/b.go": kindPackage("b", "beta"),
-		"agg/agg.go": `// Package agg blank-imports every kind, like the real
-// internal/sketch/kinds aggregator.
-package agg
+		"b/b.go": `// Package b establishes the Beta.mu → Alpha.Mu edge.
+package b
 
 import (
-	_ "tmod/internal/sketch/a"
-	_ "tmod/internal/sketch/b"
+	"sync"
+
+	"tmod/a"
 )
+
+type Beta struct {
+	mu sync.Mutex // guards: n
+	n  int
+}
+
+var shared Beta
+
+// BThenA calls into a while holding Beta.mu.
+func BThenA() {
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	a.LockA()
+}
+
+// LockB takes only Beta.mu.
+func LockB() {
+	shared.mu.Lock()
+	shared.n++
+	shared.mu.Unlock()
+}
+`,
+		"c/c.go": `// Package c closes the cycle: Beta.mu while holding Alpha.Mu.
+package c
+
+import (
+	"tmod/a"
+	"tmod/b"
+)
+
+func AThenB() {
+	a.Shared.Mu.Lock()
+	defer a.Shared.Mu.Unlock()
+	b.LockB()
+}
 `,
 	})
 
@@ -75,56 +104,26 @@ import (
 		return string(out)
 	}
 
-	const collision = "sketch kind tag 1 registered by both tmod/internal/sketch/a and tmod/internal/sketch/b"
+	const cycle = "lock ordering cycle: a.Alpha.Mu → b.Beta.mu → a.Alpha.Mu"
 	out1 := vet()
-	if !strings.Contains(out1, collision) {
-		t.Fatalf("first vet run: collision not reported\noutput:\n%s", out1)
+	if !strings.Contains(out1, cycle) {
+		t.Fatalf("first vet run: cycle not reported\noutput:\n%s", out1)
 	}
-	// Rewrite the aggregator (content change, so its vet action re-runs)
-	// without touching a or b: their RegisteredKind facts must now come
-	// back out of the cached .vetx files.
-	agg := filepath.Join(tmod, "agg", "agg.go")
-	src, err := os.ReadFile(agg)
+	// Rewrite c (content change, so its vet action re-runs) without
+	// touching a or b: b's LockGraph fact must now come back out of
+	// the cached .vetx files.
+	cfile := filepath.Join(tmod, "c", "c.go")
+	src, err := os.ReadFile(cfile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(agg, append(src, []byte("\n// touched\n")...), 0o644); err != nil {
+	if err := os.WriteFile(cfile, append(src, []byte("\n// touched\n")...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out2 := vet()
-	if !strings.Contains(out2, collision) {
-		t.Fatalf("second vet run: collision lost after cache round-trip\noutput:\n%s", out2)
+	if !strings.Contains(out2, cycle) {
+		t.Fatalf("second vet run: cycle lost after cache round-trip\noutput:\n%s", out2)
 	}
-}
-
-// kindPackage renders a kind package that is clean under kindcheck
-// except for its tag choice: both generated packages use tag 1.
-func kindPackage(pkg, name string) string {
-	return `package ` + pkg + `
-
-import (
-	"fmt"
-
-	"tmod/internal/sketch"
-)
-
-const (
-	kindTag     sketch.Kind = 1
-	kindName                = "` + name + `"
-	kindVersion             = 1
-)
-
-func init() {
-	sketch.Register(sketch.KindInfo{Kind: kindTag, Name: kindName, Version: kindVersion})
-}
-
-// wrap keeps the typed sentinels in use, as kindcheck requires.
-func wrap() error {
-	return fmt.Errorf("%w: %w", sketch.ErrMismatch, sketch.ErrCorrupt)
-}
-
-var _ = wrap
-`
 }
 
 // writeTree writes files (path → contents) under dir.

@@ -8,12 +8,13 @@ import (
 // A Fact is a typed datum an analyzer attaches to a package or to a
 // package-level object, visible to later analysis of any package that
 // imports the fact's package (directly or transitively). Facts are how
-// unionlint enforces whole-program invariants — "kind tag 7 is never
-// reused", "every AckCode is classified" — one package at a time:
-// an analyzer running on internal/sketch/fm exports a fact recording
-// the kind it registered, and the analyzer running on the blank-import
-// aggregator internal/sketch/kinds sees every such fact and can reject
-// a duplicate tag without ever loading two kind packages at once.
+// unionlint enforces whole-program invariants one package at a time.
+// lockorder exports each function's lock summary as an object fact
+// and each package's lock-ordering edges as a package fact, so the
+// package that closes a cross-package ordering cycle sees every edge
+// of it without re-analyzing the packages that added them. mergepure
+// marks impure functions with an object fact, so a Merge that calls
+// one from another package is still caught.
 //
 // Facts must be pointers to gob-serializable structs (drivers move
 // them between compilation units as gob streams, mirroring the go
@@ -30,15 +31,6 @@ type Fact interface {
 type PackageFact struct {
 	Path string
 	Fact Fact
-}
-
-// An ObjectFact pairs a fact with the package-level object it
-// describes, identified by import path and object path (see
-// ObjectPath).
-type ObjectFact struct {
-	Path   string // import path of the object's package
-	Object string // object path within the package
-	Fact   Fact
 }
 
 // FactContext is the driver-provided view of the fact store for one
@@ -65,9 +57,6 @@ type FactContext interface {
 	// AllPackageFacts returns every visible package fact, in
 	// deterministic order.
 	AllPackageFacts() []PackageFact
-	// AllObjectFacts returns every visible object fact, in
-	// deterministic order.
-	AllObjectFacts() []ObjectFact
 }
 
 // ImportPackageFact reads a fact attached to the package with the
@@ -110,17 +99,10 @@ func (p *Pass) AllPackageFacts() []PackageFact {
 	return p.Facts.AllPackageFacts()
 }
 
-// AllObjectFacts returns every visible object fact.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	if p.Facts == nil {
-		return nil
-	}
-	return p.Facts.AllObjectFacts()
-}
-
 // ObjectPath encodes a stable, serializable name for a package-level
-// object, usable to find the same object in a re-imported copy of its
-// package. It is a deliberately small subset of x/tools' objectpath:
+// object: the key its object facts are stored under, so a pass over an
+// importing package finds them from its own copy of the object. It is
+// a deliberately small subset of x/tools' objectpath:
 //
 //   - a package-level const, var, func, or type is its name ("Register");
 //   - a method of a package-level named type is "Type.Method"
@@ -152,33 +134,6 @@ func ObjectPath(obj types.Object) (string, bool) {
 		return named.Obj().Name() + "." + fn.Name(), true
 	}
 	return "", false
-}
-
-// FindObject resolves an ObjectPath within pkg, returning nil when the
-// path names nothing there.
-func FindObject(pkg *types.Package, path string) types.Object {
-	if pkg == nil || path == "" {
-		return nil
-	}
-	typeName, method, isMethod := strings.Cut(path, ".")
-	obj := pkg.Scope().Lookup(typeName)
-	if !isMethod {
-		return obj
-	}
-	tn, ok := obj.(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < named.NumMethods(); i++ {
-		if m := named.Method(i); m.Name() == method {
-			return m
-		}
-	}
-	return nil
 }
 
 // TrimPkgPath strips the test-variant suffix ("pkg [pkg.test]") from a

@@ -6,11 +6,8 @@ package registry
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/ackcontract"
 	"repro/internal/analysis/errcontract"
-	"repro/internal/analysis/failpointcheck"
 	"repro/internal/analysis/floatcmp"
-	"repro/internal/analysis/kindcheck"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/mergepure"
 	"repro/internal/analysis/seedcheck"
@@ -19,11 +16,8 @@ import (
 // Analyzers returns the full unionlint suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		ackcontract.Analyzer,
 		errcontract.Analyzer,
-		failpointcheck.Analyzer,
 		floatcmp.Analyzer,
-		kindcheck.Analyzer,
 		lockorder.Analyzer,
 		mergepure.Analyzer,
 		seedcheck.Analyzer,

@@ -90,13 +90,13 @@ func chaosMessages(t *testing.T, cfg core.EstimatorConfig, sites int) (msgs [][]
 // failpoint (dial, write, read) must be treated as transient — the
 // loop retries exactly past the injected failures and succeeds.
 func TestChaosFailpointSitesRetried(t *testing.T) {
-	for _, site := range []string{failpoint.ClientDial, failpoint.ClientWrite, failpoint.ClientRead} {
-		t.Run(site, func(t *testing.T) {
+	for _, site := range []failpoint.Site{failpoint.ClientDial, failpoint.ClientWrite, failpoint.ClientRead} {
+		t.Run(site.String(), func(t *testing.T) {
 			t.Cleanup(failpoint.Reset)
 			_, addr := chaosCoordinator(t)
 			msgs, _ := chaosMessages(t, core.EstimatorConfig{Capacity: 32, Copies: 3, Seed: 11}, 1)
 
-			failpoint.Enable(site, failpoint.Times(2, errors.New("injected "+site+" fault")))
+			failpoint.Enable(site, failpoint.Times(2, errors.New("injected "+site.String()+" fault")))
 			cl := client.New(client.Config{Addr: addr, Attempts: 5, BackoffBase: time.Millisecond, JitterSeed: 1})
 			attempts, err := cl.Push(msgs[0])
 			if err != nil {

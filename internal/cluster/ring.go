@@ -108,8 +108,11 @@ func build(shards, vnodes int, seed uint64, members []bool) *Ring {
 		// Each shard's virtual nodes come from a SplitMix64 stream
 		// keyed by (seed, shard), so one shard's points do not depend
 		// on how many other shards exist — the property that makes
-		// membership change move only the departing shard's arcs.
-		rng := hashing.NewSplitMix64(seed ^ (uint64(s)+1)*0x9E3779B97F4A7C15)
+		// membership change move only the departing shard's arcs. The
+		// key is mixed: keyed linearly, as seed ^ f(s), a small seed
+		// starts one shard's stream a few steps along another's, and
+		// their points coincide.
+		rng := hashing.NewSplitMix64(hashing.Mix64(seed ^ uint64(s)))
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, point{pos: rng.Next(), shard: s})
 		}

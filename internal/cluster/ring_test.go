@@ -55,24 +55,34 @@ func TestRingSeedMatters(t *testing.T) {
 }
 
 // TestRingCoversAllShards: every shard must own a reasonable share of
-// a large group population — no dead shards, no runaway imbalance.
+// a large group population — no dead shards, no runaway imbalance —
+// for every ring seed 1–64 and 2–8 shards. Small, structured seeds are
+// the ones deployments and tests pick, and a shard stream keyed
+// linearly by (seed, shard) aliases another shard's for small seeds,
+// leaving one shard almost empty.
 func TestRingCoversAllShards(t *testing.T) {
-	const shards = 3
-	r := NewRing(shards, 0, 7)
-	counts := make([]int, shards)
 	keys := testKeys(30_000)
-	for _, k := range keys {
-		o := r.Owner(k)
-		if o < 0 || o >= shards {
-			t.Fatalf("group %s: owner %d outside [0,%d)", k, o, shards)
-		}
-		counts[o]++
-	}
-	for s, c := range counts {
-		// Perfect balance is 10000 per shard; with 64 vnodes the
-		// spread stays well within a factor of two.
-		if c < len(keys)/shards/2 || c > len(keys)/shards*2 {
-			t.Errorf("shard %d owns %d of %d groups — imbalance beyond 2x", s, c, len(keys))
+	for shards := 2; shards <= 8; shards++ {
+		counts := make([]int, shards)
+		for seed := uint64(1); seed <= 64; seed++ {
+			r := NewRing(shards, 0, seed)
+			clear(counts)
+			for _, k := range keys {
+				o := r.Owner(k)
+				if o < 0 || o >= shards {
+					t.Fatalf("group %s: owner %d outside [0,%d)", k, o, shards)
+				}
+				counts[o]++
+			}
+			// With 64 vnodes per shard the spread stays well within a
+			// factor of two of perfect balance.
+			fair := len(keys) / shards
+			for s, c := range counts {
+				if c < fair/2 || c > fair*2 {
+					t.Errorf("seed %d, %d shards: shard %d owns %d of %d groups — imbalance beyond 2x",
+						seed, shards, s, c, len(keys))
+				}
+			}
 		}
 	}
 }

@@ -60,7 +60,7 @@ func tearNewestSegment(t *testing.T, dir string, n int64) {
 func TestWALClusterParentCrashRecovery(t *testing.T) {
 	legs := []struct {
 		name string
-		site string
+		site failpoint.Site
 	}{
 		{"append", failpoint.WALAppend},
 		{"fsync", failpoint.WALFsync},
@@ -68,7 +68,7 @@ func TestWALClusterParentCrashRecovery(t *testing.T) {
 		{"snapshot", failpoint.WALSnapshot},
 		{"dirsync", failpoint.WALDirSync},
 		{"replay", failpoint.WALReplay},
-		{"torn-tail", ""},
+		{"torn-tail", failpoint.Site{}},
 	}
 	for _, seed := range chaosSeeds() {
 		const groups = 40
@@ -121,7 +121,7 @@ func TestWALClusterParentCrashRecovery(t *testing.T) {
 				// drive wave 2 through it: more shard pushes, flushes
 				// that die mid-hop, snapshot rounds that die mid-cut.
 				var crashed chan struct{}
-				if leg.site != "" && leg.site != failpoint.WALReplay {
+				if leg.site != (failpoint.Site{}) && leg.site != failpoint.WALReplay {
 					crashed = make(chan struct{})
 					var hits atomic.Int64
 					var once sync.Once
@@ -148,7 +148,7 @@ func TestWALClusterParentCrashRecovery(t *testing.T) {
 				// that leg exists to damage.
 				for i := 0; i < 6; i++ {
 					c.FlushAll()
-					if leg.site != "" {
+					if leg.site != (failpoint.Site{}) {
 						c.Parent.SnapshotWAL()
 					}
 				}
@@ -168,7 +168,7 @@ func TestWALClusterParentCrashRecovery(t *testing.T) {
 					if err := c.CrashParent(); err != nil {
 						t.Fatalf("crashed parent serve loop: %v", err)
 					}
-					if leg.site == "" {
+					if leg.site == (failpoint.Site{}) {
 						tearNewestSegment(t, dir, 2+int64(seed%29))
 					}
 				}

@@ -21,8 +21,9 @@
 //	failpoint.Enable(failpoint.ClientDial, failpoint.Times(2, errFlaky))
 //	defer failpoint.Disable(failpoint.ClientDial)
 //
-// Sites are identified by the constants below so tests cannot drift
-// from the code they target. The registry is process-global (the
+// Sites are values of type Site, and only this package can make one,
+// so production code and tests can name only declared sites: a
+// misspelt site does not compile. The registry is process-global (the
 // production code it is threaded through is, too); tests that arm
 // sites must disarm them, and must not run in t.Parallel with other
 // failpoint users of the same site.
@@ -34,72 +35,94 @@ import (
 	"time"
 )
 
+// A Site is one declared injection point. Its field is unexported and
+// the only constructor is declare, so every Site other than the zero
+// value is one of the variables below. The zero Site names no site;
+// test tables use it for legs that arm nothing.
+type Site struct{ name string }
+
+// String returns the site's "<package>/<operation>" name.
+func (s Site) String() string { return s.name }
+
+// declared holds every site name, so two sites cannot share one.
+var declared = map[string]bool{}
+
+// declare returns the site with the given name. It panics on a name
+// declared before, which is a build mistake, not a runtime condition.
+func declare(name string) Site {
+	if declared[name] {
+		panic("failpoint: site " + name + " declared twice")
+	}
+	declared[name] = true
+	return Site{name}
+}
+
 // The injection sites threaded through the networked referee. The
 // convention is "<package>/<operation>".
-const (
+var (
 	// ServerAccept fires in the coordinator's accept loop, after a
 	// connection is accepted and before it is handed to a reader
 	// goroutine; an error closes the connection unserved.
-	ServerAccept = "server/accept"
+	ServerAccept = declare("server/accept")
 	// ServerAbsorb fires in the per-group absorb path, after the
 	// sketch decodes and before any group state is touched; an error
 	// fails the absorb (the group must be left untouched).
-	ServerAbsorb = "server/absorb"
+	ServerAbsorb = declare("server/absorb")
 	// ServerDrain fires at the start of Shutdown's connection drain;
 	// hooks typically Sleep to widen the drain window. Its error is
 	// ignored — a drain cannot be refused.
-	ServerDrain = "server/drain"
+	ServerDrain = declare("server/drain")
 	// ServerRelayFlush fires at the start of each relay flush cycle,
 	// before any group is snapshotted; an error skips the whole cycle
 	// (the groups stay dirty and the next cycle retries them).
-	ServerRelayFlush = "server/relay-flush"
+	ServerRelayFlush = declare("server/relay-flush")
 	// ServerRelayPush fires before each per-group upstream push in a
 	// relay flush; an error fails that group's push (the group stays
 	// dirty — at-least-once delivery, made safe by idempotent merges).
-	ServerRelayPush = "server/relay-push"
+	ServerRelayPush = declare("server/relay-push")
 	// ClusterMigrate fires before each group re-push during ring
 	// migration; an error fails that group's move (the caller retries
 	// — duplicate re-pushes are idempotent).
-	ClusterMigrate = "cluster/migrate"
+	ClusterMigrate = declare("cluster/migrate")
 	// WALAppend fires in wal.(*Log).Append before the record frame is
 	// written; an error fails the append (the absorb is refused with a
 	// transient ack and no group or log state changes).
-	WALAppend = "wal/append"
+	WALAppend = declare("wal/append")
 	// WALFsync fires before each append's fsync (SyncAlways only; the
 	// seal, snapshot and close syncs do not pass through it); an error
 	// fails the append after the bytes were written — the record may
 	// or may not survive a crash, which idempotent replay makes safe
 	// either way.
-	WALFsync = "wal/fsync"
+	WALFsync = declare("wal/fsync")
 	// WALRotate fires before a full segment is rotated; an error skips
 	// the rotation (appends continue into the oversized segment and the
 	// next append retries).
-	WALRotate = "wal/rotate"
+	WALRotate = declare("wal/rotate")
 	// WALSnapshot fires at the start of wal.(*Log).Snapshot, before the
 	// temp file is created; an error skips the snapshot round (segments
 	// are kept and the next round retries).
-	WALSnapshot = "wal/snapshot"
+	WALSnapshot = declare("wal/snapshot")
 	// WALDirSync fires before each fsync of the log directory: after a
 	// rotation opens the next segment, after a snapshot's rename, and
 	// after a prune. An error fails that step — a rotation counts it
 	// in rotate_errors (its append still succeeds), and a snapshot
 	// returns it before pruning anything.
-	WALDirSync = "wal/dirsync"
+	WALDirSync = declare("wal/dirsync")
 	// WALReplay fires once before the snapshot and once before each
 	// segment is replayed at boot; an error aborts recovery (the
 	// coordinator refuses to serve rather than serve partial state).
-	WALReplay = "wal/replay"
+	WALReplay = declare("wal/replay")
 	// ClientDial fires before each dial attempt; an error counts as a
 	// transient dial failure (retried with backoff).
-	ClientDial = "client/dial"
+	ClientDial = declare("client/dial")
 	// ClientWrite fires before each request frame write.
-	ClientWrite = "client/write"
+	ClientWrite = declare("client/write")
 	// ClientRead fires before each response frame read.
-	ClientRead = "client/read"
+	ClientRead = declare("client/read")
 	// WireEncode fires at the top of wire.WriteFrame.
-	WireEncode = "wire/encode"
+	WireEncode = declare("wire/encode")
 	// WireDecode fires at the top of wire.ReadFrame.
-	WireDecode = "wire/decode"
+	WireDecode = declare("wire/decode")
 )
 
 // A Hook decides what an armed site does on each hit: return an error
@@ -107,8 +130,8 @@ const (
 // side effect such as sleeping).
 type Hook func() error
 
-// site is one armed injection point.
-type site struct {
+// hooked is one armed injection point.
+type hooked struct {
 	hook Hook
 	hits atomic.Int64
 }
@@ -118,25 +141,25 @@ type site struct {
 type registry struct {
 	armed atomic.Int32
 	mu    sync.Mutex // guards: sites
-	sites map[string]*site
+	sites map[Site]*hooked
 }
 
-var reg = registry{sites: make(map[string]*site)}
+var reg = registry{sites: make(map[Site]*hooked)}
 
 // Inject is the call production code places at a site. With no hook
 // armed anywhere it is a no-op: one atomic load, no allocation.
-func Inject(name string) error {
+func Inject(site Site) error {
 	if reg.armed.Load() == 0 {
 		return nil
 	}
 	// The slow path is armed only in chaos runs.
-	return inject(name)
+	return inject(site)
 }
 
 // inject is the slow path: look up and run the site's hook.
-func inject(name string) error {
+func inject(site Site) error {
 	reg.mu.Lock()
-	s := reg.sites[name]
+	s := reg.sites[site]
 	reg.mu.Unlock()
 	if s == nil {
 		return nil
@@ -147,24 +170,24 @@ func inject(name string) error {
 
 // Enable arms a site with a hook, replacing any previous hook (and
 // resetting the site's hit count).
-func Enable(name string, h Hook) {
+func Enable(site Site, h Hook) {
 	if h == nil {
 		panic("failpoint: Enable with nil hook")
 	}
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	if _, ok := reg.sites[name]; !ok {
+	if _, ok := reg.sites[site]; !ok {
 		reg.armed.Add(1)
 	}
-	reg.sites[name] = &site{hook: h}
+	reg.sites[site] = &hooked{hook: h}
 }
 
 // Disable disarms a site. Disabling an unarmed site is a no-op.
-func Disable(name string) {
+func Disable(site Site) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	if _, ok := reg.sites[name]; ok {
-		delete(reg.sites, name)
+	if _, ok := reg.sites[site]; ok {
+		delete(reg.sites, site)
 		reg.armed.Add(-1)
 	}
 }
@@ -173,15 +196,15 @@ func Disable(name string) {
 func Reset() {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	reg.sites = make(map[string]*site)
+	reg.sites = make(map[Site]*hooked)
 	reg.armed.Store(0)
 }
 
-// Hits returns how many times the named site fired since it was
-// enabled (0 if unarmed).
-func Hits(name string) int64 {
+// Hits returns how many times the site fired since it was enabled (0
+// if unarmed).
+func Hits(site Site) int64 {
 	reg.mu.Lock()
-	s := reg.sites[name]
+	s := reg.sites[site]
 	reg.mu.Unlock()
 	if s == nil {
 		return 0

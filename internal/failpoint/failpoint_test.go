@@ -126,3 +126,14 @@ func TestConcurrentInjectIsRaceFree(t *testing.T) {
 		t.Error("armed count nonzero after balanced enable/disable")
 	}
 }
+
+// TestDeclareRefusesRepeatedName: two sites sharing a name would arm
+// each other, so declaring an existing name panics.
+func TestDeclareRefusesRepeatedName(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("declare of an existing site name did not panic")
+		}
+	}()
+	declare(WALAppend.String())
+}

@@ -35,18 +35,18 @@ import (
 var errInjectedCrash = errors.New("injected crash")
 
 // walCrashLegs names the matrix rows: each wal/* failpoint, plus the
-// torn-tail leg (site "") where the crash damage is applied directly
-// to the segment file after an abrupt Abort.
+// torn-tail leg (the zero site) where the crash damage is applied
+// directly to the segment file after an abrupt Abort.
 var walCrashLegs = []struct {
 	name string
-	site string
+	site failpoint.Site
 }{
 	{"append", failpoint.WALAppend},
 	{"fsync", failpoint.WALFsync},
 	{"rotate", failpoint.WALRotate},
 	{"snapshot", failpoint.WALSnapshot},
 	{"dirsync", failpoint.WALDirSync},
-	{"torn-tail", ""},
+	{"torn-tail", failpoint.Site{}},
 }
 
 // testWALConfig is the matrix's log shape: segments small enough that
@@ -110,7 +110,7 @@ func startCrashable(t *testing.T, srv *server.Server) (addr string, done chan er
 // armCrash arms site so its nth hit kills srv: that hit (and every
 // later one) fails, and the crash switch runs in the background. The
 // returned channels report the trigger and the completed abort.
-func armCrash(srv *server.Server, site string, n int64) (crashed, aborted chan struct{}) {
+func armCrash(srv *server.Server, site failpoint.Site, n int64) (crashed, aborted chan struct{}) {
 	crashed = make(chan struct{})
 	aborted = make(chan struct{})
 	var hits atomic.Int64
@@ -201,7 +201,7 @@ func TestWALRecoverySingleTopology(t *testing.T) {
 				srv := server.New(server.Config{WAL: testWALConfig(dir)})
 				addr, done := startCrashable(t, srv)
 				var crashed, aborted chan struct{}
-				if leg.site != "" {
+				if leg.site != (failpoint.Site{}) {
 					crashed, aborted = armCrash(srv, leg.site, crashHit)
 				}
 
@@ -213,7 +213,7 @@ func TestWALRecoverySingleTopology(t *testing.T) {
 				cl := chaosClient(addr)
 				for _, msg := range msgs {
 					_, perr := cl.Push(msg)
-					if leg.site == "" {
+					if leg.site == (failpoint.Site{}) {
 						// The torn-tail leg needs its history intact:
 						// snapshots would prune the segments this leg
 						// exists to damage.
@@ -225,7 +225,7 @@ func TestWALRecoverySingleTopology(t *testing.T) {
 					srv.SnapshotWAL()
 				}
 
-				if leg.site != "" {
+				if leg.site != (failpoint.Site{}) {
 					select {
 					case <-crashed:
 					default:
@@ -367,7 +367,7 @@ func TestWALRecoveryRelayTopology(t *testing.T) {
 				startServer(t, child)
 
 				var crashed, aborted chan struct{}
-				if leg.site != "" {
+				if leg.site != (failpoint.Site{}) {
 					crashed, aborted = armCrash(parent, leg.site, crashHit)
 				}
 
@@ -379,12 +379,12 @@ func TestWALRecoveryRelayTopology(t *testing.T) {
 						t.Fatalf("shard absorb %d: %v", i, err)
 					}
 					child.FlushRelay()
-					if leg.site != "" {
+					if leg.site != (failpoint.Site{}) {
 						parent.SnapshotWAL()
 					}
 				}
 
-				if leg.site != "" {
+				if leg.site != (failpoint.Site{}) {
 					select {
 					case <-crashed:
 					default:

@@ -1,15 +1,16 @@
 // Decoder-robustness suite for the registry: every registered kind's
 // decoder — reached the same way the coordinator reaches it, through
 // sketch.Open — must survive arbitrary and corrupted envelopes
-// without panicking. The table of per-type encoders the pre-registry
-// version of this file hand-maintained is gone: iterating
-// sketch.Kinds() means a newly registered kind is fuzzed with no test
-// edit at all.
+// without panicking, and refuse them with a typed error. The table of
+// per-type encoders the pre-registry version of this file
+// hand-maintained is gone: iterating sketch.Kinds() means a newly
+// registered kind is fuzzed with no test edit at all.
 package sketch_test
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -59,7 +60,14 @@ func TestDecodersNeverPanic(t *testing.T) {
 							t.Fatalf("Open panicked on trial %d: %v", trial, p)
 						}
 					}()
-					_, _ = sketch.Open(data)
+					// Callers classify a refusal with errors.Is (the
+					// coordinator acks an unknown kind AckUnsupported and
+					// anything else AckCorrupt), so a decoder must wrap
+					// its sentinel with %w, never flatten it with %v.
+					_, err := sketch.Open(data)
+					if err != nil && !errors.Is(err, sketch.ErrCorrupt) && !errors.Is(err, sketch.ErrUnknownKind) {
+						t.Fatalf("trial %d: Open refused with an untyped error: %v", trial, err)
+					}
 				}()
 			}
 		})

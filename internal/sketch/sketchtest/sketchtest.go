@@ -111,6 +111,13 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 		if !bytes.Equal(canon(t, dec), canon(t, a)) {
 			t.Errorf("envelope round-trip changed the sketch")
 		}
+		// Capabilities are part of the kind's registered identity: the
+		// coordinator only ever holds opened sketches, so a method set
+		// split across pointer and value receivers would show here as a
+		// capability the fresh sketch has and the opened one lacks.
+		if got, want := capabilities(dec), capabilities(a); got != want {
+			t.Errorf("capabilities changed in envelope round trip: opened %v, fresh %v", got, want)
+		}
 	})
 
 	t.Run("resume-after-open", func(t *testing.T) {
@@ -191,17 +198,25 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 	})
 }
 
+// capabilities reports which optional interfaces sk implements.
+func capabilities(sk sketch.Sketch) [7]bool {
+	_, weighted := sk.(sketch.Weighted)
+	_, summer := sk.(sketch.Summer)
+	_, predicates := sk.(sketch.PredicateEstimator)
+	_, describer := sk.(sketch.Describer)
+	_, algebra := sk.(sketch.SetAlgebra)
+	_, combiner := sk.(sketch.SetCombiner)
+	_, accuracy := sk.(sketch.Accuracy)
+	return [7]bool{weighted, summer, predicates, describer, algebra, combiner, accuracy}
+}
+
 // conformSetAlgebra holds set-capable kinds to the pairwise algebra
-// contract and non-capable kinds to clean gating. The capability is
-// part of the kind's registered identity: it must survive the
-// envelope round trip (the coordinator's expression evaluator works
-// exclusively on clones) and refuse mismatched or cross-kind operands
-// with sketch.ErrMismatch, exactly like Merge.
+// contract and non-capable kinds to clean gating. Set operations work
+// on clones (as the coordinator's expression evaluator does) and must
+// refuse mismatched or cross-kind operands with sketch.ErrMismatch,
+// exactly like Merge.
 func conformSetAlgebra(t *testing.T, info sketch.KindInfo, a, b sketch.Sketch) {
 	alg, capable := clone(t, a).(sketch.SetAlgebra)
-	if _, direct := a.(sketch.SetAlgebra); direct != capable {
-		t.Fatalf("SetAlgebra capability lost in envelope round trip (direct %v, clone %v)", direct, capable)
-	}
 	if !capable {
 		// Clean gating: a kind without the algebra must not smuggle in
 		// half of it either.
@@ -276,9 +291,6 @@ func conformSetAlgebra(t *testing.T, info sketch.KindInfo, a, b sketch.Sketch) {
 	}
 
 	comb, combines := clone(t, a).(sketch.SetCombiner)
-	if _, direct := a.(sketch.SetCombiner); direct != combines {
-		t.Fatalf("SetCombiner capability lost in envelope round trip (direct %v, clone %v)", direct, combines)
-	}
 	if !combines {
 		return
 	}

@@ -267,7 +267,11 @@ func parseHeader(hdr [HeaderSize]byte, limit uint32) (MsgType, uint32, error) {
 	return t, n, nil
 }
 
-// AckCode classifies the coordinator's response to a message.
+// AckCode classifies the coordinator's response to a message. Each
+// code's `ackclass:` line documents how a client treats it (success,
+// transient: retried, permanent: surfaced at once); the client's
+// ackError switch implements that, and internal/client's tests fail
+// on a named code it does not dispose of.
 type AckCode uint8
 
 const (

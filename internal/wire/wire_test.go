@@ -97,6 +97,22 @@ func TestFrameRejections(t *testing.T) {
 	}
 }
 
+// TestRetiredFrameType7Refused: type 7 was MsgOpaque, retired when
+// the sketch registry subsumed it. A frame claiming it is junk, and the
+// minor-2 types start past it, so MsgPushNamed stays 8.
+func TestRetiredFrameType7Refused(t *testing.T) {
+	if MsgPushNamed != 8 {
+		t.Fatalf("MsgPushNamed = %d, want 8: type 7 is retired", MsgPushNamed)
+	}
+	b := EncodeFrame(MsgType(7), []byte("payload"))
+	if _, _, err := ReadFrame(bytes.NewReader(b), 0); !errors.Is(err, ErrFrame) {
+		t.Errorf("ReadFrame of a type-7 frame: err = %v, want ErrFrame", err)
+	}
+	if _, _, _, err := DecodeFrame(b, 0); !errors.Is(err, ErrFrame) {
+		t.Errorf("DecodeFrame of a type-7 frame: err = %v, want ErrFrame", err)
+	}
+}
+
 // TestReadFrameTruncationAlwaysErrFrame is the regression test for
 // the truncated-frame error contract: cutting a valid frame at ANY
 // byte offset — inside the magic, the CRC trailer of the header, at
