@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# ci.sh — the repository's tier-1 gate, plus the race detector, the
-# unionlint static-analysis suite, and a short fuzz smoke run.
+# ci.sh — the repository's tier-1 gate, plus gofmt, the race detector,
+# the unionlint static-analysis suite, and a short fuzz smoke run.
 #
 # The networked coordinator (internal/server) absorbs sketches on every
 # connection's reader goroutine at once; every change must keep that
@@ -24,6 +24,16 @@ GOVULNCHECK_VERSION="${GOVULNCHECK_VERSION:-v1.1.3}"
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt =="
+# Every Go file in the tree — pipebench/ and the analyzer testdata
+# included — must be gofmt-clean; the stage lists the ones that are not.
+GOFMT_OUT="$(gofmt -l .)"
+if [[ -n "$GOFMT_OUT" ]]; then
+    echo "$GOFMT_OUT"
+    echo "ci.sh: gofmt found unformatted files; fix them with: gofmt -w <file>"
+    exit 1
+fi
 
 echo "== lockorder golden suite =="
 # The lock analyzer's pinned scenarios (guarded field accesses,

@@ -79,7 +79,7 @@ func ownerShard(t *testing.T, shards int, ringSeed uint64) int {
 	if !ok {
 		t.Fatal("gt envelope failed to peek")
 	}
-	return cluster.NewRing(shards, 0, ringSeed).OwnerOf(uint8(kind), digest)
+	return cluster.NewRing(shards, 0, ringSeed).Owner(cluster.GroupKey{Kind: kind, Digest: digest})
 }
 
 func TestRunSingleCoordinator(t *testing.T) {

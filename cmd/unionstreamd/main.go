@@ -125,13 +125,7 @@ func main() {
 		}
 	}
 	if *shards > 0 {
-		ring := cluster.NewRing(*shards, 0, *ringSeed)
-		cfg.Cluster = &server.ClusterInfo{
-			Shard:    *shard,
-			Shards:   *shards,
-			RingSeed: *ringSeed,
-			Owner:    ring.OwnerOfGroup,
-		}
+		cfg.Cluster = &server.ClusterInfo{Shard: *shard, Ring: cluster.NewRing(*shards, 0, *ringSeed)}
 	}
 	srv := server.New(cfg)
 

@@ -39,9 +39,9 @@ func (c *Client) PushBatch(envelopes [][]byte) (pushed int, err error) {
 // It returns the number of records durably acked.
 func (c *Client) PushBatchNamed(records []Record) (pushed int, err error) {
 	pushed, _, err = c.exchange(len(records), func(conn net.Conn, i int) error {
-		t, payload, err := encodePush(records[i])
+		t, payload, err := wire.EncodePush(records[i].Stream, records[i].Envelope)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %w", ErrRejected, err)
 		}
 		_, err = c.request(conn, t, payload, wire.MsgAck)
 		return err
@@ -50,18 +50,4 @@ func (c *Client) PushBatchNamed(records []Record) (pushed int, err error) {
 		err = fmt.Errorf("client: batch envelope %d/%d: %w", pushed, len(records), err)
 	}
 	return pushed, err
-}
-
-// encodePush returns the frame type and payload that push rec.
-// Default-stream records travel as plain MsgPush frames (the exact
-// bytes an old client would send); named records as MsgPushNamed.
-func encodePush(rec Record) (wire.MsgType, []byte, error) {
-	if rec.Stream == "" {
-		return wire.MsgPush, rec.Envelope, nil
-	}
-	payload, err := wire.EncodePushNamed(rec.Stream, rec.Envelope)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %w", ErrRejected, err)
-	}
-	return wire.MsgPushNamed, payload, nil
 }

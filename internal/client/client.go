@@ -132,9 +132,9 @@ func (c *Client) Push(envelope []byte) (attempts int, err error) {
 // empty stream name is the default stream, and the push travels as a
 // plain MsgPush — byte-identical to what an un-upgraded site sends.
 func (c *Client) PushNamed(stream string, envelope []byte) (attempts int, err error) {
-	t, payload, err := encodePush(Record{Stream: stream, Envelope: envelope})
+	t, payload, err := wire.EncodePush(stream, envelope)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
 	_, attempts, err = c.exchange(1, func(conn net.Conn, _ int) error {
 		_, err := c.request(conn, t, payload, wire.MsgAck)

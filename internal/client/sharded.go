@@ -4,25 +4,10 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/sketch"
 	"repro/internal/wire"
 )
-
-// Router assigns merge groups — identified by the stream name each
-// push may carry plus the (kind, config digest) pair every envelope
-// carries in its header — to shard indices. cluster.(*Ring) satisfies
-// it; the indirection keeps this package free of a dependency on the
-// cluster package.
-type Router interface {
-	// OwnerOf returns the owning shard index in [0, Shards()) for the
-	// default-stream group with the given kind tag and config digest.
-	OwnerOf(kind uint8, digest uint64) int
-	// OwnerOfGroup is OwnerOf for a named stream; OwnerOfGroup("", k,
-	// d) must equal OwnerOf(k, d).
-	OwnerOfGroup(stream string, kind uint8, digest uint64) int
-	// Shards returns the shard-index space the router assigns into.
-	Shards() int
-}
 
 // ShardError wraps a failure talking to one shard with the shard's
 // identity, so a caller pushing across a cluster can report exactly
@@ -47,7 +32,7 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // retries through that shard's own retrying Client. It is safe for
 // concurrent use.
 type Sharded struct {
-	router  Router
+	ring    *cluster.Ring
 	addrs   []string
 	clients []*Client
 	// parent, when set (SetParent), is the aggregation tier's root
@@ -56,16 +41,16 @@ type Sharded struct {
 	parent *Client
 }
 
-// NewSharded builds a sharded client over the given coordinator
-// addresses, one per shard index, sharing base for every per-shard
-// Client (Addr is overwritten per shard; a non-zero JitterSeed is
-// offset per shard so a fleet of shards does not back off in
-// lockstep).
-func NewSharded(router Router, addrs []string, base Config) (*Sharded, error) {
-	if router.Shards() != len(addrs) {
-		return nil, fmt.Errorf("client: router assigns %d shards, %d addresses given", router.Shards(), len(addrs))
+// NewSharded builds a sharded client that routes by ring over the
+// given coordinator addresses, one per ring shard index, sharing base
+// for every per-shard Client (Addr is overwritten per shard; a
+// non-zero JitterSeed is offset per shard so a fleet of shards does
+// not back off in lockstep).
+func NewSharded(ring *cluster.Ring, addrs []string, base Config) (*Sharded, error) {
+	if ring.Shards() != len(addrs) {
+		return nil, fmt.Errorf("client: ring has %d shards, %d addresses given", ring.Shards(), len(addrs))
 	}
-	s := &Sharded{router: router, addrs: addrs, clients: make([]*Client, len(addrs))}
+	s := &Sharded{ring: ring, addrs: addrs, clients: make([]*Client, len(addrs))}
 	for i, addr := range addrs {
 		cfg := base
 		cfg.Addr = addr
@@ -106,11 +91,7 @@ func (s *Sharded) RouteNamed(stream string, envelope []byte) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("client: %w: not a sketch envelope, cannot route", ErrRejected)
 	}
-	shard := s.router.OwnerOfGroup(stream, uint8(kind), digest)
-	if shard < 0 || shard >= len(s.clients) {
-		return 0, fmt.Errorf("client: router assigned shard %d outside [0,%d)", shard, len(s.clients))
-	}
-	return shard, nil
+	return s.ring.Owner(cluster.GroupKey{Stream: stream, Kind: kind, Digest: digest}), nil
 }
 
 // Push routes one envelope to its owning shard and pushes it through
@@ -190,10 +171,7 @@ func (s *Sharded) QueryExpr(eq wire.ExprQuery, kind uint8, digest uint64) (*wire
 	owner := -1
 	colocated := true
 	for _, stream := range eq.Expr.Leaves(nil) {
-		shard := s.router.OwnerOfGroup(stream, kind, digest)
-		if shard < 0 || shard >= len(s.clients) {
-			return nil, fmt.Errorf("client: router assigned shard %d outside [0,%d)", shard, len(s.clients))
-		}
+		shard := s.ring.Owner(cluster.GroupKey{Stream: stream, Kind: sketch.Kind(kind), Digest: digest})
 		if owner == -1 {
 			owner = shard
 		} else if shard != owner {

@@ -311,7 +311,7 @@ func TestShardedReportsFailingShard(t *testing.T) {
 func TestShardedConstructionAndRouting(t *testing.T) {
 	ring := cluster.NewRing(3, 8, 1)
 	if _, err := client.NewSharded(ring, []string{"a", "b"}, client.Config{}); err == nil {
-		t.Error("NewSharded accepted 2 addresses for a 3-shard router")
+		t.Error("NewSharded accepted 2 addresses for a 3-shard ring")
 	}
 	sc, err := client.NewSharded(ring, []string{"a", "b", "c"}, client.Config{})
 	if err != nil {

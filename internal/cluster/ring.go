@@ -1,9 +1,9 @@
 // Package cluster implements the sharded, hierarchical aggregation
 // tier on top of the single-coordinator referee: a deterministic
 // consistent-hash ring that assigns merge groups — identified by the
-// same (kind, config digest) pair the coordinator keys its groups on
-// — to N unionstreamd shards, and the group-migration step a ring
-// membership change requires.
+// GroupKey the coordinator keys its group table on — to N
+// unionstreamd shards, and the group-migration step a ring membership
+// change requires.
 //
 // The whole tier leans on one fact, pinned bit-identical for every
 // registered kind by the sketchtest conformance suite: sketch merges
@@ -38,12 +38,12 @@ import (
 // ring stays small enough to rebuild on every membership change.
 const DefaultVirtualNodes = 64
 
-// GroupKey identifies one merge group, exactly as the coordinator
-// keys its group table: the logical stream the group belongs to (""
-// for the default stream), a sketch kind, and its canonical config
-// digest. Two envelopes land in the same group — and therefore on the
-// same shard — exactly when they name the same stream and their
-// sketches are merge-compatible.
+// GroupKey identifies one merge group: the logical stream the group
+// belongs to ("" for the default stream), a sketch kind, and its
+// canonical config digest. The coordinator keys its group table by
+// it, and the ring places groups by it, so two envelopes land in the
+// same group — and therefore on the same shard — exactly when they
+// name the same stream and their sketches are merge-compatible.
 type GroupKey struct {
 	Stream string
 	Kind   sketch.Kind
@@ -164,9 +164,6 @@ func (r *Ring) Shards() int { return r.shards }
 // Seed returns the ring seed.
 func (r *Ring) Seed() uint64 { return r.seed }
 
-// VirtualNodes returns the per-shard virtual-node count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
-
 // Members returns the live shard indices in ascending order.
 func (r *Ring) Members() []int {
 	var out []int
@@ -217,19 +214,4 @@ func (r *Ring) Owner(key GroupKey) int {
 		i = 0 // wrap past the highest point to the ring's first
 	}
 	return r.points[i].shard
-}
-
-// OwnerOf is Owner for a default-stream key with the fields unpacked;
-// see OwnerOfGroup.
-func (r *Ring) OwnerOf(kind uint8, digest uint64) int {
-	return r.OwnerOfGroup("", kind, digest)
-}
-
-// OwnerOfGroup is Owner with the key unpacked — the signature the
-// client-side Router interface uses, so a *Ring plugs straight into
-// client.NewSharded without the client package importing this one.
-// OwnerOfGroup("", k, d) == OwnerOf(k, d) exactly (streamHash pins the
-// default stream to the pre-stream key space).
-func (r *Ring) OwnerOfGroup(stream string, kind uint8, digest uint64) int {
-	return r.Owner(GroupKey{Stream: stream, Kind: sketch.Kind(kind), Digest: digest})
 }

@@ -146,17 +146,6 @@ func TestRingPanics(t *testing.T) {
 	}
 }
 
-// TestRingOwnerOfMatchesOwner: the client-facing Router signature
-// must agree with the typed one.
-func TestRingOwnerOfMatchesOwner(t *testing.T) {
-	r := NewRing(3, 16, 5)
-	for _, k := range testKeys(1000) {
-		if r.OwnerOf(uint8(k.Kind), k.Digest) != r.Owner(k) {
-			t.Fatalf("OwnerOf disagrees with Owner for %s", k)
-		}
-	}
-}
-
 // TestMigrate: only groups owned by the removed shard are re-pushed,
 // each to its new owner, and a failing push leaves the rest moving.
 func TestMigrate(t *testing.T) {

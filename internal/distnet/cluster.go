@@ -26,9 +26,8 @@ type ClusterOptions struct {
 	// Shards is the child-coordinator count (>= 1).
 	Shards int
 	// RingSeed seeds the consistent-hash ring shared by pushers and
-	// shards; VirtualNodes <= 0 takes the ring default.
-	RingSeed     uint64
-	VirtualNodes int
+	// shards.
+	RingSeed uint64
 	// FlushInterval and FlushAfter shape each shard's relay; a zero
 	// interval parks the timer (1h) so tests drive flushes explicitly.
 	FlushInterval time.Duration
@@ -83,7 +82,7 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		opts.FlushInterval = time.Hour
 	}
 	c := &Cluster{
-		Ring:      cluster.NewRing(opts.Shards, opts.VirtualNodes, opts.RingSeed),
+		Ring:      cluster.NewRing(opts.Shards, 0, opts.RingSeed),
 		opts:      opts,
 		serveErrs: make([]chan error, opts.Shards+1),
 		stopped:   make([]bool, opts.Shards),
@@ -127,12 +126,7 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 				IOTimeout:     opts.IOTimeout,
 				JitterSeed:    int64(i) + 1,
 			},
-			Cluster: &server.ClusterInfo{
-				Shard:    i,
-				Shards:   opts.Shards,
-				RingSeed: opts.RingSeed,
-				Owner:    c.Ring.OwnerOfGroup,
-			},
+			Cluster: &server.ClusterInfo{Shard: i, Ring: c.Ring},
 		})
 		addr, err := start(c.Servers[i], i+1)
 		if err != nil {

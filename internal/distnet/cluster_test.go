@@ -262,7 +262,7 @@ func TestClusterShardDeathMigrationConverges(t *testing.T) {
 	migrating := make([]cluster.Group, len(deadSnaps))
 	for i, snap := range deadSnaps {
 		migrating[i] = cluster.Group{
-			Key:      cluster.GroupKey{Kind: snap.Kind, Digest: snap.Digest},
+			Key:      snap.GroupKey,
 			Envelope: snap.Envelope,
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/sketch"
@@ -306,9 +307,9 @@ func testExprShardedCluster(t *testing.T, ringSeed uint64) {
 	}
 	ui, _, _ := exprQueries()
 	spans := false
-	owner := c.Ring.OwnerOfGroup("ads", uint8(kind), digest)
+	owner := c.Ring.Owner(cluster.GroupKey{Stream: "ads", Kind: kind, Digest: digest})
 	for _, stream := range []string{"buys", "clicks"} {
-		if c.Ring.OwnerOfGroup(stream, uint8(kind), digest) != owner {
+		if c.Ring.Owner(cluster.GroupKey{Stream: stream, Kind: kind, Digest: digest}) != owner {
 			spans = true
 		}
 	}

@@ -2,19 +2,13 @@ package distsim
 
 import "sync"
 
-// Accountant is the byte-accounting interface of the distributed
-// model: every transport — the in-process channel simulator here, the
-// loopback/real TCP transport in internal/distnet — records each
-// site's one-shot message through it, so experiments report identical
-// communication costs no matter how the messages physically traveled.
-type Accountant interface {
-	// Record notes that site sent one message of messageBytes bytes.
-	Record(site, messageBytes int)
-}
-
-// ByteAccountant is the standard Accountant: it tracks total and
-// per-site message bytes. It is safe for concurrent use — sites
-// finish (and therefore report) in arbitrary order.
+// ByteAccountant is the byte accounting of the distributed model: it
+// tracks total and per-site message bytes. The in-process channel
+// simulator here and the loopback TCP transport in internal/distnet
+// both record each site's one-shot message through it, so experiments
+// report identical communication costs no matter how the messages
+// physically traveled. It is safe for concurrent use — sites finish
+// (and therefore report) in arbitrary order.
 type ByteAccountant struct {
 	mu       sync.Mutex // guards: perSite, messages, total, maxMsg
 	perSite  map[int]int64
@@ -28,7 +22,7 @@ func NewByteAccountant() *ByteAccountant {
 	return &ByteAccountant{perSite: make(map[int]int64)}
 }
 
-// Record implements Accountant.
+// Record notes that site sent one message of messageBytes bytes.
 func (a *ByteAccountant) Record(site, messageBytes int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -14,10 +14,9 @@
 // assert exactly that, replaying the same seed twice and comparing
 // both the final merged state and the proxy's fault trace.
 //
-// Every byte forwarded toward the coordinator is recorded through the
-// distsim byte-accounting hook (distsim.Accountant), keeping chaos
-// runs comparable with the in-process simulator's communication
-// accounting.
+// With WithAccountant, every byte forwarded toward the coordinator is
+// recorded in a distsim.ByteAccountant, keeping chaos runs comparable
+// with the in-process simulator's communication accounting.
 package faultnet
 
 import (
@@ -67,7 +66,7 @@ func (e TraceEvent) String() string {
 type Proxy struct {
 	target string
 	sched  Schedule
-	acct   distsim.Accountant // optional; records forwarded up-bytes per conn
+	acct   *distsim.ByteAccountant // optional; records forwarded up-bytes per conn
 
 	ln net.Listener
 	wg sync.WaitGroup
@@ -81,10 +80,10 @@ type Proxy struct {
 // Option configures a Proxy.
 type Option func(*Proxy)
 
-// WithAccountant records every forwarded client→server byte through
-// acct (connection index as the site), reusing the distributed
-// simulator's byte-accounting hook.
-func WithAccountant(acct distsim.Accountant) Option {
+// WithAccountant records every forwarded client→server byte in acct
+// (connection index as the site), reusing the distributed simulator's
+// byte accounting.
+func WithAccountant(acct *distsim.ByteAccountant) Option {
 	return func(p *Proxy) { p.acct = acct }
 }
 

@@ -2,12 +2,22 @@ package harness
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with current output")
+
+// hostTimedTables time the host, so their values differ run to run;
+// every other quick-mode table is a pure function of quickCfg.
+var hostTimedTables = map[string]bool{
+	"e5_per_item_time":   true,
+	"e5_gt_amortization": true,
+}
 
 func quickCfg(buf *bytes.Buffer) Config {
 	return Config{Seed: 7, Quick: true, Trials: 3, Out: buf}
@@ -35,6 +45,10 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRunQuick runs every experiment in quick mode,
+// checks each table's shape, and compares every table that does not
+// time the host with its CSV golden under testdata/quick. Regenerate
+// with: go test ./internal/harness -run TestAllExperimentsRunQuick -update-golden
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow even in quick mode")
@@ -63,8 +77,37 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 						t.Errorf("table %q ragged row", tbl.ID)
 					}
 				}
+				if !hostTimedTables[tbl.ID] {
+					checkQuickGolden(t, tbl)
+				}
 			}
 		})
+	}
+}
+
+// checkQuickGolden compares tbl's CSV with its quick-mode golden.
+func checkQuickGolden(t *testing.T, tbl *Table) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := tbl.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "quick", tbl.ID+".csv")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("table %s drifted from %s (regenerate with -update-golden if intentional)\n--- got\n%s--- want\n%s",
+			tbl.ID, path, got.Bytes(), want)
 	}
 }
 

@@ -195,13 +195,13 @@ func (s *Server) selectStreamGroup(stream string, eq wire.ExprQuery) (*group, er
 	defer s.mu.Unlock()
 	var matched []*group
 	for _, g := range s.groups {
-		if g.stream != stream {
+		if g.key.Stream != stream {
 			continue
 		}
 		if eq.HasSeed && g.seed != eq.Seed {
 			continue
 		}
-		if eq.HasKind && g.kind != sketch.Kind(eq.SketchKind) {
+		if eq.HasKind && g.key.Kind != sketch.Kind(eq.SketchKind) {
 			continue
 		}
 		matched = append(matched, g)
@@ -229,7 +229,7 @@ func (g *group) cloneSketch() (sketch.Sketch, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.sk == nil {
-		return nil, fmt.Errorf("server: group %s/%016x holds no sketch", g.name, g.digest)
+		return nil, fmt.Errorf("server: group %s/%016x holds no sketch", g.name, g.key.Digest)
 	}
 	env, err := sketch.Envelope(g.sk)
 	if err != nil {

@@ -160,15 +160,11 @@ func (s *Server) flushRound() (groups int, err error) {
 
 	type dirtyGroup struct {
 		g        *group
-		stream   string
 		envelope []byte
 		pending  int64
 	}
 	s.mu.Lock()
-	all := make([]*group, 0, len(s.groups))
-	for _, g := range s.groups {
-		all = append(all, g)
-	}
+	all := s.groupsLocked()
 	s.mu.Unlock()
 
 	var dirty []dirtyGroup
@@ -194,7 +190,7 @@ func (s *Server) flushRound() (groups int, err error) {
 			r.lastErr.Store(merr.Error())
 			continue
 		}
-		dirty = append(dirty, dirtyGroup{g: g, stream: g.stream, envelope: env, pending: pending})
+		dirty = append(dirty, dirtyGroup{g: g, envelope: env, pending: pending})
 	}
 	if len(dirty) == 0 {
 		return 0, nil
@@ -205,7 +201,7 @@ func (s *Server) flushRound() (groups int, err error) {
 	// tier would silently collapse streams into the default.
 	records := make([]client.Record, len(dirty))
 	for i, d := range dirty {
-		records[i] = client.Record{Stream: d.stream, Envelope: d.envelope}
+		records[i] = client.Record{Stream: d.g.key.Stream, Envelope: d.envelope}
 	}
 	pushed, perr := r.upstream.PushBatchNamed(records)
 	// Envelopes [0, pushed) were acked upstream: clear exactly the

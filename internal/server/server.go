@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/failpoint"
 	"repro/internal/sketch"
 	"repro/internal/wire"
@@ -95,38 +96,21 @@ type Config struct {
 // misrouted groups safe, just unbalanced), and /statsz surfaces
 // ownership so the imbalance is visible.
 type ClusterInfo struct {
-	// Shard is this coordinator's ring index; Shards the ring size.
-	Shard, Shards int
-	// RingSeed is the deployment's shared ring seed.
-	RingSeed uint64
-	// Owner maps a group's (stream, kind tag, config digest) to its
-	// owning shard index — typically cluster.(*Ring).OwnerOfGroup. Nil
-	// disables per-group ownership reporting.
-	Owner func(stream string, kind uint8, digest uint64) int
-}
-
-// groupKey identifies one merge group: the logical stream it belongs
-// to ("" for the default stream), a sketch kind, and its canonical
-// config digest. Two envelopes land in the same group exactly when
-// they name the same stream and their sketches are merge-compatible —
-// which is why the digest, not a kind-specific config struct, closes
-// the key.
-type groupKey struct {
-	stream string
-	kind   sketch.Kind
-	digest uint64
+	// Shard is this coordinator's ring index.
+	Shard int
+	// Ring is the deployment's shared ring (non-nil): /statsz reports
+	// its size and seed, and each group's owner under it.
+	Ring *cluster.Ring
 }
 
 // group is one mergeable family of sketches: everything pushed to one
 // stream with the same kind and configuration digest.
 type group struct {
-	// stream, kind, name, seed, and digest are fixed at creation (from
-	// the first absorbed envelope) and readable without the lock.
-	stream string
-	kind   sketch.Kind
-	name   string
-	seed   uint64
-	digest uint64
+	// key, name, and seed are fixed at creation (from the first
+	// absorbed envelope) and readable without the lock.
+	key  cluster.GroupKey
+	name string
+	seed uint64
 
 	mu       sync.Mutex // guards: sk, absorbed, bytes, pendingRelay, relayPushes
 	sk       sketch.Sketch
@@ -134,8 +118,8 @@ type group struct {
 	bytes    int64
 	// pendingRelay counts absorbs not yet covered by an acked upstream
 	// envelope; relayPushes counts acked upstream pushes of this
-	// group. Both are bookkeeping only — maintained even on a
-	// non-relay coordinator, where pendingRelay simply grows.
+	// group. Both are bookkeeping only, and only a relay coordinator
+	// counts them.
 	pendingRelay int64
 	relayPushes  int64
 }
@@ -151,7 +135,7 @@ type Server struct {
 	connWG sync.WaitGroup
 
 	mu       sync.Mutex // guards: groups, ln, conns, started, shutdown
-	groups   map[groupKey]*group
+	groups   map[cluster.GroupKey]*group
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	started  bool
@@ -168,7 +152,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		quit:   make(chan struct{}),
-		groups: make(map[groupKey]*group),
+		groups: make(map[cluster.GroupKey]*group),
 		conns:  make(map[net.Conn]struct{}),
 	}
 	if cfg.Relay != nil {
@@ -398,18 +382,13 @@ func (s *Server) handleConn(conn net.Conn) {
 
 		switch typ {
 		case wire.MsgPush, wire.MsgPushNamed:
-			var stream string
-			envelope := payload
-			if typ == wire.MsgPushNamed {
-				var perr error
-				stream, envelope, perr = wire.DecodePushNamed(payload)
-				if perr != nil {
-					s.stats.rejected.Add(1)
-					if !s.writeAck(conn, wire.Ack{Code: wire.AckCorrupt, Detail: perr.Error()}) {
-						return
-					}
-					continue
+			stream, envelope, perr := wire.DecodePush(typ, payload)
+			if perr != nil {
+				s.stats.rejected.Add(1)
+				if !s.writeAck(conn, wire.Ack{Code: wire.AckCorrupt, Detail: perr.Error()}) {
+					return
 				}
+				continue
 			}
 			ack := s.absorbSketch(stream, envelope)
 			if ack.Code != wire.AckOK {
@@ -532,11 +511,11 @@ func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
 // record must take exactly the path the original push took, or
 // recovery would not be bit-identical.
 func (s *Server) foldIntoGroup(stream string, sk sketch.Sketch, kindName string, payloadLen int) wire.Ack {
-	key := groupKey{stream: stream, kind: sk.Kind(), digest: sk.Digest()}
+	key := cluster.GroupKey{Stream: stream, Kind: sk.Kind(), Digest: sk.Digest()}
 	s.mu.Lock()
 	g, ok := s.groups[key]
 	if !ok {
-		g = &group{stream: stream, kind: key.kind, name: kindName, seed: sk.Seed(), digest: key.digest}
+		g = &group{key: key, name: kindName, seed: sk.Seed()}
 		s.groups[key] = g
 	}
 	s.mu.Unlock()
@@ -652,7 +631,7 @@ func (s *Server) selectGroup(q wire.Query) (*group, error) {
 		if q.HasSeed && g.seed != q.Seed {
 			continue
 		}
-		if q.HasKind && g.kind != sketch.Kind(q.SketchKind) {
+		if q.HasKind && g.key.Kind != sketch.Kind(q.SketchKind) {
 			continue
 		}
 		matched = append(matched, g)
@@ -692,15 +671,7 @@ func (s *Server) groupsLocked() []*group {
 // deterministic (stream, kind, digest) order, eliding after a few so
 // a 10^5-group coordinator cannot flood an error string.
 func describeGroups(gs []*group) string {
-	sort.Slice(gs, func(i, j int) bool {
-		if gs[i].stream != gs[j].stream {
-			return gs[i].stream < gs[j].stream
-		}
-		if gs[i].kind != gs[j].kind {
-			return gs[i].kind < gs[j].kind
-		}
-		return gs[i].digest < gs[j].digest
-	})
+	sort.Slice(gs, func(i, j int) bool { return keyLess(gs[i].key, gs[j].key) })
 	const maxListed = 6
 	parts := make([]string, 0, maxListed+1)
 	for i, g := range gs {
@@ -708,13 +679,25 @@ func describeGroups(gs []*group) string {
 			parts = append(parts, fmt.Sprintf("... %d more", len(gs)-maxListed))
 			break
 		}
-		stream := g.stream
+		stream := g.key.Stream
 		if stream == "" {
 			stream = "(default)"
 		}
-		parts = append(parts, fmt.Sprintf("[stream %q kind %s seed %d digest %016x]", stream, g.name, g.seed, g.digest))
+		parts = append(parts, fmt.Sprintf("[stream %q kind %s seed %d digest %016x]", stream, g.name, g.seed, g.key.Digest))
 	}
 	return strings.Join(parts, ", ")
+}
+
+// keyLess orders groups by (stream, kind, digest): the order of
+// Snapshots and of the groups an ambiguity error lists.
+func keyLess(a, b cluster.GroupKey) bool {
+	if a.Stream != b.Stream {
+		return a.Stream < b.Stream
+	}
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	return a.Digest < b.Digest
 }
 
 // SnapshotGroup returns the marshaled merged sketch payload for the
@@ -737,10 +720,8 @@ func (s *Server) SnapshotGroup(seed uint64) ([]byte, error) {
 // bytes the group relays upstream, migrates to a new owner, or a site
 // holding the whole group union would have pushed.
 type GroupSnapshot struct {
-	Stream   string
-	Kind     sketch.Kind
+	cluster.GroupKey
 	KindName string
-	Digest   uint64
 	Seed     uint64
 	Envelope []byte
 }
@@ -759,7 +740,7 @@ func (s *Server) Snapshots() ([]GroupSnapshot, error) {
 	out := make([]GroupSnapshot, 0, len(groups))
 	for _, g := range groups {
 		g.mu.Lock()
-		snap := GroupSnapshot{Stream: g.stream, Kind: g.kind, KindName: g.name, Digest: g.digest, Seed: g.seed}
+		snap := GroupSnapshot{GroupKey: g.key, KindName: g.name, Seed: g.seed}
 		var err error
 		if g.sk != nil {
 			snap.Envelope, err = sketch.Envelope(g.sk)
@@ -770,14 +751,6 @@ func (s *Server) Snapshots() ([]GroupSnapshot, error) {
 		}
 		out = append(out, snap)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stream != out[j].Stream {
-			return out[i].Stream < out[j].Stream
-		}
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Digest < out[j].Digest
-	})
+	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].GroupKey, out[j].GroupKey) })
 	return out, nil
 }

@@ -128,7 +128,7 @@ type ClusterStats struct {
 	Shards   int    `json:"shards"`
 	RingSeed uint64 `json:"ring_seed"`
 	// GroupsOwned and GroupsForeign partition the coordinator's groups
-	// by ring ownership (only when Config.Cluster.Owner is set).
+	// by ring ownership.
 	GroupsOwned   int64 `json:"groups_owned"`
 	GroupsForeign int64 `json:"groups_foreign"`
 }
@@ -194,8 +194,9 @@ func (s *Server) Stats() Stats {
 		}
 		st.Relay = rs
 	}
-	if c := s.cfg.Cluster; c != nil {
-		st.Cluster = &ClusterStats{Shard: c.Shard, Shards: c.Shards, RingSeed: c.RingSeed}
+	c := s.cfg.Cluster
+	if c != nil {
+		st.Cluster = &ClusterStats{Shard: c.Shard, Shards: c.Ring.Shards(), RingSeed: c.Ring.Seed()}
 	}
 	st.WAL = s.walStats()
 
@@ -204,10 +205,10 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	for _, g := range groups {
 		gs := GroupStats{
-			Stream: g.stream,
+			Stream: g.key.Stream,
 			Kind:   g.name,
 			Seed:   g.seed,
-			Digest: fmt.Sprintf("%016x", g.digest),
+			Digest: fmt.Sprintf("%016x", g.key.Digest),
 		}
 		g.mu.Lock()
 		gs.SketchesAbsorbed = g.absorbed
@@ -223,8 +224,8 @@ func (s *Server) Stats() Stats {
 			}
 		}
 		g.mu.Unlock()
-		if c := s.cfg.Cluster; c != nil && c.Owner != nil {
-			owner := c.Owner(g.stream, uint8(g.kind), g.digest)
+		if c != nil {
+			owner := c.Ring.Owner(g.key)
 			owned := owner == c.Shard
 			gs.OwnerShard, gs.Owned = &owner, &owned
 			if owned {

@@ -29,7 +29,6 @@ func TestStatszRelayGoldenShape(t *testing.T) {
 	parent := server.New(server.Config{})
 	parentAddr := startServer(t, parent)
 
-	ring := cluster.NewRing(3, 0, 42)
 	child := server.New(server.Config{
 		Relay: &server.RelayConfig{
 			Upstream:      parentAddr,
@@ -38,12 +37,7 @@ func TestStatszRelayGoldenShape(t *testing.T) {
 			BackoffBase:   time.Millisecond,
 			JitterSeed:    1,
 		},
-		Cluster: &server.ClusterInfo{
-			Shard:    0,
-			Shards:   3,
-			RingSeed: 42,
-			Owner:    ring.OwnerOfGroup,
-		},
+		Cluster: &server.ClusterInfo{Shard: 0, Ring: cluster.NewRing(3, 0, 42)},
 	})
 	childAddr := startServer(t, child)
 

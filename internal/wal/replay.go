@@ -16,10 +16,11 @@ import (
 // returns the number of records delivered and the byte offset of the
 // last clean record boundary — the truncation point for a torn tail.
 //
-// A record is either a MsgPush frame (the pre-stream format; its
-// stream is the default "") or a MsgPushNamed frame carrying an
-// explicit stream name — so every log written before streams existed
-// replays into the default stream unchanged.
+// Each record is a push frame decoded by wire.DecodePush: a MsgPush
+// frame (the pre-stream format; its stream is the default "") or a
+// MsgPushNamed frame carrying an explicit stream name — so every log
+// written before streams existed replays into the default stream
+// unchanged.
 //
 // The error is nil when the stream ends cleanly between frames,
 // satisfies errors.Is(err, ErrDamaged) on any structural damage (a
@@ -40,18 +41,9 @@ func DecodeSegment(r io.Reader, limit uint32, fn func(stream string, envelope []
 			}
 			return records, clean, fmt.Errorf("%w: record %d at offset %d: %w", ErrDamaged, records, clean, rerr)
 		}
-		var stream string
-		envelope := payload
-		switch t {
-		case wire.MsgPush:
-		case wire.MsgPushNamed:
-			var perr error
-			stream, envelope, perr = wire.DecodePushNamed(payload)
-			if perr != nil {
-				return records, clean, fmt.Errorf("%w: record %d at offset %d: %w", ErrDamaged, records, clean, perr)
-			}
-		default:
-			return records, clean, fmt.Errorf("%w: record %d at offset %d: frame type %s in a wal segment", ErrDamaged, records, clean, t)
+		stream, envelope, perr := wire.DecodePush(t, payload)
+		if perr != nil {
+			return records, clean, fmt.Errorf("%w: record %d at offset %d: %w", ErrDamaged, records, clean, perr)
 		}
 		if ferr := fn(stream, envelope); ferr != nil {
 			return records, clean, ferr

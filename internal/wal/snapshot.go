@@ -24,9 +24,8 @@ type Record struct {
 // in flight to the active segment survive in it and replay after the
 // snapshot, where idempotent joins absorb the overlap.
 //
-// Default-stream records are written as plain MsgPush frames (the
-// pre-stream snapshot format, byte for byte); named records as
-// MsgPushNamed frames.
+// Records are framed by wire.EncodePush, exactly like appended ones,
+// so a default-stream snapshot is the pre-stream format byte for byte.
 //
 // The write is atomic: records go to a temp file which is fsynced,
 // renamed into place, and followed by a directory fsync. A crash at
@@ -59,17 +58,11 @@ func (l *Log) Snapshot(cut uint64, records []Record) error {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	for _, rec := range records {
-		frame := wire.EncodeFrame(wire.MsgPush, rec.Envelope)
-		if rec.Stream != "" {
-			payload, perr := wire.EncodePushNamed(rec.Stream, rec.Envelope)
-			if perr != nil {
-				f.Close()
-				os.Remove(tmp)
-				return fmt.Errorf("wal: snapshot write: %w", perr)
-			}
-			frame = wire.EncodeFrame(wire.MsgPushNamed, payload)
+		t, payload, err := wire.EncodePush(rec.Stream, rec.Envelope)
+		if err == nil {
+			_, err = f.Write(wire.EncodeFrame(t, payload))
 		}
-		if _, err := f.Write(frame); err != nil {
+		if err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return fmt.Errorf("wal: snapshot write: %w", err)

@@ -7,12 +7,13 @@
 //
 // A segment file (wal-NNNNNNNN.seg) is a sequence of ordinary wire
 // frames — the same magic/version/CRC discipline the network speaks —
-// each of type wire.MsgPush wrapping one self-describing sketch
-// envelope (internal/sketch). Nothing about a record is WAL-specific:
-// the bytes a site pushed are the bytes logged, so the wire decoder,
-// its fuzz corpus, and its torn-frame semantics all apply verbatim. A
-// snapshot file (snap-NNNNNNNN.snap) uses the identical framing, one
-// record per merge group, holding the group's merged envelope.
+// each a push frame (wire.EncodePush) wrapping one self-describing
+// sketch envelope (internal/sketch). Nothing about a record is
+// WAL-specific: the bytes a site pushed are the bytes logged, so the
+// wire decoder, its fuzz corpus, and its torn-frame semantics all
+// apply verbatim. A snapshot file (snap-NNNNNNNN.snap) uses the
+// identical framing, one record per merge group, holding the group's
+// merged envelope.
 //
 // # Recovery model
 //
@@ -157,7 +158,7 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu sync.Mutex // guards: f, segBytes, liveSegs, replayed, closed, rotateErr
+	mu sync.Mutex // guards: f, segBytes, liveSegs, replayed, closed, rotateErr, syncErr
 	f  *os.File
 	// segBytes is the active segment's current size; liveSegs counts
 	// segment files on disk.
@@ -168,6 +169,9 @@ type Log struct {
 	// rotateErr is the latest failed rotation's error: the append that
 	// triggered it succeeded, so Stats is where the failure shows.
 	rotateErr string
+	// syncErr is the first failed per-append fsync; once set, appends
+	// are refused (see AppendNamed).
+	syncErr error
 
 	// seg is the active segment index, snapSeg the live snapshot's cut
 	// (0 = none); written under mu, read lock-free by Stats.
@@ -389,25 +393,26 @@ func (l *Log) Append(envelope []byte) error {
 	return l.AppendNamed("", envelope)
 }
 
-// AppendNamed logs one accepted envelope for the given stream. The
-// default stream ("") is written as a plain MsgPush frame —
-// bit-identical to what every pre-stream log holds — so logs written
-// by old coordinators and new ones carrying only default-stream
-// traffic are interchangeable. Named records are MsgPushNamed frames.
+// AppendNamed logs one accepted envelope for the given stream, framed
+// by wire.EncodePush: a default-stream record is a plain MsgPush
+// frame — bit-identical to what every pre-stream log holds — so logs
+// written by old coordinators and new ones carrying only
+// default-stream traffic are interchangeable.
+//
+// A failed per-append fsync is terminal for appends: the kernel may
+// have dropped the record's dirty pages and still let a later fsync
+// succeed, so a later acked record could sit behind a damaged one that
+// replay stops at. Every later AppendNamed writes nothing and returns
+// an error wrapping the first failure, until a reopened log replays.
 func (l *Log) AppendNamed(stream string, envelope []byte) error {
 	if err := failpoint.Inject(failpoint.WALAppend); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	var frame []byte
-	if stream == "" {
-		frame = wire.EncodeFrame(wire.MsgPush, envelope)
-	} else {
-		payload, err := wire.EncodePushNamed(stream, envelope)
-		if err != nil {
-			return fmt.Errorf("wal: append: %w", err)
-		}
-		frame = wire.EncodeFrame(wire.MsgPushNamed, payload)
+	t, payload, err := wire.EncodePush(stream, envelope)
+	if err != nil {
+		return fmt.Errorf("wal: append: %w", err)
 	}
+	frame := wire.EncodeFrame(t, payload)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -416,6 +421,8 @@ func (l *Log) AppendNamed(stream string, envelope []byte) error {
 		return ErrClosed
 	case !l.replayed:
 		return ErrNotReplayed
+	case l.syncErr != nil:
+		return fmt.Errorf("wal: append refused after a failed fsync: %w", l.syncErr)
 	}
 	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
@@ -424,11 +431,13 @@ func (l *Log) AppendNamed(stream string, envelope []byte) error {
 	l.appended.Add(1)
 	l.appendedBytes.Add(int64(len(frame)))
 	if l.opts.Sync == SyncAlways {
-		if err := failpoint.Inject(failpoint.WALFsync); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
+		err := failpoint.Inject(failpoint.WALFsync)
+		if err == nil {
+			err = l.f.Sync()
 		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
+		if err != nil {
+			l.syncErr = fmt.Errorf("wal: fsync: %w", err)
+			return l.syncErr
 		}
 		l.fsyncs.Add(1)
 	}

@@ -421,6 +421,49 @@ func TestRotateErrorCountedAppendSucceeds(t *testing.T) {
 	}
 }
 
+// TestFailedFsyncRefusesLaterAppends: after a failed per-append
+// fsync the kernel may have dropped the record's dirty pages while a
+// later fsync still succeeds, so a later acked record could sit behind
+// a damaged one that replay stops at. Every later append must write
+// nothing and return an error wrapping the first failure; Snapshot and
+// Close keep working, and a reopened log replays and accepts appends.
+func TestFailedFsyncRefusesLaterAppends(t *testing.T) {
+	injected := errors.New("injected fsync failure")
+	failpoint.Enable(failpoint.WALFsync, failpoint.Times(1, injected))
+	defer failpoint.Disable(failpoint.WALFsync)
+
+	dir := t.TempDir()
+	envs := walEnvelopes(t, 3)
+	l := openReplayed(t, dir, wal.Options{Sync: wal.SyncAlways})
+	if err := l.AppendNamed("clicks", envs[0]); !errors.Is(err, injected) {
+		t.Fatalf("append with the fsync faulted: err = %v, want the injected error", err)
+	}
+	if err := l.AppendNamed("clicks", envs[1]); !errors.Is(err, injected) {
+		t.Fatalf("append after a failed fsync: err = %v, want a refusal wrapping the injected error", err)
+	}
+	if st := l.Stats(); st.AppendedRecords != 1 || st.Fsyncs != 0 {
+		t.Fatalf("AppendedRecords=%d Fsyncs=%d, want 1, 0: a refused append must write nothing",
+			st.AppendedRecords, st.Fsyncs)
+	}
+	if err := l.Snapshot(l.CurrentSegment(), []wal.Record{{Stream: "clicks", Envelope: envs[0]}}); err != nil {
+		t.Fatalf("snapshot after a failed fsync: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close after a failed fsync: %v", err)
+	}
+
+	l, got, _ := collect(t, dir, wal.Options{Sync: wal.SyncAlways})
+	defer l.Close()
+	for _, env := range got {
+		if bytes.Equal(env, envs[1]) {
+			t.Fatal("the refused append reached the log")
+		}
+	}
+	if err := l.AppendNamed("clicks", envs[2]); err != nil {
+		t.Fatalf("append to the reopened log: %v", err)
+	}
+}
+
 // TestDirSyncErrorStopsSnapshotPrune: until the directory entry for a
 // snapshot's rename is synced, a power cut can lose the snapshot, so a
 // failed directory sync must fail the snapshot before it prunes the

@@ -32,26 +32,21 @@ const (
 	maxExprNodes = 4096
 )
 
-// validStreamName reports whether s can travel as a stream name. The
+// ValidStreamName reports whether s can travel as a stream name. The
 // empty name is the default stream and is valid everywhere a name is.
-func validStreamName(s string) error {
+func ValidStreamName(s string) error {
 	if len(s) > MaxStreamName {
 		return fmt.Errorf("%w: stream name %d bytes, limit %d", ErrFrame, len(s), MaxStreamName)
 	}
 	return nil
 }
 
-// ValidStreamName reports whether s can travel as a stream name (the
-// exported form for callers accepting names outside the codec, e.g.
-// the coordinator's in-process absorb path).
-func ValidStreamName(s string) error { return validStreamName(s) }
-
 // EncodePushNamed builds a MsgPushNamed payload: uvarint name length,
 // name bytes, then the sketch envelope verbatim. An empty stream name
 // is legal and means the default stream — the same group a plain
 // MsgPush of the envelope would reach.
 func EncodePushNamed(stream string, envelope []byte) ([]byte, error) {
-	if err := validStreamName(stream); err != nil {
+	if err := ValidStreamName(stream); err != nil {
 		return nil, err
 	}
 	b := make([]byte, 0, 1+len(stream)+len(envelope))
@@ -72,6 +67,36 @@ func DecodePushNamed(b []byte) (stream string, envelope []byte, err error) {
 		return "", nil, fmt.Errorf("%w: stream name %d bytes, declared %d", ErrFrame, len(rest), n)
 	}
 	return string(rest[:n]), rest[n:], nil
+}
+
+// EncodePush returns the frame type and payload that push envelope to
+// stream. The default stream ("") travels as a plain MsgPush carrying
+// the envelope unchanged — the exact bytes a pre-stream site sends and
+// a pre-stream log holds; any other stream as a MsgPushNamed.
+func EncodePush(stream string, envelope []byte) (MsgType, []byte, error) {
+	if stream == "" {
+		return MsgPush, envelope, nil
+	}
+	payload, err := EncodePushNamed(stream, envelope)
+	if err != nil {
+		return 0, nil, err
+	}
+	return MsgPushNamed, payload, nil
+}
+
+// DecodePush parses the payload of a push frame of type t into its
+// stream name and sketch envelope, inverting EncodePush: a MsgPush is
+// the default stream's envelope verbatim, a MsgPushNamed goes through
+// DecodePushNamed, and any other frame type is an ErrFrame.
+func DecodePush(t MsgType, payload []byte) (stream string, envelope []byte, err error) {
+	switch t {
+	case MsgPush:
+		return "", payload, nil
+	case MsgPushNamed:
+		return DecodePushNamed(payload)
+	default:
+		return "", nil, fmt.Errorf("%w: frame type %s is not a push", ErrFrame, t)
+	}
 }
 
 // ExprOp is a QueryExpr node's operator.
@@ -190,7 +215,7 @@ func (e *QueryExpr) validate(depth int, root bool) (nodes int, err error) {
 		if e.Left != nil || e.Right != nil {
 			return 0, fmt.Errorf("%w: leaf node with children", ErrFrame)
 		}
-		if err := validStreamName(e.Stream); err != nil {
+		if err := ValidStreamName(e.Stream); err != nil {
 			return 0, err
 		}
 		return 1, nil

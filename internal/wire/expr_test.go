@@ -22,9 +22,37 @@ func TestPushNamedRoundTrip(t *testing.T) {
 		if gotStream != stream || !bytes.Equal(gotEnv, env) {
 			t.Fatalf("round trip %q: got %q / %d bytes", stream, gotStream, len(gotEnv))
 		}
+
+		// EncodePush picks the frame: the default stream travels as a
+		// plain MsgPush carrying the envelope unchanged.
+		typ, payload, err := EncodePush(stream, env)
+		if err != nil {
+			t.Fatalf("EncodePush %q: %v", stream, err)
+		}
+		switch {
+		case stream == "" && (typ != MsgPush || !bytes.Equal(payload, env)):
+			t.Fatalf("EncodePush of the default stream: %s with %d bytes, want the envelope as a MsgPush", typ, len(payload))
+		case stream != "" && (typ != MsgPushNamed || !bytes.Equal(payload, enc)):
+			t.Fatalf("EncodePush %q: %s, want the EncodePushNamed payload as a MsgPushNamed", stream, typ)
+		}
+		gotStream, gotEnv, err = DecodePush(typ, payload)
+		if err != nil {
+			t.Fatalf("DecodePush %q: %v", stream, err)
+		}
+		if gotStream != stream || !bytes.Equal(gotEnv, env) {
+			t.Fatalf("EncodePush/DecodePush round trip %q: got %q / %d bytes", stream, gotStream, len(gotEnv))
+		}
 	}
 	if _, err := EncodePushNamed(strings.Repeat("x", MaxStreamName+1), env); err == nil {
 		t.Fatal("over-long stream name encoded")
+	}
+	if _, _, err := EncodePush(strings.Repeat("x", MaxStreamName+1), env); err == nil {
+		t.Fatal("over-long stream name encoded by EncodePush")
+	}
+	for _, typ := range []MsgType{MsgAck, MsgQuery, MsgQueryExpr, MsgStats} {
+		if _, _, err := DecodePush(typ, env); !errors.Is(err, ErrFrame) {
+			t.Fatalf("DecodePush of a %s frame: err = %v, want ErrFrame", typ, err)
+		}
 	}
 	if _, _, err := DecodePushNamed(nil); err == nil {
 		t.Fatal("empty named push decoded")
