@@ -5,7 +5,8 @@
 # The networked coordinator (internal/server) absorbs sketches on every
 # connection's reader goroutine at once; every change must keep that
 # path race-clean, so CI always runs the full suite under -race.
-# unionlint (cmd/unionlint, see README "Static analysis") enforces the
+# unionlint (cmd/unionlint, see README "Static analysis"), which runs
+# as a go vet tool over every package and its test files, enforces the
 # invariants neither the compiler nor a test run catches: coordinated
 # seeding, documented mutex guards and lock order, the %w error
 # contract at the wire boundary, float comparison hygiene, and merge
@@ -46,26 +47,22 @@ go test -count=1 ./internal/analysis/lockorder
 echo "== unionlint self-test (golden suites) =="
 # The linter's own analysistest suites run before the linter is trusted
 # with the tree: a broken analyzer must fail loudly here, not silently
-# under-report in the vettool pass below.
+# under-report in the unionlint pass below.
 go test ./internal/analysis/...
 
 echo "== unionlint =="
 # Built into a temporary directory that the EXIT trap removes, so the
-# gate installs nothing into GOPATH.
+# gate installs nothing into GOPATH. unionlint runs itself as
+# `go vet -vettool`, so test compilations are analyzed too, analyzer
+# facts travel in go's cached .vetx files, and a failing run ends with
+# a per-analyzer summary of its findings.
 UNIONLINT_DIR="$(mktemp -d)"
-UNIONLINT_OUT="$(mktemp)"
-trap 'rm -rf "$UNIONLINT_DIR" "$UNIONLINT_OUT"' EXIT
+trap 'rm -rf "$UNIONLINT_DIR"' EXIT
 UNIONLINT="$UNIONLINT_DIR/unionlint"
 go build -o "$UNIONLINT" ./cmd/unionlint
-# Run through `go vet -vettool` so test compilations are analyzed too
-# and results cache per package. Diagnostics are captured and regrouped
-# into a per-analyzer summary when the gate fails.
-if ! go vet -vettool="$UNIONLINT" ./... 2>"$UNIONLINT_OUT"; then
-    cat "$UNIONLINT_OUT"
-    echo
-    "$UNIONLINT" -summarize <"$UNIONLINT_OUT"
-    echo "ci.sh: unionlint found violations (fix them, annotate" \
-         "'unionlint:allow <analyzer> <reason>', or run" \
+if ! "$UNIONLINT" ./...; then
+    echo "ci.sh: unionlint found violations, summarized per analyzer above" \
+         "(fix them, annotate 'unionlint:allow <analyzer> <reason>', or run" \
          "'go run ./cmd/unionlint -fix ./...' for %w rewrites)."
     echo "ci.sh: fact-driven analyzers: mergepure (// mergepure:seam for" \
          "reviewed nondeterminism), lockorder (guarded field access," \
@@ -74,12 +71,6 @@ if ! go vet -vettool="$UNIONLINT" ./... 2>"$UNIONLINT_OUT"; then
          "'Static analysis'."
     exit 1
 fi
-
-echo "== unionlint (standalone) =="
-# The standalone driver loads packages itself and carries facts in
-# process rather than through .vetx files, so it must agree with the
-# vettool pass above: clean, exit 0.
-"$UNIONLINT" ./...
 
 echo "== staticcheck (optional, pinned $STATICCHECK_VERSION) =="
 if [[ "${CI_INSTALL_TOOLS:-0}" == "1" ]] && ! command -v staticcheck >/dev/null; then

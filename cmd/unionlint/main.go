@@ -4,34 +4,39 @@
 // floatcmp, errcontract, mergepure — see `unionlint -help` or README
 // "Static analysis").
 //
-// It runs in two modes:
+// It analyzes packages only as a go vet tool:
 //
-//	go vet -vettool=$(go env GOPATH)/bin/unionlint ./...
+//	unionlint [-fix] [packages]
 //
-// speaks the go command's vet-tool protocol (this is what ci.sh runs:
-// it covers test compilations, caches per package, and round-trips
-// analyzer facts through .vetx files), and
-//
-//	unionlint [flags] ./...
-//
-// loads packages itself in dependency order (so facts flow the same
-// way) and prints findings grouped per analyzer. Standalone-only
-// flags: -fix applies the mechanical suggested fixes (errcontract's
-// %w rewrites); -json emits one JSON object per diagnostic for CI
-// artifacts; -summarize regroups vet-mode output read from stdin.
-// The analyzers themselves take no flags.
+// runs `go vet -vettool=<this binary> [-fix] packages` (default
+// ./...). The go command then calls the binary back once per
+// compilation unit, test variants included, with a vet.cfg file, and
+// carries analyzer facts between units in the .vetx files its build
+// cache keeps. When the run fails, unionlint follows vet's output with
+// a per-analyzer summary. -fix applies the mechanical suggested fixes
+// (errcontract's %w rewrites) and reports only the findings without
+// one. `go vet -vettool=<path to unionlint> ./...` does the same
+// analysis without the summary. The analyzers themselves take no
+// flags.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/registry"
 )
+
+// fixUsage describes -fix, the one flag; the -flags handshake
+// announces it so go vet forwards it to every unit.
+const fixUsage = "apply suggested fixes to the source tree"
 
 func main() {
 	os.Exit(run(os.Args))
@@ -49,19 +54,14 @@ func run(argv []string) int {
 		return 0
 	}
 	if len(args) == 1 && args[0] == "-flags" {
-		// The go command splices the listed analyzer flags into its
-		// own vet flag parsing; there are none.
-		fmt.Println("[]")
+		fmt.Printf("[{\"Name\":\"fix\",\"Bool\":true,\"Usage\":%q}]\n", fixUsage)
 		return 0
 	}
 
 	fs := flag.NewFlagSet(progname, flag.ContinueOnError)
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree (standalone mode)")
-	jsonOut := fs.Bool("json", false, "print findings as JSON Lines (one diagnostic per line) instead of the grouped summary")
-	summarize := fs.Bool("summarize", false, "read vet-mode diagnostics from stdin and print a per-analyzer summary")
-	verbose := fs.Bool("v", false, "also list analyzers that found nothing")
+	fix := fs.Bool("fix", false, fixUsage)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] [package patterns | path/to/vet.cfg]\n\nAnalyzers:\n", progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [-fix] [package patterns]\n\nAnalyzers:\n", progname)
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -71,80 +71,41 @@ func run(argv []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if *summarize {
-		if err := driver.Summarize(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		return 0
-	}
-
 	rest := fs.Args()
 
-	// Vet-tool mode: the go command passes a single *.cfg file.
+	// A vet unit: the go command passes a single *.cfg file.
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return driver.RunVetUnit(rest[0], analyzers)
+		return driver.RunVetUnit(rest[0], analyzers, *fix)
 	}
+	if len(rest) == 0 {
+		rest = []string{"./..."}
+	}
+	return vet(progname, *fix, rest)
+}
 
-	// Standalone mode.
-	patterns := rest
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := driver.LoadModulePackages(".", patterns...)
+// vet runs go vet over patterns with this binary as its vet tool and,
+// when the run fails, follows vet's output with the per-analyzer
+// summary of the findings in it.
+func vet(progname string, fix bool, patterns []string) int {
+	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 		return 1
 	}
-	// One shared fact store; packages arrive in dependency order, so
-	// by the time a package runs, every fact of its transitive imports
-	// is present, and the per-package view hides everything else.
-	store := driver.NewFactStore(analyzers)
-	var findings []driver.Finding
-	for _, pkg := range pkgs {
-		visible := make(map[string]bool, len(pkg.Deps))
-		for _, d := range pkg.Deps {
-			visible[d] = true
-		}
-		fs, err := driver.RunAnalyzers(pkg, analyzers, store.View(pkg.Pkg, visible))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		findings = append(findings, fs...)
+	args := []string{"vet", "-vettool=" + exe}
+	if fix {
+		args = append(args, "-fix")
 	}
-	if *fix {
-		n, err := driver.ApplyFixes(findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: applying fixes: %v\n", progname, err)
-			return 1
-		}
-		fmt.Printf("%s: applied %d suggested fix(es)\n", progname, n)
-		return 0
+	cmd := exec.Command("go", append(args, patterns...)...)
+	var out bytes.Buffer
+	cmd.Stdout = os.Stdout
+	cmd.Stderr = io.MultiWriter(os.Stderr, &out)
+	if err := cmd.Run(); err != nil {
+		driver.Summarize(os.Stdout, out.Bytes())
+		fmt.Fprintf(os.Stderr, "%s: go vet: %v\n", progname, err)
+		return 1
 	}
-	if *jsonOut {
-		if err := driver.PrintJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		if len(findings) > 0 {
-			return 1
-		}
-		return 0
-	}
-	if len(findings) == 0 {
-		if *verbose {
-			for _, a := range analyzers {
-				fmt.Printf("-- %s: ok\n", a.Name)
-			}
-		}
-		fmt.Printf("%s: %d package(s) clean\n", progname, len(pkgs))
-		return 0
-	}
-	driver.PrintGrouped(os.Stdout, findings)
-	fmt.Printf("%s: %d finding(s)\n", progname, len(findings))
-	return 1
+	return 0
 }
 
 func firstLine(s string) string {

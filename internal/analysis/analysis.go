@@ -7,7 +7,7 @@
 // reimplements just the slice of the x/tools surface the unionlint
 // analyzers need, keeping their code shaped so a future migration to
 // the real framework is a find-and-replace. Drivers live in
-// internal/analysis/driver (standalone + `go vet -vettool` modes) and
+// internal/analysis/driver (the `go vet -vettool` front end) and
 // internal/analysis/analysistest (golden tests).
 //
 // # Suppression

@@ -8,7 +8,7 @@
 // Imports between testdata packages are resolved from source,
 // recursively, within one shared fact store — so fact-driven analyzers
 // (lockorder, mergepure) see their dependencies' facts exactly
-// as the real drivers deliver them. Standard-library imports resolve
+// as the vet driver delivers them. Standard-library imports resolve
 // through the build cache. Expectations are comments of the form
 //
 //	expr // want "regexp"
@@ -206,7 +206,7 @@ func (ld *loader) load(pkgPath string) *loadedPkg {
 		ld.t.Fatalf("%s: %v", pkgPath, err)
 	}
 	// Restrict fact visibility to the package's transitive imports,
-	// exactly as the real drivers do — a testdata package must not see
+	// exactly as the vet driver does — a testdata package must not see
 	// facts of packages it does not (transitively) import, even when
 	// one Run call has already loaded them into the shared store.
 	findings, err := driver.RunAnalyzers(pkg, []*analysis.Analyzer{ld.analyzer},

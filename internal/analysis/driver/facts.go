@@ -15,16 +15,14 @@ import (
 
 // A FactStore accumulates the facts exported by analyzer passes and
 // serves them back to later passes, keyed by (package, object, fact
-// type). One store serves one driver invocation:
-//
-//   - the standalone driver keeps a single in-process store and hands
-//     each package a View restricted to its transitive imports;
-//   - the vet front end builds a fresh store per compilation unit,
-//     seeded from the .vetx files of the unit's direct imports
-//     (ReadFile) and flushed to the unit's own .vetx (WriteFile).
-//     Every .vetx re-exports the facts it imported, so direct-import
-//     files carry the whole transitive closure — exactly the x/tools
-//     unitchecker contract.
+// type). The vet front end builds a fresh store per compilation unit,
+// seeded from the .vetx files of the unit's direct imports (ReadFile)
+// and flushed to the unit's own .vetx (WriteFile). Every .vetx
+// re-exports the facts it imported, so direct-import files carry the
+// whole transitive closure — exactly the x/tools unitchecker
+// contract. analysistest keeps one store across the testdata packages
+// of a run and hands each package a View restricted to its transitive
+// imports.
 //
 // Facts are stored and shipped as gob; RegisterFactTypes must see
 // every analyzer before any store I/O so the concrete types decode.
@@ -155,22 +153,6 @@ func (s *FactStore) ReadFile(path string) error {
 		return fmt.Errorf("decoding facts from %s: %w", path, err)
 	}
 	return nil
-}
-
-// Packages returns the import paths that have at least one fact.
-func (s *FactStore) Packages() []string {
-	s.mu.Lock()
-	set := map[string]bool{}
-	for k := range s.facts {
-		set[k.pkg] = true
-	}
-	s.mu.Unlock()
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // View binds the store to one pass: exports attach to pkg, and imports

@@ -4,31 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"go/token"
 	"io"
-	"os"
 	"os/exec"
-	"path/filepath"
-	"sort"
 )
 
 // listedPackage is the slice of `go list -json` output we consume.
 type listedPackage struct {
 	ImportPath string
-	Dir        string
-	Standard   bool
 	Export     string
-	GoFiles    []string
-	Deps       []string // transitive import paths
-	Module     *struct{ Path, Dir string }
 }
 
 // GoList runs `go list -deps -export -json` for patterns in dir and
 // decodes the package stream. Export data is compiled (from cache) as
 // a side effect, so every dependency can be imported without source
-// re-typechecking.
+// re-typechecking. analysistest resolves standard-library imports
+// through it.
 func GoList(dir string, patterns ...string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Standard,Export,GoFiles,Deps,Module"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -67,88 +59,4 @@ func ExportMap(pkgs []*listedPackage) map[string]string {
 		}
 	}
 	return m
-}
-
-// LoadModulePackages loads, parses and type-checks every non-test
-// package matched by patterns that belongs to the enclosing module
-// (identified from dir's go.mod). Test compilations are covered by the
-// `go vet -vettool` front end, which the go command feeds test
-// variants natively.
-//
-// Packages come back in dependency order (every package after all of
-// its imports) so a driver analyzing them in sequence sees facts from
-// a package's imports before reaching the package itself; sorting by
-// transitive-dep count achieves that, since an importer always has a
-// strictly larger dependency closure than each of its imports.
-func LoadModulePackages(dir string, patterns ...string) ([]*Package, error) {
-	modRoot, modPath, err := FindModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	listed, err := GoList(modRoot, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	exports := ExportMap(listed)
-	lookup := FileLookup(nil, exports)
-	var inModule []*listedPackage
-	for _, lp := range listed {
-		if lp.Standard || lp.Module == nil || lp.Module.Path != modPath || len(lp.GoFiles) == 0 {
-			continue
-		}
-		inModule = append(inModule, lp)
-	}
-	sort.SliceStable(inModule, func(i, j int) bool {
-		return len(inModule[i].Deps) < len(inModule[j].Deps)
-	})
-	var out []*Package
-	for _, lp := range inModule {
-		fset := token.NewFileSet()
-		var filenames []string
-		for _, f := range lp.GoFiles {
-			filenames = append(filenames, filepath.Join(lp.Dir, f))
-		}
-		files, err := ParseFiles(fset, filenames)
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := TypeCheck(fset, lp.ImportPath, files, lookup, "")
-		if err != nil {
-			return nil, err
-		}
-		pkg.Deps = lp.Deps
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// FindModule walks up from dir to the nearest go.mod and returns the
-// module root directory and module path.
-func FindModule(dir string) (root, path string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			return dir, modulePath(data), nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// modulePath extracts the module path from go.mod contents.
-func modulePath(gomod []byte) string {
-	for _, line := range bytes.Split(gomod, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if rest, ok := bytes.CutPrefix(line, []byte("module")); ok {
-			return string(bytes.Trim(bytes.TrimSpace(rest), `"`))
-		}
-	}
-	return ""
 }

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
@@ -67,84 +66,21 @@ func sortFindings(fs []Finding) {
 }
 
 // PrintPlain writes findings one per line as "file:line:col: [name]
-// message" — the format the vet front end relays and -summarize
-// re-groups.
+// message" — the format go vet relays and Summarize regroups.
 func PrintPlain(w io.Writer, fs []Finding) {
 	for _, f := range fs {
 		fmt.Fprintf(w, "%s: [%s] %s\n", f.Pos, f.Analyzer, f.Diag.Message)
 	}
 }
 
-// PrintGrouped writes a per-analyzer summary: a header with the count
-// for each analyzer that fired, then its findings as file:line lines.
-func PrintGrouped(w io.Writer, fs []Finding) {
-	byName := map[string][]Finding{}
-	var names []string
-	for _, f := range fs {
-		if _, ok := byName[f.Analyzer]; !ok {
-			names = append(names, f.Analyzer)
-		}
-		byName[f.Analyzer] = append(byName[f.Analyzer], f)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		group := byName[name]
-		fmt.Fprintf(w, "-- %s: %d finding(s)\n", name, len(group))
-		for _, f := range group {
-			fmt.Fprintf(w, "   %s: %s\n", f.Pos, f.Diag.Message)
-			for _, fix := range f.Diag.SuggestedFixes {
-				fmt.Fprintf(w, "      fix available: %s (run unionlint -fix)\n", fix.Message)
-			}
-		}
-	}
-}
-
-// jsonFinding is the -json wire shape: one object per diagnostic.
-type jsonFinding struct {
-	Analyzer string   `json:"analyzer"`
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Column   int      `json:"column"`
-	Message  string   `json:"message"`
-	Fixes    []string `json:"suggested_fixes,omitempty"`
-}
-
-// PrintJSON writes findings as JSON Lines — one object per diagnostic
-// with analyzer, position, message, and any suggested-fix summaries —
-// so CI can archive a machine-readable findings artifact.
-func PrintJSON(w io.Writer, fs []Finding) error {
-	enc := json.NewEncoder(w)
-	for _, f := range fs {
-		jf := jsonFinding{
-			Analyzer: f.Analyzer,
-			File:     f.Pos.Filename,
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Diag.Message,
-		}
-		for _, fix := range f.Diag.SuggestedFixes {
-			jf.Fixes = append(jf.Fixes, fix.Message)
-		}
-		if err := enc.Encode(jf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summarize reads plain "file:line:col: [name] message" lines (as
-// emitted by the vet mode, possibly interleaved with go vet's own "#
-// package" headers) and prints the grouped per-analyzer summary.
-func Summarize(r io.Reader, w io.Writer) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
+// Summarize reads go vet's output — the units' plain "file:line:col:
+// [name] message" lines among go vet's own "# package" headers — and
+// writes the grouped per-analyzer summary.
+func Summarize(w io.Writer, vetOutput []byte) {
 	type line struct{ loc, name, msg string }
 	byName := map[string][]line{}
 	var names []string
-	seen := map[string]bool{}
-	for _, l := range strings.Split(string(data), "\n") {
+	for _, l := range strings.Split(string(vetOutput), "\n") {
 		l = strings.TrimSpace(l)
 		open := strings.Index(l, "[")
 		end := strings.Index(l, "]")
@@ -154,11 +90,6 @@ func Summarize(r io.Reader, w io.Writer) error {
 		name := l[open+1 : end]
 		loc := strings.TrimSuffix(strings.TrimSpace(l[:open]), ":")
 		msg := strings.TrimSpace(l[end+1:])
-		key := loc + name + msg // vet analyzes test variants too; dedup
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		if _, ok := byName[name]; !ok {
 			names = append(names, name)
 		}
@@ -177,7 +108,6 @@ func Summarize(r io.Reader, w io.Writer) error {
 	if total > 0 {
 		fmt.Fprintf(w, "unionlint: %d finding(s) across %d analyzer(s)\n", total, len(names))
 	}
-	return nil
 }
 
 // edit is one byte-offset splice within a single file.

@@ -1,17 +1,13 @@
-// Package driver loads type-checked packages and runs unionlint
-// analyzers over them. It offers two front ends over one core:
-//
-//   - RunVetUnit implements the `go vet -vettool` protocol: the go
-//     command hands us one package at a time as a JSON config naming
-//     source files and the compiler-produced export data of every
-//     dependency.
-//   - RunStandalone loads packages itself via `go list -deps -export`
-//     and analyzes every package of the enclosing module, with
-//     optional application of suggested fixes.
-//
-// Both reuse the compiler's export data for imports (no source
-// re-typechecking of dependencies), which keeps a full-repo run well
-// under a second after the build cache is warm.
+// Package driver type-checks packages and runs unionlint analyzers
+// over them. Its one front end, RunVetUnit, implements the
+// `go vet -vettool` protocol: the go command hands it one compilation
+// unit at a time as a JSON config naming the unit's source files, the
+// compiler-produced export data of every dependency, and the .vetx
+// fact files of its direct imports. Imports come from that export
+// data (no source re-typechecking of dependencies), which keeps a
+// full-repo run well under a second after the build cache is warm.
+// analysistest drives the same type-checking and analysis core over
+// golden testdata packages.
 package driver
 
 import (
@@ -36,10 +32,6 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Deps lists the transitive import paths of the package (from
-	// `go list -deps`), used to scope fact visibility in the
-	// standalone driver. Nil when the loader does not know.
-	Deps []string
 }
 
 // ParseFiles parses the named Go files into fset, keeping comments

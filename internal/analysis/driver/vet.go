@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/analysis"
 )
@@ -53,6 +54,12 @@ func PrintVersion(w io.Writer, progname string) {
 // contract matches x/tools unitchecker: 0 clean, nonzero otherwise
 // (the go command relays stderr and fails the vet step).
 //
+// With fix set, a reporting unit writes its findings' suggested fixes
+// to disk and reports only the findings that carry none. The go
+// command vets each file in exactly one reporting unit (its package,
+// the package's test variant, or its external test package), so no
+// file is rewritten by two units.
+//
 // Facts flow per the unitchecker protocol: the .vetx files of the
 // unit's direct imports (cfg.PackageVetx) are merged into a fresh
 // FactStore before analysis, and the store — now holding the imports'
@@ -60,7 +67,7 @@ func PrintVersion(w io.Writer, progname string) {
 // cfg.VetxOutput for the go command to cache and feed to importers.
 // VetxOnly units (needed only as dependencies) still run every
 // analyzer so their facts exist, but their diagnostics are discarded.
-func RunVetUnit(cfgPath string, analyzers []*analysis.Analyzer) int {
+func RunVetUnit(cfgPath string, analyzers []*analysis.Analyzer, fix bool) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "unionlint: reading vet config: %v\n", err)
@@ -100,9 +107,8 @@ func RunVetUnit(cfgPath string, analyzers []*analysis.Analyzer) int {
 	// Analyzing it is not just wasted work, it is wrong: mergepure
 	// would taint every allocating function (the runtime's GC starts
 	// goroutines), and that poison would spread to every module
-	// function that calls fmt.Errorf. The standalone driver never
-	// loads stdlib sources; match that here by contributing an empty
-	// fact set. Stdlib units are the ones with no module: the go
+	// function that calls fmt.Errorf. So a stdlib unit contributes an
+	// empty fact set. Stdlib units are the ones with no module: the go
 	// command sets ModulePath for every module package but leaves it
 	// empty for the standard library (cfg.Standard only describes the
 	// unit's imports, not the unit itself).
@@ -143,6 +149,13 @@ func RunVetUnit(cfgPath string, analyzers []*analysis.Analyzer) int {
 		// This unit was only needed for its facts; suppress findings
 		// (they are reported when the package is vetted directly).
 		return 0
+	}
+	if fix {
+		if _, err := ApplyFixes(findings); err != nil {
+			fmt.Fprintf(os.Stderr, "unionlint: applying fixes: %v\n", err)
+			return 1
+		}
+		findings = slices.DeleteFunc(findings, func(f Finding) bool { return len(f.Diag.SuggestedFixes) > 0 })
 	}
 	if len(findings) > 0 {
 		PrintPlain(os.Stderr, findings)

@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -123,6 +124,63 @@ func AThenB() {
 	out2 := vet()
 	if !strings.Contains(out2, cycle) {
 		t.Fatalf("second vet run: cycle lost after cache round-trip\noutput:\n%s", out2)
+	}
+}
+
+// TestFixEndToEnd runs `unionlint -fix` through go vet on a temp
+// module holding errcontract's -fix golden package: the file on disk
+// must come out equal to fixme.go.golden, byte for byte, after which a
+// plain run must be clean. Before the fix, a plain run must fail and
+// summarize the three findings per analyzer.
+func TestFixEndToEnd(t *testing.T) {
+	root, err := filepath.Abs("../../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "unionlint")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/unionlint")
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building unionlint: %v\n%s", err, out)
+	}
+	golden := filepath.Join(root, "internal", "analysis", "errcontract", "testdata", "src", "repro", "internal", "wire", "fixme")
+	src, err := os.ReadFile(filepath.Join(golden, "fixme.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(golden, "fixme.go.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tmod := t.TempDir()
+	writeTree(t, tmod, map[string]string{
+		"go.mod":                       "module tmod\n\ngo 1.22\n",
+		"internal/wire/fixme/fixme.go": string(src),
+	})
+	unionlint := func(args ...string) (string, error) {
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = tmod
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+
+	out, err := unionlint("./...")
+	if err == nil || !strings.Contains(out, "-- errcontract: 3 finding(s)") {
+		t.Fatalf("unionlint before -fix: err=%v, want a failure summarizing 3 errcontract findings\noutput:\n%s", err, out)
+	}
+	if out, err := unionlint("-fix", "./..."); err != nil {
+		t.Fatalf("unionlint -fix: %v\noutput:\n%s", err, out)
+	}
+	got, err := os.ReadFile(filepath.Join(tmod, "internal", "wire", "fixme", "fixme.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fixed file differs from fixme.go.golden:\n-- got --\n%s\n-- want --\n%s", got, want)
+	}
+	if out, err := unionlint("./..."); err != nil {
+		t.Fatalf("unionlint after -fix: %v\noutput:\n%s", err, out)
 	}
 }
 

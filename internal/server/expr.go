@@ -228,9 +228,6 @@ func (s *Server) selectStreamGroup(stream string, eq wire.ExprQuery) (*group, er
 func (g *group) cloneSketch() (sketch.Sketch, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.sk == nil {
-		return nil, fmt.Errorf("server: group %s/%016x holds no sketch", g.name, g.key.Digest)
-	}
 	env, err := sketch.Envelope(g.sk)
 	if err != nil {
 		return nil, err

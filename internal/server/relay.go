@@ -170,7 +170,7 @@ func (s *Server) flushRound() (groups int, err error) {
 	var dirty []dirtyGroup
 	for _, g := range all {
 		g.mu.Lock()
-		if g.pendingRelay == 0 || g.sk == nil {
+		if g.pendingRelay == 0 {
 			g.mu.Unlock()
 			continue
 		}

@@ -513,9 +513,11 @@ func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
 func (s *Server) foldIntoGroup(stream string, sk sketch.Sketch, kindName string, payloadLen int) wire.Ack {
 	key := cluster.GroupKey{Stream: stream, Kind: sk.Kind(), Digest: sk.Digest()}
 	s.mu.Lock()
-	g, ok := s.groups[key]
-	if !ok {
-		g = &group{key: key, name: kindName, seed: sk.Seed()}
+	g, found := s.groups[key]
+	if !found {
+		// Published holding its first sketch: a reader that finds the
+		// group in s.groups uses g.sk at once.
+		g = &group{key: key, name: kindName, seed: sk.Seed(), sk: sk}
 		s.groups[key] = g
 	}
 	s.mu.Unlock()
@@ -523,9 +525,7 @@ func (s *Server) foldIntoGroup(stream string, sk sketch.Sketch, kindName string,
 	start := time.Now()
 	g.mu.Lock()
 	var merr error
-	if g.sk == nil {
-		g.sk = sk
-	} else {
+	if found {
 		merr = g.sk.Merge(sk)
 	}
 	var nudgeRelay bool
@@ -740,16 +740,12 @@ func (s *Server) Snapshots() ([]GroupSnapshot, error) {
 	out := make([]GroupSnapshot, 0, len(groups))
 	for _, g := range groups {
 		g.mu.Lock()
-		snap := GroupSnapshot{GroupKey: g.key, KindName: g.name, Seed: g.seed}
-		var err error
-		if g.sk != nil {
-			snap.Envelope, err = sketch.Envelope(g.sk)
-		}
+		env, err := sketch.Envelope(g.sk)
 		g.mu.Unlock()
 		if err != nil {
-			return nil, fmt.Errorf("server: snapshotting group %s/%016x: %w", snap.KindName, snap.Digest, err)
+			return nil, fmt.Errorf("server: snapshotting group %s/%016x: %w", g.name, g.key.Digest, err)
 		}
-		out = append(out, snap)
+		out = append(out, GroupSnapshot{GroupKey: g.key, KindName: g.name, Seed: g.seed, Envelope: env})
 	}
 	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].GroupKey, out[j].GroupKey) })
 	return out, nil

@@ -215,13 +215,11 @@ func (s *Server) Stats() Stats {
 		gs.SketchBytes = g.bytes
 		gs.RelayPushes = g.relayPushes
 		gs.PendingRelay = g.pendingRelay
-		if g.sk != nil {
-			if v := g.sk.Estimate(); !math.IsNaN(v) && !math.IsInf(v, 0) {
-				gs.DistinctEstimate = v
-			}
-			if d, ok := g.sk.(sketch.Describer); ok {
-				gs.Params = d.Describe()
-			}
+		if v := g.sk.Estimate(); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			gs.DistinctEstimate = v
+		}
+		if d, ok := g.sk.(sketch.Describer); ok {
+			gs.Params = d.Describe()
 		}
 		g.mu.Unlock()
 		if c != nil {

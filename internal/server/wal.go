@@ -222,9 +222,7 @@ func (s *Server) snapshotGroupsToWAL() (int, error) {
 	}
 	records := make([]wal.Record, 0, len(snaps))
 	for _, sn := range snaps {
-		if sn.Envelope != nil {
-			records = append(records, wal.Record{Stream: sn.Stream, Envelope: sn.Envelope})
-		}
+		records = append(records, wal.Record{Stream: sn.Stream, Envelope: sn.Envelope})
 	}
 	if err := w.log.Snapshot(cut, records); err != nil {
 		w.snapErrors.Add(1)

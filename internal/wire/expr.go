@@ -330,22 +330,24 @@ type ExprQuery struct {
 	Expr *QueryExpr
 }
 
-// Encode serializes the query: flags, seed, kind (canonical zero when
-// absent), then the expression preorder.
+// Encode serializes the query: flags, seed, kind (each canonical zero
+// when absent), then the expression preorder.
 func (q ExprQuery) Encode() ([]byte, error) {
 	if err := q.Expr.Validate(); err != nil {
 		return nil, err
 	}
 	b := make([]byte, 0, 16)
 	var flags byte
+	var seed uint64
 	if q.HasSeed {
 		flags |= exprFlagSeed
+		seed = q.Seed
 	}
 	if q.HasKind {
 		flags |= exprFlagKind
 	}
 	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, q.Seed)
+	b = binary.LittleEndian.AppendUint64(b, seed)
 	var kind byte
 	if q.HasKind {
 		kind = q.SketchKind

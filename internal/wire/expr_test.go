@@ -76,6 +76,8 @@ func TestExprQueryRoundTrip(t *testing.T) {
 		{HasSeed: true, Seed: 42},
 		{HasKind: true, SketchKind: 3},
 		{HasSeed: true, Seed: math.MaxUint64, HasKind: true, SketchKind: 255},
+		{HasSeed: false, Seed: 7},
+		{HasKind: false, SketchKind: 3},
 	}
 	for _, e := range exprs {
 		for _, q := range queries {
@@ -92,8 +94,16 @@ func TestExprQueryRoundTrip(t *testing.T) {
 			if err != nil || !bytes.Equal(re, enc) {
 				t.Fatalf("%s: re-encode differs (err=%v)", e, err)
 			}
-			if got.HasSeed != q.HasSeed || got.Seed != q.Seed || got.HasKind != q.HasKind || got.SketchKind != q.SketchKind {
-				t.Fatalf("%s: filters drifted: %+v vs %+v", e, got, q)
+			// A field whose flag is unset travels as zero.
+			want := q
+			if !want.HasSeed {
+				want.Seed = 0
+			}
+			if !want.HasKind {
+				want.SketchKind = 0
+			}
+			if got.HasSeed != want.HasSeed || got.Seed != want.Seed || got.HasKind != want.HasKind || got.SketchKind != want.SketchKind {
+				t.Fatalf("%s: filters drifted: %+v vs %+v", e, got, want)
 			}
 			if got.Expr.String() != e.String() {
 				t.Fatalf("tree drifted: %s vs %s", got.Expr, e)

@@ -459,19 +459,22 @@ type Query struct {
 	A, B uint64
 }
 
-// Encode serializes the query to its fixed-length wire form.
+// Encode serializes the query to its fixed-length wire form. Seed and
+// SketchKind are written as canonical zero when their flags are unset.
 func (q Query) Encode() []byte {
 	b := make([]byte, 0, queryEncodedLen)
 	b = append(b, byte(q.Kind))
 	var flags byte
+	var seed uint64
 	if q.HasSeed {
 		flags |= queryFlagSeed
+		seed = q.Seed
 	}
 	if q.HasKind {
 		flags |= queryFlagKind
 	}
 	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, q.Seed)
+	b = binary.LittleEndian.AppendUint64(b, seed)
 	var kind byte
 	if q.HasKind {
 		kind = q.SketchKind
@@ -504,8 +507,11 @@ func DecodeQuery(b []byte) (Query, error) {
 	if b[1]&^(queryFlagSeed|queryFlagKind) != 0 {
 		return Query{}, fmt.Errorf("%w: unknown query flags %#x", ErrFrame, b[1])
 	}
+	// The encoding is canonical: an absent field must be zero.
+	if !q.HasSeed && q.Seed != 0 {
+		return Query{}, fmt.Errorf("%w: seed %d without the seed flag", ErrFrame, q.Seed)
+	}
 	if !q.HasKind && q.SketchKind != 0 {
-		// The encoding is canonical: an absent field must be zero.
 		return Query{}, fmt.Errorf("%w: sketch kind %d without the kind flag", ErrFrame, b[10])
 	}
 	if q.Pred >= numPredKinds {

@@ -202,14 +202,24 @@ func TestQueryRoundTrip(t *testing.T) {
 		{Kind: QuerySum, HasSeed: true, Seed: 42},
 		{Kind: QueryCountWhere, HasSeed: true, Seed: 7, Pred: PredMod, A: 10, B: 3},
 		{Kind: QuerySumWhere, Pred: PredRange, A: 100, B: 5000},
+		{Kind: QueryDistinct, HasSeed: false, Seed: 7},
+		{Kind: QueryDistinct, HasKind: false, SketchKind: 3},
 	}
 	for _, q := range queries {
 		got, err := DecodeQuery(q.Encode())
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		if got != q {
-			t.Errorf("round trip: got %+v want %+v", got, q)
+		// A field whose flag is unset travels as zero.
+		want := q
+		if !want.HasSeed {
+			want.Seed = 0
+		}
+		if !want.HasKind {
+			want.SketchKind = 0
+		}
+		if got != want {
+			t.Errorf("round trip: got %+v want %+v", got, want)
 		}
 	}
 }
@@ -234,6 +244,11 @@ func TestQueryRejections(t *testing.T) {
 	mut[1] = 0x80
 	if _, err := DecodeQuery(mut); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	mut = Query{Kind: QueryDistinct}.Encode()
+	mut[2] = 7
+	if _, err := DecodeQuery(mut); err == nil {
+		t.Error("seed without the seed flag accepted")
 	}
 	mut = Query{Kind: QueryDistinct}.Encode()
 	mut[10] = byte(numPredKinds)
