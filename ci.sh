@@ -106,15 +106,18 @@ echo "== sketch conformance (all registered kinds, -race) =="
 # in a newly registered kind is unmistakable in the CI log.
 go test -race -run '^TestConformance$' -count=1 ./internal/sketch
 
-echo "== hot-path allocation table (internal/allocgate, -race) =="
+echo "== hot-path allocation table (internal/allocgate, -race, x3) =="
 # Every registered kind's Process/Merge/decode/absorb/envelope path,
-# plus gt ProcessWeighted, SumSampler.Process, the WAL append and one
-# TCP push to a serving coordinator (server/push), is driven on a fixed
-# seeded input and its malloc count compared with
-# the measured table in internal/allocgate: a rise fails, and so does
-# a fall until the table is lowered. Already part of the ./... run
-# above, but named here so a table breach is unmistakable in the log.
-go test -race -run '^TestHotPathAllocSummaries$' -count=1 ./internal/allocgate
+# plus gt ProcessWeighted, SumSampler.Process, both WAL appends
+# (wal/append frames an envelope, wal/append-frame logs a received
+# frame as it is), one TCP push to a serving coordinator (server/push)
+# and one more record in a pushed kmv batch (push/record, which must
+# equal kmv/absorb), is driven on a fixed seeded input and its malloc
+# count compared with the measured table in internal/allocgate: a rise
+# fails, and so does a fall until the table is lowered. Three runs,
+# so a row whose count varies from run to run fails here rather than
+# in a later change.
+go test -race -run '^TestHotPathAllocSummaries$' -count=3 ./internal/allocgate
 
 echo "== chaos suite (seeds 1..3) =="
 # The deterministic fault-injection suites (internal/failpoint +
@@ -227,12 +230,16 @@ echo "== pipeline benchmark (build, vet, tests) =="
 echo "== fuzz smoke: FuzzWireDecode (10s) =="
 # A short bounded run of the wire-format fuzzer: enough to catch a
 # decoder regression on every CI pass without turning the gate into a
-# fuzzing campaign.
+# fuzzing campaign. It walks each input twice, through one streaming
+# wire.Reader (its buffer reused from frame to frame) and by looping
+# DecodeFrame, and both must agree on every frame and on where and how
+# the input fails.
 go test -run='^$' -fuzz='^FuzzWireDecode$' -fuzztime=10s ./internal/wire
 
 echo "== fuzz smoke: FuzzClientReadFrame (10s) =="
-# Same budget for the client's reply reader, which replays the wire
-# fuzzer's shared corpus and must agree with it frame for frame.
+# Same budget for the client's reply reader, which reads through a
+# wire.Reader as an exchange does, replays the wire fuzzer's shared
+# corpus and must agree with wire.ReadFrame on every input.
 go test -run='^$' -fuzz='^FuzzClientReadFrame$' -fuzztime=10s ./internal/client
 
 echo "== fuzz smoke: FuzzSketchOpen (10s) =="
@@ -243,10 +250,11 @@ go test -run='^$' -fuzz='^FuzzSketchOpen$' -fuzztime=10s ./internal/sketch
 
 echo "== fuzz smoke: FuzzWALReplay (10s) =="
 # And for the WAL segment decoder and Open/Replay recovery path, which
-# replays the wire fuzzer's shared corpus plus torn and bit-flipped
-# segments: no bytes on disk may panic a boot, damage must classify as
-# ErrDamaged at a deterministic clean offset, and the truncated log
-# must accept appends afterwards.
+# streams records through a wire.Reader and replays the wire fuzzer's
+# shared corpus plus torn and bit-flipped segments: no bytes on disk
+# may panic a boot, damage must classify as ErrDamaged at a
+# deterministic clean offset, and the truncated log must accept
+# appends afterwards.
 go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/wal
 
 echo "ci.sh: all checks passed"

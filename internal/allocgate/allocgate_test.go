@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/hashing"
 	"repro/internal/server"
@@ -82,8 +85,10 @@ var allocTable = map[string]uint64{
 
 	"gt/process-weighted": 0,
 	"sum/process":         0,
-	"wal/append":          2,
-	"server/push":         9,
+	"wal/append":          0,
+	"wal/append-frame":    0,
+	"server/push":         3,
+	"push/record":         2,
 }
 
 // ceilingRows are the rows whose count does not repeat run to run.
@@ -96,7 +101,8 @@ var ceilingRows = map[string]bool{
 	"window/process": true,
 	// The runtime can allocate inside the measured push on its own
 	// account, 1 malloc at a time: a profiled case was the background
-	// scavenger growing its timer heap after a collection. 300 fresh
+	// scavenger growing its timer heap after a collection. Before the
+	// coordinator read every frame into one reused buffer, 300 fresh
 	// processes read 8 (282 times) and 9 (18); 1,000 runs in one
 	// process read 8 (996) and 9 (4).
 	"server/push": true,
@@ -240,20 +246,14 @@ var otherPaths = []struct {
 		feed()
 		return mallocs(feed)
 	}},
-	// One AppendNamed under the default SyncAlways policy; a huge
-	// segment keeps rotation out of the measured call.
+	// One AppendNamed of a warm gt envelope, the in-process absorb's
+	// log call, which frames the record in the log's reused scratch
+	// buffer.
 	{"wal/append", func(t *testing.T) uint64 {
 		info, _ := sketch.LookupName("gt")
 		s, _ := warmed(info, 1)
 		env := envelope(t, s)
-		l, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 1 << 40})
-		if err != nil {
-			t.Fatalf("wal open: %v", err)
-		}
-		defer l.Close()
-		if _, err := l.Replay(func(string, []byte) error { return nil }); err != nil {
-			t.Fatalf("wal replay: %v", err)
-		}
+		l := replayedLog(t)
 		appendOne := func() {
 			if err := l.AppendNamed("s", env); err != nil {
 				t.Fatalf("append: %v", err)
@@ -262,40 +262,45 @@ var otherPaths = []struct {
 		appendOne()
 		return mallocs(appendOne)
 	}},
+	// One AppendFrame of the same record as the push frame a
+	// coordinator read off the network, logged as it arrived.
+	{"wal/append-frame", func(t *testing.T) uint64 {
+		info, _ := sketch.LookupName("gt")
+		s, _ := warmed(info, 1)
+		frame, err := wire.AppendPush(nil, "s", envelope(t, s))
+		if err != nil {
+			t.Fatalf("push frame: %v", err)
+		}
+		l := replayedLog(t)
+		appendOne := func() {
+			if err := l.AppendFrame(frame); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+		appendOne()
+		return mallocs(appendOne)
+	}},
 	// One MsgPush frame of a warm gt envelope written on a raw loopback
 	// connection to a serving coordinator, and its ack read back into a
-	// reused buffer: only the coordinator's reader allocates, around
-	// the gt/absorb row — the frame read and the ack write.
+	// reused buffer: the coordinator's reader reads the frame into its
+	// connection's reused buffer and writes an ack encoded once, so
+	// only the gt/absorb row's decode allocates.
 	{"server/push", func(t *testing.T) uint64 {
 		info, _ := sketch.LookupName("gt")
 		a, _ := warmed(info, 1)
 		b, _ := warmed(info, 2)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		srv := server.New(server.Config{})
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve(ln) }()
-		defer func() {
-			if err := srv.Shutdown(context.Background()); err != nil {
-				t.Errorf("shutdown: %v", err)
-			}
-			if err := <-served; err != nil {
-				t.Errorf("serve: %v", err)
-			}
-		}()
-		c, err := net.Dial("tcp", ln.Addr().String())
+		_, addr := serve(t)
+		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
 		// A concrete conn converts to io.Reader without a runtime call.
 		conn := c.(*net.TCPConn)
 		defer conn.Close()
-		// The runtime fills the cache behind a net.Conn to io.Reader or
-		// io.Writer conversion on about 1 in 1,024 misses, allocating
-		// as it does so. Refused pushes run the reader's two conversion
-		// sites (frame read, ack write) until both are cached.
+		// The runtime fills the cache behind a net.Conn to io.Writer
+		// conversion on about 1 in 1,024 misses, allocating as it does
+		// so. Refused pushes run the reader's ack write until its
+		// conversion site is cached.
 		junk := wire.EncodeFrame(wire.MsgPush, []byte("not a sketch"))
 		for i := 0; i < 1<<13; i++ {
 			if _, err := conn.Write(junk); err != nil {
@@ -319,6 +324,79 @@ var otherPaths = []struct {
 		frame := wire.EncodeFrame(wire.MsgPush, envelope(t, b))
 		return mallocs(func() { push(frame) })
 	}},
+	// The extra mallocs of a 9-record kmv PushBatchNamed over an
+	// 8-record one, sent to a serving coordinator and counted across
+	// client and coordinator: what one more record's round trip costs.
+	// It equals kmv/absorb, the coordinator's decode: the exchange
+	// builds each frame in its link's reused buffer, each side reads
+	// through a reused Reader, and the ack is encoded once.
+	{"push/record", func(t *testing.T) uint64 {
+		info, _ := sketch.LookupName("kmv")
+		records := make([]client.Record, 9)
+		for i := range records {
+			s, _ := warmed(info, uint64(i+1))
+			records[i] = client.Record{Envelope: envelope(t, s)}
+		}
+		srv, addr := serve(t)
+		cl := client.New(client.Config{Addr: addr})
+		// Each batch counts the least of three runs, each started once
+		// the previous run's connection reader has exited so the next
+		// one can reuse its goroutine: the runtime can add a malloc of
+		// its own to any one run (see server/push).
+		batch := func(n int) uint64 {
+			least := uint64(math.MaxUint64)
+			for i := 0; i < 3; i++ {
+				for srv.Stats().ActiveConns != 0 {
+					time.Sleep(time.Millisecond)
+				}
+				least = min(least, mallocs(func() {
+					if _, err := cl.PushBatchNamed(records[:n]); err != nil {
+						t.Fatalf("push: %v", err)
+					}
+				}))
+			}
+			return least
+		}
+		batch(9)
+		return batch(9) - batch(8)
+	}},
+}
+
+// serve runs a default coordinator on a loopback listener until the
+// test ends and returns it with its address.
+func serve(t *testing.T) (*server.Server, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := server.New(server.Config{})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return srv, ln.Addr().String()
+}
+
+// replayedLog opens and replays a log under the default SyncAlways
+// policy; a huge segment keeps rotation out of the measured calls.
+func replayedLog(t *testing.T) *wal.Log {
+	t.Helper()
+	l, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 1 << 40})
+	if err != nil {
+		t.Fatalf("wal open: %v", err)
+	}
+	t.Cleanup(func() { l.Close() })
+	if _, err := l.Replay(func(string, []byte) error { return nil }); err != nil {
+		t.Fatalf("wal replay: %v", err)
+	}
+	return l
 }
 
 // checkRow compares one measured count with its table row.
@@ -354,6 +432,9 @@ func TestHotPathAllocSummaries(t *testing.T) {
 		if !measured[row] {
 			t.Errorf("%s: no path measures this table row", row)
 		}
+	}
+	if r, a := allocTable["push/record"], allocTable["kmv/absorb"]; r != a {
+		t.Errorf("push/record is %d, kmv/absorb %d: a pushed record's round trip must add nothing to its absorb", r, a)
 	}
 
 	for _, info := range kinds {

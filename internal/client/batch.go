@@ -1,11 +1,6 @@
 package client
 
-import (
-	"fmt"
-	"net"
-
-	"repro/internal/wire"
-)
+import "fmt"
 
 // Record is one named batch entry: a sketch envelope bound for the
 // named stream ("" targets the default stream).
@@ -38,13 +33,8 @@ func (c *Client) PushBatch(envelopes [][]byte) (pushed int, err error) {
 //
 // It returns the number of records durably acked.
 func (c *Client) PushBatchNamed(records []Record) (pushed int, err error) {
-	pushed, _, err = c.exchange(len(records), func(conn net.Conn, i int) error {
-		t, payload, err := wire.EncodePush(records[i].Stream, records[i].Envelope)
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrRejected, err)
-		}
-		_, err = c.request(conn, t, payload, wire.MsgAck)
-		return err
+	pushed, _, err = c.exchange(len(records), func(l *link, i int) error {
+		return c.push(l, records[i].Stream, records[i].Envelope)
 	})
 	if err != nil {
 		err = fmt.Errorf("client: batch envelope %d/%d: %w", pushed, len(records), err)

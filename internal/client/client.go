@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -132,13 +131,11 @@ func (c *Client) Push(envelope []byte) (attempts int, err error) {
 // empty stream name is the default stream, and the push travels as a
 // plain MsgPush — byte-identical to what an un-upgraded site sends.
 func (c *Client) PushNamed(stream string, envelope []byte) (attempts int, err error) {
-	t, payload, err := wire.EncodePush(stream, envelope)
-	if err != nil {
+	if err := wire.ValidStreamName(stream); err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
-	_, attempts, err = c.exchange(1, func(conn net.Conn, _ int) error {
-		_, err := c.request(conn, t, payload, wire.MsgAck)
-		return err
+	_, attempts, err = c.exchange(1, func(l *link, _ int) error {
+		return c.push(l, stream, envelope)
 	})
 	return attempts, err
 }
@@ -146,8 +143,8 @@ func (c *Client) PushNamed(stream string, envelope []byte) (attempts int, err er
 // Query asks the coordinator for one estimate, retrying transient
 // failures (queries are read-only, so retries are safe).
 func (c *Client) Query(q wire.Query) (est float64, err error) {
-	_, _, err = c.exchange(1, func(conn net.Conn, _ int) error {
-		reply, err := c.request(conn, wire.MsgQuery, q.Encode(), wire.MsgQueryResult)
+	_, _, err = c.exchange(1, func(l *link, _ int) error {
+		reply, err := c.request(l, wire.MsgQuery, q.Encode(), wire.MsgQueryResult)
 		if err == nil {
 			est, err = wire.DecodeQueryResult(reply)
 		}
@@ -165,8 +162,8 @@ func (c *Client) QueryExpr(eq wire.ExprQuery) (res *wire.ExprResult, err error) 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
-	_, _, err = c.exchange(1, func(conn net.Conn, _ int) error {
-		reply, err := c.request(conn, wire.MsgQueryExpr, payload, wire.MsgQueryExprResult)
+	_, _, err = c.exchange(1, func(l *link, _ int) error {
+		reply, err := c.request(l, wire.MsgQueryExpr, payload, wire.MsgQueryExprResult)
 		if err == nil {
 			res, err = wire.DecodeExprResult(reply)
 		}
@@ -191,8 +188,8 @@ func (c *Client) SumDistinct(seed uint64) (float64, error) {
 // is decoded into out (pass a *server.Stats or any compatible
 // struct/map); pass nil to only check reachability.
 func (c *Client) Stats(out any) error {
-	_, _, err := c.exchange(1, func(conn net.Conn, _ int) error {
-		reply, err := c.request(conn, wire.MsgStats, nil, wire.MsgStatsResult)
+	_, _, err := c.exchange(1, func(l *link, _ int) error {
+		reply, err := c.request(l, wire.MsgStats, nil, wire.MsgStatsResult)
 		if err != nil || out == nil {
 			return err
 		}
@@ -201,8 +198,18 @@ func (c *Client) Stats(out any) error {
 	return err
 }
 
+// link is one exchange's connection to the coordinator: the conn, the
+// reader its replies arrive through and the buffer its request frames
+// are built in. Both buffers outlive a redial, so an exchange's frames
+// reuse them from op to op.
+type link struct {
+	conn net.Conn
+	fr   wire.Reader
+	out  []byte
+}
+
 // exchange is the client's one retry loop: it runs ops [0, n) in
-// order over one connection, each under a fresh IOTimeout deadline. A
+// order over one link, each under a fresh IOTimeout deadline. A
 // transient failure closes the connection, backs off, redials and
 // resumes at the failing op, so an op may be delivered more than once
 // — which the coordinator's idempotent merge absorbs. Each op gets
@@ -210,25 +217,27 @@ func (c *Client) Stats(out any) error {
 // starve the rest of their retries. A permanent failure stops the
 // loop. It returns the number of ops completed and the attempts spent
 // on the last op it ran.
-func (c *Client) exchange(n int, op func(conn net.Conn, i int) error) (done, attempts int, err error) {
-	var conn net.Conn
+func (c *Client) exchange(n int, op func(l *link, i int) error) (done, attempts int, err error) {
+	var l link
 	defer func() {
-		if conn != nil {
-			conn.Close()
+		if l.conn != nil {
+			l.conn.Close()
 		}
 	}()
 	for done < n {
 		if attempts++; attempts > 1 {
 			time.Sleep(c.backoff(attempts - 1))
 		}
-		if conn == nil {
+		if l.conn == nil {
 			if err = failpoint.Inject(failpoint.ClientDial); err == nil {
-				conn, err = net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+				if l.conn, err = net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout); err == nil {
+					l.fr.Reset(l.conn, c.cfg.MaxPayload)
+				}
 			}
 		}
 		if err == nil {
-			if err = conn.SetDeadline(time.Now().Add(c.cfg.IOTimeout)); err == nil {
-				err = op(conn, done)
+			if err = l.conn.SetDeadline(time.Now().Add(c.cfg.IOTimeout)); err == nil {
+				err = op(&l, done)
 			}
 		}
 		switch {
@@ -241,9 +250,9 @@ func (c *Client) exchange(n int, op func(conn net.Conn, i int) error) (done, att
 		default:
 			// The connection is in an unknown state (a half-written
 			// frame, a lost reply): drop it and resume on a fresh one.
-			if conn != nil {
-				conn.Close()
-				conn = nil
+			if l.conn != nil {
+				l.conn.Close()
+				l.conn = nil
 			}
 			if attempts == c.cfg.Attempts {
 				return done, attempts, fmt.Errorf("client: failed after %d attempts: %w", attempts, err)
@@ -253,17 +262,35 @@ func (c *Client) exchange(n int, op func(conn net.Conn, i int) error) (done, att
 	return done, attempts, nil
 }
 
-// request writes one frame and reads the reply, which must be of type
-// want. An ack in its place is mapped through ackError, so a refusal
-// surfaces as its typed error.
-func (c *Client) request(conn net.Conn, t wire.MsgType, payload []byte, want wire.MsgType) ([]byte, error) {
+// push sends envelope to stream as one push frame and waits for its
+// ack.
+func (c *Client) push(l *link, stream string, envelope []byte) (err error) {
+	if l.out, err = wire.AppendPush(l.out[:0], stream, envelope); err != nil {
+		return fmt.Errorf("%w: %w", ErrRejected, err)
+	}
+	_, err = c.roundTrip(l, wire.MsgAck)
+	return err
+}
+
+// request sends one frame of type t wrapping payload and reads the
+// reply, which must be of type want.
+func (c *Client) request(l *link, t wire.MsgType, payload []byte, want wire.MsgType) ([]byte, error) {
+	l.out = wire.AppendFrame(l.out[:0], t, payload)
+	return c.roundTrip(l, want)
+}
+
+// roundTrip writes the request frame in l.out and reads the reply,
+// which must be of type want. An ack in its place is mapped through
+// ackError, so a refusal surfaces as its typed error. The reply is
+// valid until the link reads another.
+func (c *Client) roundTrip(l *link, want wire.MsgType) ([]byte, error) {
 	if err := failpoint.Inject(failpoint.ClientWrite); err != nil {
 		return nil, err
 	}
-	if err := wire.WriteFrame(conn, t, payload); err != nil {
+	if _, err := l.conn.Write(l.out); err != nil {
 		return nil, err
 	}
-	typ, reply, err := c.readFrame(conn)
+	typ, reply, err := readFrame(&l.fr)
 	if err != nil {
 		return nil, err
 	}
@@ -273,19 +300,19 @@ func (c *Client) request(conn net.Conn, t wire.MsgType, payload []byte, want wir
 		}
 	}
 	if typ != want {
-		return nil, fmt.Errorf("%w: unexpected %s reply to %s", ErrRejected, typ, t)
+		return nil, fmt.Errorf("%w: unexpected %s reply, want %s", ErrRejected, typ, want)
 	}
 	return reply, nil
 }
 
 // readFrame reads one coordinator reply frame, typing version
-// disagreements. It takes an io.Reader so the fuzz harness can drive
-// it with raw byte streams.
-func (c *Client) readFrame(r io.Reader) (wire.MsgType, []byte, error) {
+// disagreements. It takes the Reader rather than the link so the fuzz
+// harness can drive it with raw byte streams.
+func readFrame(fr *wire.Reader) (wire.MsgType, []byte, error) {
 	if err := failpoint.Inject(failpoint.ClientRead); err != nil {
 		return 0, nil, err
 	}
-	typ, payload, err := wire.ReadFrame(r, c.cfg.MaxPayload)
+	typ, payload, err := fr.Next()
 	if errors.Is(err, wire.ErrVersion) {
 		// The reply is framed in a version we don't speak: the
 		// coordinator is from a different protocol generation.
@@ -325,12 +352,14 @@ func ackError(payload []byte) error {
 }
 
 // permanent reports whether err is a protocol-level refusal that
-// retrying cannot fix.
+// retrying cannot fix. A reply over cfg.MaxPayload is one: resending
+// the request cannot shrink it.
 func permanent(err error) bool {
 	return errors.Is(err, ErrVersionMismatch) ||
 		errors.Is(err, ErrSeedMismatch) ||
 		errors.Is(err, ErrKindMismatch) ||
-		errors.Is(err, ErrRejected)
+		errors.Is(err, ErrRejected) ||
+		errors.Is(err, wire.ErrOversize)
 }
 
 // backoff returns the wait before the retry-th retry (retry ≥ 1):

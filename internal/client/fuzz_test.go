@@ -1,10 +1,11 @@
 package client
 
-// FuzzClientReadFrame drives the client's reply-frame reader with
-// arbitrary byte streams: it must agree with wire.ReadFrame on
-// accept/reject, type version disagreements as ErrVersionMismatch, and
-// never panic — including the ack-payload decode a push performs on
-// whatever frame comes back. The seed corpus is shared with
+// FuzzClientReadFrame drives the client's reply-frame reader, over a
+// wire.Reader as an exchange's link holds one, with arbitrary byte
+// streams: it must agree with wire.ReadFrame on accept/reject, type
+// version disagreements as ErrVersionMismatch, and never panic —
+// including the ack-payload decode a push performs on whatever frame
+// comes back. The seed corpus is shared with
 // internal/wire's FuzzWireDecode (testdata/fuzz/FuzzWireDecode), so
 // every frame shape that fuzzer has found interesting is replayed here
 // on each `go test`. Explore further with
@@ -64,8 +65,7 @@ func FuzzClientReadFrame(f *testing.F) {
 	f.Add(wire.EncodeFrame(wire.MsgAck, wire.Ack{Code: wire.AckBadFrame, Detail: "damaged"}.Encode()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const limit = 1 << 16
-		cl := New(Config{Addr: "unused", MaxPayload: limit, JitterSeed: 1})
-		typ, payload, err := cl.readFrame(bytes.NewReader(data))
+		typ, payload, err := readFrame(wire.NewReader(bytes.NewReader(data), limit))
 		wtyp, wpayload, werr := wire.ReadFrame(bytes.NewReader(data), limit)
 
 		// The client reader is wire.ReadFrame plus error typing: it

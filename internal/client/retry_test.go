@@ -9,6 +9,7 @@ package client
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,20 +17,23 @@ import (
 	"repro/internal/wire"
 )
 
-// rawReplyServer answers every connection's first frame with raw bytes.
-func rawReplyServer(t *testing.T, reply []byte) string {
+// rawReplyServer answers every connection's first frame with raw bytes,
+// and counts the connections it accepts.
+func rawReplyServer(t *testing.T, reply []byte) (string, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	var conns atomic.Int64
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			conns.Add(1)
 			go func(conn net.Conn) {
 				defer conn.Close()
 				if _, _, err := wire.ReadFrame(conn, 0); err != nil {
@@ -39,7 +43,7 @@ func rawReplyServer(t *testing.T, reply []byte) string {
 			}(conn)
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), &conns
 }
 
 // TestVersionMismatchFrameNotRetried covers the frame-level (not
@@ -52,7 +56,7 @@ func TestVersionMismatchFrameNotRetried(t *testing.T) {
 	frame := wire.EncodeFrame(wire.MsgAck, ack.Encode())
 	frame[2] = wire.Version + 9 // corrupt the version byte only
 
-	addr := rawReplyServer(t, frame)
+	addr, _ := rawReplyServer(t, frame)
 	cl := New(Config{Addr: addr, Attempts: 5, BackoffBase: time.Millisecond, JitterSeed: 1})
 	attempts, err := cl.Push([]byte("msg"))
 	if !errors.Is(err, ErrVersionMismatch) {
@@ -63,6 +67,22 @@ func TestVersionMismatchFrameNotRetried(t *testing.T) {
 	}
 	if attempts != 1 {
 		t.Errorf("made %d attempts; version mismatches must not be retried", attempts)
+	}
+}
+
+// TestOversizeReplyNotRetried: a reply larger than the client's
+// MaxPayload is refused before its payload is read, and resending the
+// request cannot shrink it, so the failure is permanent: one
+// connection, one attempt, and the wire cause with the limit it broke.
+func TestOversizeReplyNotRetried(t *testing.T) {
+	addr, conns := rawReplyServer(t, wire.EncodeFrame(wire.MsgStatsResult, make([]byte, 260)))
+	cl := New(Config{Addr: addr, MaxPayload: 64, Attempts: 4, BackoffBase: time.Millisecond, JitterSeed: 1})
+	err := cl.Stats(nil)
+	if !errors.Is(err, wire.ErrOversize) || !strings.Contains(err.Error(), "payload 260 > limit 64") {
+		t.Fatalf("err = %v, want wire.ErrOversize naming the 64-byte limit", err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("%d connections, want 1: an oversize reply must not be retried", n)
 	}
 }
 

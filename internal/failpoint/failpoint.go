@@ -119,9 +119,10 @@ var (
 	ClientWrite = declare("client/write")
 	// ClientRead fires before each response frame read.
 	ClientRead = declare("client/read")
-	// WireEncode fires at the top of wire.WriteFrame.
+	// WireEncode fires before wire.WriteFrame and wire.WriteAck write.
 	WireEncode = declare("wire/encode")
-	// WireDecode fires at the top of wire.ReadFrame.
+	// WireDecode fires at the top of wire.Reader.Next, which every
+	// frame read runs (wire.ReadFrame included).
 	WireDecode = declare("wire/decode")
 )
 

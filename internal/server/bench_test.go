@@ -41,7 +41,7 @@ func BenchmarkAbsorbSketch(b *testing.B) {
 			b.SetBytes(int64(len(msgs[0])))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ack := srv.absorbSketch("", msgs[i%len(msgs)]); ack.Code != wire.AckOK {
+				if ack := srv.absorbSketch("", msgs[i%len(msgs)], nil); ack.Code != wire.AckOK {
 					b.Fatalf("absorb: %v: %s", ack.Code, ack.Detail)
 				}
 			}
@@ -61,7 +61,7 @@ func BenchmarkAbsorbSketchCrossKind(b *testing.B) {
 	srv := New(Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ack := srv.absorbSketch("", msgs[i%len(msgs)]); ack.Code != wire.AckOK {
+		if ack := srv.absorbSketch("", msgs[i%len(msgs)], nil); ack.Code != wire.AckOK {
 			b.Fatalf("absorb: %v: %s", ack.Code, ack.Detail)
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 var errInjectedCrash = errors.New("injected crash")
@@ -513,5 +514,68 @@ func TestWALShutdownSnapshotBoundsReplay(t *testing.T) {
 	defer l.Close()
 	if l.Stats().SnapshotSegment == 0 {
 		t.Fatal("no live snapshot after two clean shutdowns")
+	}
+}
+
+// TestWALSegmentHoldsFramesAsPushed: a durable coordinator logs each
+// push frame byte for byte as it read it off the connection. That
+// includes a MsgPushNamed frame naming the default stream, which a
+// re-encode would have logged as a plain MsgPush.
+func TestWALSegmentHoldsFramesAsPushed(t *testing.T) {
+	msgs := siteMessages(t, core.EstimatorConfig{Capacity: 64, Copies: 2, Seed: 1212}, overlapSources(3, 9))
+	dir := t.TempDir()
+	srv := server.New(server.Config{WAL: &server.WALConfig{Dir: dir, SnapshotEvery: time.Hour}})
+	addr := startServer(t, srv)
+
+	// Two client pushes, framed by wire.AppendPush as every client
+	// builds them: one to the default stream, one named.
+	cl := testClient(addr)
+	if _, err := cl.Push(msgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.PushNamed("clicks", msgs[1]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := wire.AppendPush(nil, "", msgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err = wire.AppendPush(want, "clicks", msgs[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	// One frame no client builds: a named push with the empty name.
+	named, err := wire.EncodePushNamed("", msgs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := wire.EncodeFrame(wire.MsgPushNamed, named)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	typ, reply, err := wire.ReadFrame(conn, 0)
+	if err != nil || typ != wire.MsgAck {
+		t.Fatalf("raw push: reply %v, err %v", typ, err)
+	}
+	if ack, err := wire.DecodeAck(reply); err != nil || ack.Code != wire.AckOK {
+		t.Fatalf("raw push: ack %+v, err %v", ack, err)
+	}
+	want = append(want, raw...)
+
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (err %v), want one", segs, err)
+	}
+	got, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment holds %d bytes that differ from the %d bytes pushed", len(got), len(want))
 	}
 }

@@ -341,8 +341,15 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.stats.activeConns.Add(-1)
 		s.connWG.Done()
 	}()
+	// One reader per connection: every frame is read into the buffer
+	// the connection's largest frame grew, so a payload is valid only
+	// until the next read. Nothing below keeps one that long: an opened
+	// sketch holds no reference to its envelope (sketchtest's
+	// open-does-not-alias), and the log writes a frame out before the
+	// push is acked.
+	fr := wire.NewReader(conn, s.cfg.MaxPayload)
 	for {
-		typ, payload, err := wire.ReadFrame(conn, s.cfg.MaxPayload)
+		typ, payload, err := fr.Next()
 		if err != nil {
 			switch {
 			case err == io.EOF:
@@ -378,7 +385,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		}
 		s.stats.framesRead.Add(1)
-		s.stats.bytesRead.Add(int64(wire.HeaderSize + len(payload)))
+		s.stats.bytesRead.Add(int64(len(fr.Frame())))
 
 		switch typ {
 		case wire.MsgPush, wire.MsgPushNamed:
@@ -390,7 +397,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				}
 				continue
 			}
-			ack := s.absorbSketch(stream, envelope)
+			ack := s.absorbSketch(stream, envelope, fr.Frame())
 			if ack.Code != wire.AckOK {
 				s.stats.rejected.Add(1)
 			}
@@ -430,7 +437,7 @@ func isTimeout(err error) bool {
 }
 
 func (s *Server) writeAck(conn net.Conn, a wire.Ack) bool {
-	if err := wire.WriteFrame(conn, wire.MsgAck, a.Encode()); err != nil {
+	if err := wire.WriteAck(conn, a); err != nil {
 		s.logf("unionstreamd: %s: writing ack: %v", conn.RemoteAddr(), err)
 		return false
 	}
@@ -448,7 +455,7 @@ func (s *Server) Absorb(envelope []byte) error {
 // AbsorbNamed merges one envelope into the named stream's group, the
 // in-process equivalent of a MsgPushNamed.
 func (s *Server) AbsorbNamed(stream string, envelope []byte) error {
-	if ack := s.absorbSketch(stream, envelope); ack.Code != wire.AckOK {
+	if ack := s.absorbSketch(stream, envelope, nil); ack.Code != wire.AckOK {
 		return fmt.Errorf("server: absorb refused: %s: %s", ack.Code, ack.Detail)
 	}
 	return nil
@@ -456,8 +463,10 @@ func (s *Server) AbsorbNamed(stream string, envelope []byte) error {
 
 // absorbSketch opens a pushed sketch envelope and merges it into its
 // (stream, kind, config digest) group, creating the group on first
-// contact.
-func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
+// contact. frame is the push frame that carried it, which a durable
+// coordinator logs as it arrived; an in-process absorb has none and
+// passes nil.
+func (s *Server) absorbSketch(stream string, payload, frame []byte) wire.Ack {
 	if err := wire.ValidStreamName(stream); err != nil {
 		return wire.Ack{Code: wire.AckCorrupt, Detail: err.Error()}
 	}
@@ -496,7 +505,12 @@ func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
 		}
 		w.seal.RLock()
 		defer w.seal.RUnlock()
-		if err := w.log.AppendNamed(stream, payload); err != nil {
+		if frame != nil {
+			err = w.log.AppendFrame(frame)
+		} else {
+			err = w.log.AppendNamed(stream, payload)
+		}
+		if err != nil {
 			w.appendErrors.Add(1)
 			w.lastErr.Store(err.Error())
 			return wire.Ack{Code: wire.AckError, Detail: err.Error()}

@@ -120,6 +120,31 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 		}
 	})
 
+	t.Run("open-does-not-alias", func(t *testing.T) {
+		// A coordinator reads each push into a buffer it reuses for the
+		// next frame, so an opened sketch must hold no reference to the
+		// envelope it was opened from.
+		env, err := sketch.Envelope(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.Clone(env)
+		dec, err := sketch.Open(env)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		for i := range env {
+			env[i] = ^env[i]
+		}
+		got, err := sketch.Envelope(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("overwriting the envelope changed the sketch opened from it")
+		}
+	})
+
 	t.Run("resume-after-open", func(t *testing.T) {
 		// An opened sketch holds only what its envelope encodes; state
 		// it rebuilds on demand (hash functions, spare capacity) must

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,8 @@ import (
 // record's stream name and sketch envelope, until the stream ends. It
 // returns the number of records delivered and the byte offset of the
 // last clean record boundary — the truncation point for a torn tail.
+// The records are read through one wire.Reader over a 64 KiB buffered
+// reader, so the envelope fn receives is valid only until fn returns.
 //
 // Each record is a push frame decoded by wire.DecodePush: a MsgPush
 // frame (the pre-stream format; its stream is the default "") or a
@@ -33,8 +36,9 @@ import (
 // The function is pure with respect to the Log — FuzzWALReplay drives
 // it directly with the wire fuzz corpus and mutated segments.
 func DecodeSegment(r io.Reader, limit uint32, fn func(stream string, envelope []byte) error) (records, clean int64, err error) {
+	fr := wire.NewReader(bufio.NewReaderSize(r, 64<<10), limit)
 	for {
-		t, payload, rerr := wire.ReadFrame(r, limit)
+		t, payload, rerr := fr.Next()
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) && !errors.Is(rerr, io.ErrUnexpectedEOF) {
 				return records, clean, nil
@@ -49,7 +53,7 @@ func DecodeSegment(r io.Reader, limit uint32, fn func(stream string, envelope []
 			return records, clean, ferr
 		}
 		records++
-		clean += int64(wire.HeaderSize + len(payload))
+		clean += int64(len(fr.Frame()))
 	}
 }
 
@@ -71,7 +75,8 @@ type ReplayStats struct {
 
 // Replay feeds every recovered record (stream name plus envelope) to
 // fn, snapshot first (one merged envelope per group), then the
-// surviving segments in order. It must run to completion before the
+// surviving segments in order. An envelope is valid only until fn
+// returns (see DecodeSegment). It must run to completion before the
 // first Append; until it has, Append refuses with ErrNotReplayed.
 //
 // A damaged record mid-log stops replay cleanly at the last good

@@ -24,7 +24,7 @@ type Record struct {
 // in flight to the active segment survive in it and replay after the
 // snapshot, where idempotent joins absorb the overlap.
 //
-// Records are framed by wire.EncodePush, exactly like appended ones,
+// Records are framed by wire.AppendPush, exactly like appended ones,
 // so a default-stream snapshot is the pre-stream format byte for byte.
 //
 // The write is atomic: records go to a temp file which is fsynced,
@@ -57,10 +57,11 @@ func (l *Log) Snapshot(cut uint64, records []Record) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
+	var frame []byte
 	for _, rec := range records {
-		t, payload, err := wire.EncodePush(rec.Stream, rec.Envelope)
+		frame, err = wire.AppendPush(frame[:0], rec.Stream, rec.Envelope)
 		if err == nil {
-			_, err = f.Write(wire.EncodeFrame(t, payload))
+			_, err = f.Write(frame)
 		}
 		if err != nil {
 			f.Close()

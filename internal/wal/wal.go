@@ -7,13 +7,13 @@
 //
 // A segment file (wal-NNNNNNNN.seg) is a sequence of ordinary wire
 // frames — the same magic/version/CRC discipline the network speaks —
-// each a push frame (wire.EncodePush) wrapping one self-describing
-// sketch envelope (internal/sketch). Nothing about a record is
-// WAL-specific: the bytes a site pushed are the bytes logged, so the
-// wire decoder, its fuzz corpus, and its torn-frame semantics all
-// apply verbatim. A snapshot file (snap-NNNNNNNN.snap) uses the
-// identical framing, one record per merge group, holding the group's
-// merged envelope.
+// each a push frame wrapping one self-describing sketch envelope
+// (internal/sketch). Nothing about a record is WAL-specific: it is the
+// push frame a site sent, byte for byte as the coordinator read it
+// (AppendFrame), so the wire decoder, its fuzz corpus, and its
+// torn-frame semantics all apply verbatim. A snapshot file
+// (snap-NNNNNNNN.snap) uses the identical framing, one record per
+// merge group, holding the group's merged envelope.
 //
 // # Recovery model
 //
@@ -158,8 +158,10 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu sync.Mutex // guards: f, segBytes, liveSegs, replayed, closed, rotateErr, syncErr
+	mu sync.Mutex // guards: f, scratch, segBytes, liveSegs, replayed, closed, rotateErr, syncErr
 	f  *os.File
+	// scratch is the buffer AppendNamed frames its records in.
+	scratch []byte
 	// segBytes is the active segment's current size; liveSegs counts
 	// segment files on disk.
 	segBytes int64
@@ -170,7 +172,7 @@ type Log struct {
 	// triggered it succeeded, so Stats is where the failure shows.
 	rotateErr string
 	// syncErr is the first failed per-append fsync; once set, appends
-	// are refused (see AppendNamed).
+	// are refused (see appendLocked).
 	syncErr error
 
 	// seg is the active segment index, snapSeg the live snapshot's cut
@@ -394,28 +396,51 @@ func (l *Log) Append(envelope []byte) error {
 }
 
 // AppendNamed logs one accepted envelope for the given stream, framed
-// by wire.EncodePush: a default-stream record is a plain MsgPush
-// frame — bit-identical to what every pre-stream log holds — so logs
-// written by old coordinators and new ones carrying only
-// default-stream traffic are interchangeable.
-//
-// A failed per-append fsync is terminal for appends: the kernel may
-// have dropped the record's dirty pages and still let a later fsync
-// succeed, so a later acked record could sit behind a damaged one that
-// replay stops at. Every later AppendNamed writes nothing and returns
-// an error wrapping the first failure, until a reopened log replays.
+// by wire.AppendPush in the log's scratch buffer: a default-stream
+// record is a plain MsgPush frame — bit-identical to what every
+// pre-stream log holds — so logs written by old coordinators and new
+// ones carrying only default-stream traffic are interchangeable. It
+// serves pushes that arrive without a frame (Server.AbsorbNamed); a
+// push read off the network is logged as it arrived, by AppendFrame.
 func (l *Log) AppendNamed(stream string, envelope []byte) error {
 	if err := failpoint.Inject(failpoint.WALAppend); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	t, payload, err := wire.EncodePush(stream, envelope)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	frame, err := wire.AppendPush(l.scratch[:0], stream, envelope)
 	if err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	frame := wire.EncodeFrame(t, payload)
+	l.scratch = frame
+	return l.appendLocked(frame)
+}
 
+// AppendFrame logs one push frame byte for byte, as a wire.Reader
+// read and checked it (Reader.Frame): the record is the frame that
+// arrived, with no re-encode. Any other bytes would stop replay at
+// them as damage, so the caller passes only a whole, CRC-checked push
+// frame that wire.DecodePush accepts.
+func (l *Log) AppendFrame(frame []byte) error {
+	if err := failpoint.Inject(failpoint.WALAppend); err != nil {
+		return fmt.Errorf("wal: append: %w", err)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.appendLocked(frame)
+}
+
+// appendLocked writes one record frame to the active segment, fsyncs
+// it per the sync policy and rotates a full segment.
+//
+// A failed per-append fsync is terminal for appends: the kernel may
+// have dropped the record's dirty pages and still let a later fsync
+// succeed, so a later acked record could sit behind a damaged one that
+// replay stops at. Every later append writes nothing and returns an
+// error wrapping the first failure, until a reopened log replays.
+//
+// locked: mu
+func (l *Log) appendLocked(frame []byte) error {
 	switch {
 	case l.closed:
 		return ErrClosed

@@ -49,10 +49,13 @@ func EncodePushNamed(stream string, envelope []byte) ([]byte, error) {
 	if err := ValidStreamName(stream); err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 1+len(stream)+len(envelope))
+	return appendPushNamed(make([]byte, 0, 1+len(stream)+len(envelope)), stream, envelope), nil
+}
+
+func appendPushNamed(b []byte, stream string, envelope []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(stream)))
 	b = append(b, stream...)
-	return append(b, envelope...), nil
+	return append(b, envelope...)
 }
 
 // DecodePushNamed parses a MsgPushNamed payload into its stream name
@@ -69,23 +72,25 @@ func DecodePushNamed(b []byte) (stream string, envelope []byte, err error) {
 	return string(rest[:n]), rest[n:], nil
 }
 
-// EncodePush returns the frame type and payload that push envelope to
-// stream. The default stream ("") travels as a plain MsgPush carrying
-// the envelope unchanged — the exact bytes a pre-stream site sends and
-// a pre-stream log holds; any other stream as a MsgPushNamed.
-func EncodePush(stream string, envelope []byte) (MsgType, []byte, error) {
+// AppendPush appends to b the whole frame that pushes envelope to
+// stream and returns the extended slice. The default stream ("")
+// travels as a plain MsgPush carrying the envelope unchanged — the
+// exact bytes a pre-stream site sends and a pre-stream log holds; any
+// other stream as a MsgPushNamed (see EncodePushNamed).
+func AppendPush(b []byte, stream string, envelope []byte) ([]byte, error) {
 	if stream == "" {
-		return MsgPush, envelope, nil
+		return AppendFrame(b, MsgPush, envelope), nil
 	}
-	payload, err := EncodePushNamed(stream, envelope)
-	if err != nil {
-		return 0, nil, err
+	if err := ValidStreamName(stream); err != nil {
+		return b, err
 	}
-	return MsgPushNamed, payload, nil
+	// An empty MsgPushNamed frame, grown by the payload and sealed again.
+	start := len(b)
+	return sealFrame(appendPushNamed(AppendFrame(b, MsgPushNamed, nil), stream, envelope), start), nil
 }
 
 // DecodePush parses the payload of a push frame of type t into its
-// stream name and sketch envelope, inverting EncodePush: a MsgPush is
+// stream name and sketch envelope, inverting AppendPush: a MsgPush is
 // the default stream's envelope verbatim, a MsgPushNamed goes through
 // DecodePushNamed, and any other frame type is an ErrFrame.
 func DecodePush(t MsgType, payload []byte) (stream string, envelope []byte, err error) {

@@ -23,31 +23,39 @@ func TestPushNamedRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %q: got %q / %d bytes", stream, gotStream, len(gotEnv))
 		}
 
-		// EncodePush picks the frame: the default stream travels as a
+		// AppendPush picks the frame: the default stream travels as a
 		// plain MsgPush carrying the envelope unchanged.
-		typ, payload, err := EncodePush(stream, env)
+		prefix := []byte("kept")
+		frame, err := AppendPush(prefix, stream, env)
 		if err != nil {
-			t.Fatalf("EncodePush %q: %v", stream, err)
+			t.Fatalf("AppendPush %q: %v", stream, err)
+		}
+		if !bytes.Equal(frame[:len(prefix)], prefix) {
+			t.Fatalf("AppendPush %q overwrote the bytes it appends to", stream)
+		}
+		typ, payload, rest, err := DecodeFrame(frame[len(prefix):], 0)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("AppendPush %q: DecodeFrame: %v, %d trailing bytes", stream, err, len(rest))
 		}
 		switch {
 		case stream == "" && (typ != MsgPush || !bytes.Equal(payload, env)):
-			t.Fatalf("EncodePush of the default stream: %s with %d bytes, want the envelope as a MsgPush", typ, len(payload))
+			t.Fatalf("AppendPush of the default stream: %s with %d bytes, want the envelope as a MsgPush", typ, len(payload))
 		case stream != "" && (typ != MsgPushNamed || !bytes.Equal(payload, enc)):
-			t.Fatalf("EncodePush %q: %s, want the EncodePushNamed payload as a MsgPushNamed", stream, typ)
+			t.Fatalf("AppendPush %q: %s, want the EncodePushNamed payload as a MsgPushNamed", stream, typ)
 		}
 		gotStream, gotEnv, err = DecodePush(typ, payload)
 		if err != nil {
 			t.Fatalf("DecodePush %q: %v", stream, err)
 		}
 		if gotStream != stream || !bytes.Equal(gotEnv, env) {
-			t.Fatalf("EncodePush/DecodePush round trip %q: got %q / %d bytes", stream, gotStream, len(gotEnv))
+			t.Fatalf("AppendPush/DecodePush round trip %q: got %q / %d bytes", stream, gotStream, len(gotEnv))
 		}
 	}
 	if _, err := EncodePushNamed(strings.Repeat("x", MaxStreamName+1), env); err == nil {
 		t.Fatal("over-long stream name encoded")
 	}
-	if _, _, err := EncodePush(strings.Repeat("x", MaxStreamName+1), env); err == nil {
-		t.Fatal("over-long stream name encoded by EncodePush")
+	if _, err := AppendPush(nil, strings.Repeat("x", MaxStreamName+1), env); err == nil {
+		t.Fatal("over-long stream name encoded by AppendPush")
 	}
 	for _, typ := range []MsgType{MsgAck, MsgQuery, MsgQueryExpr, MsgStats} {
 		if _, _, err := DecodePush(typ, env); !errors.Is(err, ErrFrame) {

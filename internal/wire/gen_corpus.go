@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -62,6 +63,10 @@ func main() {
 			wire.Query{Kind: wire.QueryCountWhere, HasSeed: true, Seed: 42, Pred: wire.PredMod, A: 10, B: 3}.Encode()),
 		"two-frames": wire.AppendFrame(wire.EncodeFrame(wire.MsgStats, nil),
 			wire.MsgQueryResult, wire.EncodeQueryResult(12345.5)),
+		// A large frame, then a small one that a Reader reads into the
+		// buffer the first one grew.
+		"large-then-small": wire.AppendFrame(wire.EncodeFrame(wire.MsgPush, bytes.Repeat([]byte("SK"), 2048)),
+			wire.MsgAck, wire.Ack{Code: wire.AckOK}.Encode()),
 		"truncated-header": wire.EncodeFrame(wire.MsgStats, []byte("stats"))[:wire.HeaderSize-2],
 		"bad-version":      {wire.Magic0, wire.Magic1, 99, 1, 0, 0, 0, 0, 0, 0, 0, 0},
 	}

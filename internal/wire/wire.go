@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/failpoint"
 )
@@ -164,10 +165,18 @@ func maxPayload(limit uint32) uint32 {
 // AppendFrame appends a frame of type t wrapping payload to b and
 // returns the extended slice.
 func AppendFrame(b []byte, t MsgType, payload []byte) []byte {
-	b = append(b, Magic0, Magic1, Version, byte(t))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
+	start := len(b)
+	b = append(b, Magic0, Magic1, Version, byte(t), 0, 0, 0, 0, 0, 0, 0, 0)
+	return sealFrame(append(b, payload...), start)
+}
+
+// sealFrame writes the length and CRC of the frame that starts at
+// b[start] and runs to the end of b into its header.
+func sealFrame(b []byte, start int) []byte {
+	payload := b[start+HeaderSize:]
+	binary.LittleEndian.PutUint32(b[start+4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+8:], crc32.ChecksumIEEE(payload))
+	return b
 }
 
 // EncodeFrame returns a fresh frame of type t wrapping payload.
@@ -177,39 +186,82 @@ func EncodeFrame(t MsgType, payload []byte) []byte {
 
 // WriteFrame writes one frame to w.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
+	return writeEncoded(w, EncodeFrame(t, payload))
+}
+
+// ackOK is the frame of the reply nearly every push gets, encoded once.
+var ackOK = EncodeFrame(MsgAck, Ack{Code: AckOK}.Encode())
+
+// WriteAck writes one MsgAck frame carrying a to w.
+func WriteAck(w io.Writer, a Ack) error {
+	if a == (Ack{Code: AckOK}) {
+		return writeEncoded(w, ackOK)
+	}
+	return writeEncoded(w, EncodeFrame(MsgAck, a.Encode()))
+}
+
+func writeEncoded(w io.Writer, frame []byte) error {
 	if err := failpoint.Inject(failpoint.WireEncode); err != nil {
 		return err
 	}
-	_, err := w.Write(EncodeFrame(t, payload))
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrame reads exactly one frame from r, enforcing limit (0 selects
-// DefaultMaxPayload) on the payload length. It returns the message
-// type and payload, or one of ErrFrame/ErrVersion/ErrOversize. A bare
-// io.EOF is returned only when the stream ends cleanly between frames;
-// every mid-frame truncation — including inside the header's CRC
-// trailer or exactly at the header/payload boundary — surfaces as an
-// ErrFrame-wrapped error that satisfies errors.Is(err,
-// io.ErrUnexpectedEOF) and never errors.Is(err, io.EOF), so callers
-// cannot mistake a damaged frame for a clean goodbye.
-func ReadFrame(r io.Reader, limit uint32) (MsgType, []byte, error) {
+// Reader reads a stream of frames through one buffer, which it grows
+// to the stream's largest frame and reuses from frame to frame. The
+// payload Next returns, and the frame Frame returns, stay valid only
+// until the next call to Next: a caller that keeps either must copy
+// it.
+type Reader struct {
+	r     io.Reader
+	limit uint32
+	frame []byte // the frame Next last read, header then payload
+}
+
+// NewReader returns a Reader of the frames on r, enforcing limit (0
+// selects DefaultMaxPayload) on each payload's length.
+func NewReader(r io.Reader, limit uint32) *Reader {
+	return &Reader{r: r, limit: limit}
+}
+
+// Reset re-targets the reader at r and limit, keeping its buffer.
+func (fr *Reader) Reset(r io.Reader, limit uint32) {
+	fr.r, fr.limit, fr.frame = r, limit, fr.frame[:0]
+}
+
+// Frame returns the whole frame Next last read, byte for byte as it
+// arrived, or nothing if that read failed.
+func (fr *Reader) Frame() []byte { return fr.frame }
+
+// Next reads the next frame, returning its message type and payload,
+// or one of ErrFrame/ErrVersion/ErrOversize. A bare io.EOF is returned
+// only when the stream ends cleanly between frames; every mid-frame
+// truncation — including inside the header's CRC trailer or exactly
+// at the header/payload boundary — surfaces as an ErrFrame-wrapped
+// error that satisfies errors.Is(err, io.ErrUnexpectedEOF) and never
+// errors.Is(err, io.EOF), so callers cannot mistake a damaged frame
+// for a clean goodbye. The length is checked against the limit before
+// the buffer grows to hold the payload.
+func (fr *Reader) Next() (MsgType, []byte, error) {
+	fr.frame = fr.frame[:0]
 	if err := failpoint.Inject(failpoint.WireDecode); err != nil {
 		return 0, nil, err
 	}
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := slices.Grow(fr.frame, HeaderSize)[:HeaderSize]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: truncated header: %w", ErrFrame, err)
 	}
-	t, n, err := parseHeader(hdr, limit)
+	t, n, err := parseHeader(hdr, fr.limit)
 	if err != nil {
 		return 0, nil, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	frame := slices.Grow(hdr, int(n))[:HeaderSize+int(n)]
+	payload := frame[HeaderSize:]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		if err == io.EOF {
 			// Zero payload bytes after a complete header is still a
 			// truncated frame, not a clean end of stream; wrapping the
@@ -219,37 +271,44 @@ func ReadFrame(r io.Reader, limit uint32) (MsgType, []byte, error) {
 		}
 		return 0, nil, fmt.Errorf("%w: truncated payload: %w", ErrFrame, err)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[8:12]); got != want {
-		return 0, nil, fmt.Errorf("%w: checksum %08x, header says %08x", ErrFrame, got, want)
+	if err := checkCRC(frame); err != nil {
+		return 0, nil, err
 	}
+	fr.frame = frame
 	return t, payload, nil
 }
 
+// ReadFrame reads exactly one frame from r through a one-shot Reader:
+// see Reader.Next for the limit and the error contract.
+func ReadFrame(r io.Reader, limit uint32) (MsgType, []byte, error) {
+	fr := Reader{r: r, limit: limit}
+	return fr.Next()
+}
+
 // DecodeFrame decodes one frame from the front of b, returning the
-// remaining bytes after it. It is the buffer-oriented twin of
-// ReadFrame, used by the fuzz target and anywhere frames arrive
-// pre-buffered.
+// remaining bytes after it. It is the buffer-oriented twin of Reader,
+// used by the fuzz target and anywhere frames arrive pre-buffered.
 func DecodeFrame(b []byte, limit uint32) (t MsgType, payload, rest []byte, err error) {
 	if len(b) < HeaderSize {
 		return 0, nil, nil, fmt.Errorf("%w: %d bytes, need %d-byte header", ErrFrame, len(b), HeaderSize)
 	}
-	var hdr [HeaderSize]byte
-	copy(hdr[:], b)
-	t, n, err := parseHeader(hdr, limit)
+	t, n, err := parseHeader(b[:HeaderSize], limit)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	if uint32(len(b)-HeaderSize) < n {
 		return 0, nil, nil, fmt.Errorf("%w: payload truncated at %d of %d bytes", ErrFrame, len(b)-HeaderSize, n)
 	}
-	payload = b[HeaderSize : HeaderSize+int(n)]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[8:12]); got != want {
-		return 0, nil, nil, fmt.Errorf("%w: checksum %08x, header says %08x", ErrFrame, got, want)
+	frame := b[:HeaderSize+int(n)]
+	if err := checkCRC(frame); err != nil {
+		return 0, nil, nil, err
 	}
-	return t, payload, b[HeaderSize+int(n):], nil
+	return t, frame[HeaderSize:], b[len(frame):], nil
 }
 
-func parseHeader(hdr [HeaderSize]byte, limit uint32) (MsgType, uint32, error) {
+// parseHeader validates a frame header and returns its message type and
+// payload length.
+func parseHeader(hdr []byte, limit uint32) (MsgType, uint32, error) {
 	if hdr[0] != Magic0 || hdr[1] != Magic1 {
 		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrFrame, hdr[:2])
 	}
@@ -265,6 +324,14 @@ func parseHeader(hdr [HeaderSize]byte, limit uint32) (MsgType, uint32, error) {
 		return 0, 0, fmt.Errorf("%w: payload %d > limit %d", ErrOversize, n, maxPayload(limit))
 	}
 	return t, n, nil
+}
+
+// checkCRC verifies a whole frame's payload against its header's CRC.
+func checkCRC(frame []byte) error {
+	if got, want := crc32.ChecksumIEEE(frame[HeaderSize:]), binary.LittleEndian.Uint32(frame[8:12]); got != want {
+		return fmt.Errorf("%w: checksum %08x, header says %08x", ErrFrame, got, want)
+	}
+	return nil
 }
 
 // AckCode classifies the coordinator's response to a message. Each

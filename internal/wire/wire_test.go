@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/failpoint"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -51,6 +53,44 @@ func TestFrameStreamOfFrames(t *testing.T) {
 	}
 	if _, _, err := ReadFrame(&buf, 0); err != io.EOF {
 		t.Fatalf("after last frame: err = %v, want io.EOF", err)
+	}
+}
+
+// TestReaderReusesBuffer: a Reader returns each frame as it arrived,
+// reads a small frame into the buffer a large one grew, keeps that
+// buffer across Reset, and allocates nothing once it is grown.
+func TestReaderReusesBuffer(t *testing.T) {
+	large := EncodeFrame(MsgPush, bytes.Repeat([]byte{0xAB}, 4096))
+	small := EncodeFrame(MsgAck, Ack{Code: AckOK}.Encode())
+	stream := bytes.NewReader(append(append([]byte(nil), large...), small...))
+	fr := NewReader(stream, 0)
+	var first *byte
+	for i, want := range [][]byte{large, small} {
+		typ, payload, err := fr.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if typ != MsgType(want[3]) || !bytes.Equal(payload, want[HeaderSize:]) || !bytes.Equal(fr.Frame(), want) {
+			t.Fatalf("frame %d: got %v with %d payload bytes, frame %d bytes", i, typ, len(payload), len(fr.Frame()))
+		}
+		if i == 0 {
+			first = &fr.Frame()[0]
+		} else if &fr.Frame()[0] != first {
+			t.Fatal("the small frame was read into a new buffer")
+		}
+	}
+	if _, _, err := fr.Next(); err != io.EOF || len(fr.Frame()) != 0 {
+		t.Fatalf("after the last frame: err = %v, %d frame bytes; want io.EOF and none", err, len(fr.Frame()))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		stream.Reset(large)
+		fr.Reset(stream, 0)
+		if _, _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || &fr.Frame()[0] != first {
+		t.Errorf("Reset and Next into a grown buffer: %v allocations, buffer kept %v", allocs, &fr.Frame()[0] == first)
 	}
 }
 
@@ -164,6 +204,34 @@ func TestFrameOversize(t *testing.T) {
 	forged[4], forged[5], forged[6], forged[7] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, _, err := ReadFrame(bytes.NewReader(forged), 1<<20); !errors.Is(err, ErrOversize) {
 		t.Errorf("forged huge length: %v", err)
+	}
+}
+
+// TestWriteAck: WriteAck writes the frame WriteFrame would, from the
+// frame encoded once for AckOK, and the wire/encode failpoint still
+// fires on that path.
+func TestWriteAck(t *testing.T) {
+	acks := []Ack{{Code: AckOK}, {Code: AckOK, Detail: "absorbed"}, {Code: AckCorrupt, Detail: "bad sketch"}}
+	for _, a := range acks {
+		var got, want bytes.Buffer
+		if err := WriteAck(&got, a); err != nil {
+			t.Fatalf("%+v: %v", a, err)
+		}
+		if err := WriteFrame(&want, MsgAck, a.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%+v: WriteAck wrote %x, WriteFrame %x", a, got.Bytes(), want.Bytes())
+		}
+	}
+	t.Cleanup(failpoint.Reset)
+	injected := errors.New("injected encode fault")
+	failpoint.Enable(failpoint.WireEncode, failpoint.Error(injected))
+	for _, a := range acks {
+		var w bytes.Buffer
+		if err := WriteAck(&w, a); !errors.Is(err, injected) || w.Len() != 0 {
+			t.Errorf("%+v with wire/encode armed: err = %v, %d bytes written", a, err, w.Len())
+		}
 	}
 }
 
