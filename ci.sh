@@ -11,8 +11,8 @@
 # seeding, documented mutex guards and lock order, the %w error
 # contract at the wire boundary, float comparison hygiene, and merge
 # determinism (mergepure). It also checks the hot paths' measured
-# allocation table (internal/allocgate) and the pipeline benchmark's
-# own build and tests (pipebench).
+# allocation table (internal/allocgate), runs every Go benchmark once,
+# and runs the pipeline benchmark's own build and tests (pipebench).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -118,6 +118,15 @@ echo "== hot-path allocation table (internal/allocgate, -race, x3) =="
 # so a row whose count varies from run to run fails here rather than
 # in a later change.
 go test -race -run '^TestHotPathAllocSummaries$' -count=3 ./internal/allocgate
+
+echo "== benchmarks (every benchmark, one iteration) =="
+# No other stage executes a benchmark function: the runs above only
+# compile them. A benchmark whose fixture or measured call started
+# failing (BenchmarkAbsorbSketch fails on any refused absorb) would go
+# unnoticed until someone next measured with it. One iteration each
+# checks that every benchmark still runs to the end; it measures
+# nothing. Measure with: go test -run='^$' -bench=<name> <package>
+go test -run='^$' -bench=. -benchtime=1x ./...
 
 echo "== chaos suite (seeds 1..3) =="
 # The deterministic fault-injection suites (internal/failpoint +
@@ -244,8 +253,11 @@ go test -run='^$' -fuzz='^FuzzClientReadFrame$' -fuzztime=10s ./internal/client
 
 echo "== fuzz smoke: FuzzSketchOpen (10s) =="
 # And for the registry envelope opener, which fronts every decoder in
-# the sketch registry: no input may panic it, and every accepted input
-# must re-encode to an identical envelope header.
+# the sketch registry: no input may panic it, every accepted input
+# must re-encode to an identical envelope header, and sketch.Stage, the
+# coordinator's absorb path, must accept exactly what Open accepts,
+# refuse the rest with the same error class, and fold an accepted input
+# into its own open byte-identically to Merge.
 go test -run='^$' -fuzz='^FuzzSketchOpen$' -fuzztime=10s ./internal/sketch
 
 echo "== fuzz smoke: FuzzWALReplay (10s) =="

@@ -196,77 +196,98 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary decodes an estimator encoded by MarshalBinary. Every
-// copy must carry the estimator's capacity, family and raise policy,
-// and copy i the i-th SplitMix64 value of the master seed as its seed:
-// the config digest covers only the master fields, so a copy that
-// diverged would open cleanly and then refuse every coordinated merge.
-//
-// Decoding is two passes over the copies: the first validates each
-// header and sizes one slab for every copy's table, the second decodes
-// the entries into it.
-func (e *Estimator) UnmarshalBinary(data []byte) error {
+// estimatorHeader is an estimator encoding whose header and copy
+// headers have been validated (parseEstimator): its configuration, the
+// bytes holding its length-prefixed copies for a second walk, and the
+// sizes a decode and a stage allocate from.
+type estimatorHeader struct {
+	cfg    EstimatorConfig
+	copies decoder
+	// slots is Σ tableSize(count) over the copies, a decoded
+	// estimator's table slab; entries is Σ count, a staged run's.
+	slots   int
+	entries int
+}
+
+// parseEstimator validates an estimator encoding's header and every
+// copy's header. Every copy must carry the estimator's capacity,
+// family and raise policy, and copy i the i-th SplitMix64 value of the
+// master seed as its seed: the config digest covers only the master
+// fields, so a copy that diverged would open cleanly and then refuse
+// every coordinated merge. It is the first of two passes over the
+// copies; UnmarshalBinary and stageRun make the second, which scans
+// the entries.
+func parseEstimator(data []byte) (estimatorHeader, error) {
+	var h estimatorHeader
 	if len(data) < 12 || data[0] != wireMagic0 || data[1] != wireMagic1 {
-		return fmt.Errorf("%w: bad estimator header", ErrCorrupt)
+		return h, fmt.Errorf("%w: bad estimator header", ErrCorrupt)
 	}
 	if data[2] != wireVersion {
-		return fmt.Errorf("%w: unsupported version %d", ErrCorrupt, data[2])
+		return h, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, data[2])
 	}
 	seed := binary.LittleEndian.Uint64(data[3:11])
 	d := decoder{buf: data[11:]}
 	n, err := d.uvarint("copy count")
 	if err != nil {
-		return err
+		return h, err
 	}
 	if n == 0 || n > 1<<16 {
-		return fmt.Errorf("%w: implausible copy count %d", ErrCorrupt, n)
+		return h, fmt.Errorf("%w: implausible copy count %d", ErrCorrupt, n)
 	}
-	body := d
+	h.copies = d
 	var first samplerHeader
-	total := 0
 	sm := hashing.NewSplitMix64(seed)
 	for i := 0; i < int(n); i++ {
-		h, _, err := d.nextCopy(i)
+		ch, _, err := d.nextCopy(i)
 		if err != nil {
-			return err
+			return h, err
 		}
 		if i == 0 {
-			first = h
+			first = ch
 		}
-		c := h.cfg
+		c := ch.cfg
 		if c.Capacity != first.cfg.Capacity || c.Family != first.cfg.Family || c.Raise != first.cfg.Raise {
-			return fmt.Errorf("%w: copy %d config diverges", ErrCorrupt, i)
+			return h, fmt.Errorf("%w: copy %d config diverges", ErrCorrupt, i)
 		}
 		if c.Seed != sm.Next() {
-			return fmt.Errorf("%w: copy %d seed is not derived from the master seed", ErrCorrupt, i)
+			return h, fmt.Errorf("%w: copy %d seed is not derived from the master seed", ErrCorrupt, i)
 		}
-		total += tableSize(h.count)
+		h.slots += tableSize(ch.count)
+		h.entries += ch.count
 	}
 	if len(d.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
+		return h, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
 	}
+	h.cfg = EstimatorConfig{
+		Capacity: first.cfg.Capacity,
+		Copies:   int(n),
+		Seed:     seed,
+		Family:   first.cfg.Family,
+		Raise:    first.cfg.Raise,
+	}
+	return h, nil
+}
 
-	copies := make([]Sampler, n)
-	slab := make([]entry, total)
+// UnmarshalBinary decodes an estimator encoded by MarshalBinary: one
+// slab holds every copy's table, and each copy's entries are placed as
+// they are scanned.
+func (e *Estimator) UnmarshalBinary(data []byte) error {
+	h, err := parseEstimator(data)
+	if err != nil {
+		return err
+	}
+	copies := make([]Sampler, h.cfg.Copies)
+	slab := make([]entry, h.slots)
 	for i := range copies {
-		h, entries, _ := body.nextCopy(i) // the first pass parsed these bytes without error
-		size := tableSize(h.count)
-		copies[i].init(h.cfg, h.level, slab[:size:size])
+		ch, entries, _ := h.copies.nextCopy(i) // parseEstimator parsed these bytes without error
+		size := tableSize(ch.count)
+		copies[i].init(ch.cfg, ch.level, slab[:size:size])
 		slab = slab[size:]
-		if err := copies[i].decodeEntries(entries, h.count); err != nil {
+		if err := copies[i].scanEntries(entries, ch.count, nil); err != nil {
 			return fmt.Errorf("copy %d: %w", i, err)
 		}
 	}
-	*e = Estimator{
-		cfg: EstimatorConfig{
-			Capacity: first.cfg.Capacity,
-			Copies:   int(n),
-			Seed:     seed,
-			Family:   first.cfg.Family,
-			Raise:    first.cfg.Raise,
-		},
-		copies: copies,
-	}
+	*e = Estimator{cfg: h.cfg, copies: copies}
 	return nil
 }
 

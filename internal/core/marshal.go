@@ -128,12 +128,14 @@ func parseHeader(data []byte) (samplerHeader, []byte, error) {
 	return h, d.buf, nil
 }
 
-// decodeEntries fills s — empty, and with a table sized for count
-// entries — from the encoded entries in body. It is one scan that
-// validates as it inserts: labels strictly increase without
-// overflowing, every level is at least the declared level, and no
-// byte trails.
-func (s *Sampler) decodeEntries(body []byte, count int) error {
+// scanEntries reads count encoded entries of copy s in label order
+// and validates each as it goes: labels strictly increase without
+// overflowing, every level is at least s's declared level, and no byte
+// trails. It is the one entry decoder. With out nil it places each
+// entry in s's table, which must be empty and sized for count entries
+// (a decode); otherwise s holds no table and each entry is written to
+// out[:count] (a stage, see stageRun).
+func (s *Sampler) scanEntries(body []byte, count int, out []entry) error {
 	d := decoder{buf: body}
 	var label uint64
 	for i := 0; i < count; i++ {
@@ -158,13 +160,19 @@ func (s *Sampler) decodeEntries(body []byte, count int) error {
 		if lvl < s.level {
 			return fmt.Errorf("%w: label %d has level %d below sketch level %d", ErrCorrupt, label, lvl, s.level)
 		}
+		if out != nil {
+			out[i] = entry{label: label, weight: weight, lv: int32(lvl) + 1}
+			continue
+		}
 		s.place(label, weight, int32(lvl)+1)
 		s.weightSum += weight
 	}
 	if len(d.buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
 	}
-	s.n = count
+	if out == nil {
+		s.n = count
+	}
 	return nil
 }
 
@@ -183,7 +191,7 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 	// validation fails.
 	var tmp Sampler
 	tmp.init(h.cfg, h.level, make([]entry, tableSize(h.count)))
-	if err := tmp.decodeEntries(body, h.count); err != nil {
+	if err := tmp.scanEntries(body, h.count, nil); err != nil {
 		return err
 	}
 	*s = tmp

@@ -317,11 +317,20 @@ func (s *Sampler) Merge(other *Sampler) error {
 	if s.cfg.Seed != other.cfg.Seed || s.cfg.Capacity != other.cfg.Capacity || s.cfg.Family != other.cfg.Family {
 		return fmt.Errorf("%w: %+v vs %+v", ErrMismatch, s.describe(), other.describe())
 	}
-	if other.level > s.level {
-		s.level = other.level
+	s.mergeEntries(other.level, other.table)
+	return nil
+}
+
+// mergeEntries folds a coordinated sample at level into s: it raises
+// s to level and filters, then inserts the entries above s's level,
+// raising on overflow. entries is another sampler's table or one copy
+// of a staged run; the union reached does not depend on their order.
+func (s *Sampler) mergeEntries(level int, entries []entry) {
+	if level > s.level {
+		s.level = level
 		s.filter()
 	}
-	for _, e := range other.table {
+	for _, e := range entries {
 		// Skips empty slots (lv 0) and entries below s's level alike.
 		if int(e.lv) <= s.level {
 			continue
@@ -330,7 +339,6 @@ func (s *Sampler) Merge(other *Sampler) error {
 			s.raise()
 		}
 	}
-	return nil
 }
 
 func (s *Sampler) describe() string {

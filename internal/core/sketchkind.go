@@ -30,6 +30,13 @@ func init() {
 			}
 			return &e, nil
 		},
+		Stage: func(payload []byte) (sketch.Run, error) {
+			r, err := stageRun(payload)
+			if err != nil {
+				return nil, err
+			}
+			return r, nil
+		},
 	})
 }
 
@@ -44,10 +51,13 @@ func (e *Estimator) Seed() uint64 { return e.cfg.Seed }
 
 // Digest implements sketch.Sketch: every EstimatorConfig field
 // participates, so equal digests mean mergeable estimators.
-func (e *Estimator) Digest() uint64 {
+func (e *Estimator) Digest() uint64 { return e.cfg.digest() }
+
+// digest is the config digest of an estimator, or a staged Run, of
+// configuration c.
+func (c EstimatorConfig) digest() uint64 {
 	return sketch.ConfigDigest(sketch.KindGT,
-		uint64(e.cfg.Capacity), uint64(e.cfg.Copies), e.cfg.Seed,
-		uint64(e.cfg.Family), uint64(e.cfg.Raise))
+		uint64(c.Capacity), uint64(c.Copies), c.Seed, uint64(c.Family), uint64(c.Raise))
 }
 
 // Describe implements sketch.Describer for introspection surfaces.

@@ -31,7 +31,7 @@ func benchEnvelopes(b *testing.B, info sketch.KindInfo, nsites int) [][]byte {
 }
 
 // BenchmarkAbsorbSketch measures the coordinator's absorb path —
-// envelope open, group routing, merge — per registered kind, cycling
+// envelope stage, group routing, merge — per registered kind, cycling
 // through distinct site sketches so merges do real work.
 func BenchmarkAbsorbSketch(b *testing.B) {
 	for _, info := range sketch.Kinds() {

@@ -17,10 +17,11 @@
 // # Concurrency model
 //
 // Each accepted connection gets one reader goroutine, which absorbs
-// (decodes and merges) each push itself and then writes its ack: a
+// (stages and merges) each push itself and then writes its ack: a
 // connection runs one absorb at a time and its acks stay in frame
 // order, while different connections absorb in parallel up to
-// GOMAXPROCS. Each merge group is guarded by its own mutex. Because
+// GOMAXPROCS. Each merge group is guarded by its own mutex, held only
+// to merge an envelope already staged (sketch.Stage). Because
 // coordinated sketches merge commutatively and associatively, the
 // group state after N concurrent absorbs is bit-identical to absorbing
 // the same messages serially in any order — the server tests assert
@@ -461,30 +462,33 @@ func (s *Server) AbsorbNamed(stream string, envelope []byte) error {
 	return nil
 }
 
-// absorbSketch opens a pushed sketch envelope and merges it into its
-// (stream, kind, config digest) group, creating the group on first
-// contact. frame is the push frame that carried it, which a durable
-// coordinator logs as it arrived; an in-process absorb has none and
-// passes nil.
+// absorbSketch stages a pushed sketch envelope, logs it on a durable
+// coordinator and merges it into its (stream, kind, config digest)
+// group, creating the group on first contact. Staging validates the
+// whole envelope before the log append and outside every lock, so the
+// group lock covers only the merge. frame is the push frame that
+// carried the envelope, which a durable coordinator logs as it
+// arrived; an in-process absorb has none and passes nil.
 func (s *Server) absorbSketch(stream string, payload, frame []byte) wire.Ack {
 	if err := wire.ValidStreamName(stream); err != nil {
 		return wire.Ack{Code: wire.AckCorrupt, Detail: err.Error()}
 	}
-	sk, err := sketch.Open(payload)
+	st, err := sketch.Stage(payload)
 	if err != nil {
 		if errors.Is(err, sketch.ErrUnknownKind) {
 			return wire.Ack{Code: wire.AckUnsupported, Detail: err.Error()}
 		}
 		return wire.Ack{Code: wire.AckCorrupt, Detail: err.Error()}
 	}
-	info, _ := sketch.Lookup(sk.Kind())
-	if s.cfg.RequireKind != "" && info.Name != s.cfg.RequireKind {
-		return wire.Ack{Code: wire.AckKindMismatch,
-			Detail: fmt.Sprintf("sketch kind %q, coordinator requires %q", info.Name, s.cfg.RequireKind)}
+	if s.cfg.RequireKind != "" {
+		if info, _ := sketch.Lookup(st.Kind()); info.Name != s.cfg.RequireKind {
+			return wire.Ack{Code: wire.AckKindMismatch,
+				Detail: fmt.Sprintf("sketch kind %q, coordinator requires %q", info.Name, s.cfg.RequireKind)}
+		}
 	}
-	if s.cfg.RequireSeed != nil && sk.Seed() != *s.cfg.RequireSeed {
+	if s.cfg.RequireSeed != nil && st.Seed() != *s.cfg.RequireSeed {
 		return wire.Ack{Code: wire.AckSeedMismatch,
-			Detail: fmt.Sprintf("sketch seed %d, coordinator requires %d", sk.Seed(), *s.cfg.RequireSeed)}
+			Detail: fmt.Sprintf("sketch seed %d, coordinator requires %d", st.Seed(), *s.cfg.RequireSeed)}
 	}
 	if ferr := failpoint.Inject(failpoint.ServerAbsorb); ferr != nil {
 		// Chaos hook: the absorb fails after validation but before the
@@ -516,36 +520,49 @@ func (s *Server) absorbSketch(stream string, payload, frame []byte) wire.Ack {
 			return wire.Ack{Code: wire.AckError, Detail: err.Error()}
 		}
 	}
-	return s.foldIntoGroup(stream, sk, info.Name, len(payload))
+	return s.foldIntoGroup(stream, st, payload)
 }
 
-// foldIntoGroup merges one opened sketch into its (stream, kind,
-// digest) group, creating the group on first contact. It is the
-// shared tail of the absorb path and of WAL replay — a replayed
-// record must take exactly the path the original push took, or
-// recovery would not be bit-identical.
-func (s *Server) foldIntoGroup(stream string, sk sketch.Sketch, kindName string, payloadLen int) wire.Ack {
-	key := cluster.GroupKey{Stream: stream, Kind: sk.Kind(), Digest: sk.Digest()}
+// foldIntoGroup merges one staged envelope into its (stream, kind,
+// digest) group. It is the shared tail of the absorb path and of WAL
+// replay — a replayed record must take exactly the path the original
+// push took, or recovery would not be bit-identical. A new group is
+// published holding the envelope's opened sketch, what Open makes of
+// it; the open runs outside the server lock, and if another absorb
+// published the group meanwhile, the envelope merges into that one.
+func (s *Server) foldIntoGroup(stream string, st sketch.Staged, envelope []byte) wire.Ack {
+	key := cluster.GroupKey{Stream: stream, Kind: st.Kind(), Digest: st.Digest()}
 	s.mu.Lock()
-	g, found := s.groups[key]
-	if !found {
-		// Published holding its first sketch: a reader that finds the
-		// group in s.groups uses g.sk at once.
-		g = &group{key: key, name: kindName, seed: sk.Seed(), sk: sk}
-		s.groups[key] = g
-	}
+	g := s.groups[key]
 	s.mu.Unlock()
+	merge := true
+	if g == nil {
+		sk, err := st.Open(envelope)
+		if err != nil {
+			return wire.Ack{Code: wire.AckCorrupt, Detail: err.Error()}
+		}
+		info, _ := sketch.Lookup(st.Kind())
+		s.mu.Lock()
+		if g = s.groups[key]; g == nil {
+			// Published holding its first sketch: a reader that finds
+			// the group in s.groups uses g.sk at once.
+			g = &group{key: key, name: info.Name, seed: st.Seed(), sk: sk}
+			s.groups[key] = g
+			merge = false
+		}
+		s.mu.Unlock()
+	}
 
 	start := time.Now()
 	g.mu.Lock()
 	var merr error
-	if found {
-		merr = g.sk.Merge(sk)
+	if merge {
+		merr = st.MergeInto(g.sk)
 	}
 	var nudgeRelay bool
 	if merr == nil {
 		g.absorbed++
-		g.bytes += int64(payloadLen)
+		g.bytes += int64(len(envelope))
 		if s.relay != nil {
 			g.pendingRelay++
 			nudgeRelay = g.relayDirty(s.relay)
@@ -570,7 +587,7 @@ func (s *Server) foldIntoGroup(stream string, sk sketch.Sketch, kindName string,
 		}
 		return wire.Ack{Code: wire.AckError, Detail: merr.Error()}
 	}
-	s.recordMerge(time.Since(start), int64(payloadLen))
+	s.recordMerge(time.Since(start), int64(len(envelope)))
 	return wire.Ack{Code: wire.AckOK}
 }
 

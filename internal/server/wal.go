@@ -112,14 +112,13 @@ func (s *Server) recoverWAL() error {
 		return fmt.Errorf("server: wal: %w", err)
 	}
 	st, err := log.Replay(func(stream string, envelope []byte) error {
-		sk, oerr := sketch.Open(envelope)
-		if oerr != nil {
-			return fmt.Errorf("replaying logged envelope: %w", oerr)
+		staged, serr := sketch.Stage(envelope)
+		if serr != nil {
+			return fmt.Errorf("replaying logged envelope: %w", serr)
 		}
-		info, _ := sketch.Lookup(sk.Kind())
 		// Pre-stream records replay with stream "" — the default
 		// stream, exactly the group a plain MsgPush would have reached.
-		if ack := s.foldIntoGroup(stream, sk, info.Name, len(envelope)); ack.Code != wire.AckOK {
+		if ack := s.foldIntoGroup(stream, staged, envelope); ack.Code != wire.AckOK {
 			return fmt.Errorf("replaying logged envelope: %s: %s", ack.Code, ack.Detail)
 		}
 		return nil

@@ -79,30 +79,124 @@ func PeekHeader(b []byte) (kind Kind, digest uint64, ok bool) {
 // typed: ErrUnknownKind for an unregistered tag, ErrCorrupt for
 // everything structurally wrong.
 func Open(b []byte) (Sketch, error) {
-	if len(b) < EnvelopeHeaderSize {
-		return nil, fmt.Errorf("%w: envelope %d bytes, need %d-byte header", ErrCorrupt, len(b), EnvelopeHeaderSize)
-	}
-	if b[0] != EnvelopeMagic0 || b[1] != EnvelopeMagic1 {
-		return nil, fmt.Errorf("%w: bad envelope magic %q", ErrCorrupt, b[:2])
-	}
-	kind := Kind(b[2])
-	info, ok := Lookup(kind)
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, b[2])
-	}
-	if b[3] != info.Version {
-		return nil, fmt.Errorf("%w: %s payload version %d, this build speaks %d", ErrCorrupt, info.Name, b[3], info.Version)
-	}
-	digest := binary.LittleEndian.Uint64(b[4:12])
-	s, err := info.Decode(b[EnvelopeHeaderSize:])
+	info, digest, err := parseEnvelope(b)
 	if err != nil {
 		return nil, err
 	}
-	if s.Kind() != kind {
-		return nil, fmt.Errorf("%w: %s payload decoded to kind %s", ErrCorrupt, info.Name, s.Kind())
+	return decode(info, digest, b[EnvelopeHeaderSize:])
+}
+
+// Staged is an envelope that passed every check Open makes, held in
+// the form its kind merges into a group: the kind's Run when it
+// registers a Stage func, the decoded sketch otherwise.
+type Staged struct {
+	kind   Kind
+	digest uint64
+	run    Run
+	sk     Sketch
+}
+
+// Stage validates an envelope exactly as Open does, refusing it with
+// the same error classes, and returns it ready to merge into a group:
+// a coordinator stages a push before logging it and outside every
+// lock, and holds the group's lock only for MergeInto. A kind that
+// registers a Stage func stages into its Run; any other kind stages by
+// decoding.
+func Stage(b []byte) (Staged, error) {
+	info, digest, err := parseEnvelope(b)
+	if err != nil {
+		return Staged{}, err
 	}
-	if got := s.Digest(); got != digest {
-		return nil, fmt.Errorf("%w: %s config digest %016x, envelope says %016x", ErrCorrupt, info.Name, got, digest)
+	st := Staged{kind: info.Kind, digest: digest}
+	if info.Stage == nil {
+		st.sk, err = decode(info, digest, b[EnvelopeHeaderSize:])
+		return st, err
+	}
+	if st.run, err = info.Stage(b[EnvelopeHeaderSize:]); err != nil {
+		return Staged{}, err
+	}
+	if err := checkIdentity(info, digest, st.run.Kind(), st.run.Digest()); err != nil {
+		return Staged{}, err
+	}
+	return st, nil
+}
+
+// Kind returns the staged envelope's kind.
+func (st Staged) Kind() Kind { return st.kind }
+
+// Digest returns the staged sketch's configuration digest.
+func (st Staged) Digest() uint64 { return st.digest }
+
+// Seed returns the staged sketch's coordination seed.
+func (st Staged) Seed() uint64 {
+	if st.run != nil {
+		return st.run.Seed()
+	}
+	return st.sk.Seed()
+}
+
+// MergeInto folds the staged envelope into dst, leaving dst
+// byte-identical to dst.Merge(Open(envelope)).
+func (st Staged) MergeInto(dst Sketch) error {
+	if st.run != nil {
+		return st.run.MergeInto(dst)
+	}
+	return dst.Merge(st.sk)
+}
+
+// Open returns the staged envelope as a sketch of its own, what Open
+// returns for it: the sketch staging decoded, or for a kind staged
+// into a Run, Open(envelope). envelope must be the bytes st was staged
+// from.
+func (st Staged) Open(envelope []byte) (Sketch, error) {
+	if st.run != nil {
+		return Open(envelope)
+	}
+	return st.sk, nil
+}
+
+// parseEnvelope validates an envelope's header: its magic, a
+// registered kind and that kind's format version. It returns the
+// kind's registration and the header's config digest.
+func parseEnvelope(b []byte) (KindInfo, uint64, error) {
+	if len(b) < EnvelopeHeaderSize {
+		return KindInfo{}, 0, fmt.Errorf("%w: envelope %d bytes, need %d-byte header", ErrCorrupt, len(b), EnvelopeHeaderSize)
+	}
+	if b[0] != EnvelopeMagic0 || b[1] != EnvelopeMagic1 {
+		return KindInfo{}, 0, fmt.Errorf("%w: bad envelope magic %q", ErrCorrupt, b[:2])
+	}
+	info, ok := Lookup(Kind(b[2]))
+	if !ok {
+		return KindInfo{}, 0, fmt.Errorf("%w: %d", ErrUnknownKind, b[2])
+	}
+	if b[3] != info.Version {
+		return KindInfo{}, 0, fmt.Errorf("%w: %s payload version %d, this build speaks %d", ErrCorrupt, info.Name, b[3], info.Version)
+	}
+	return info, binary.LittleEndian.Uint64(b[4:12]), nil
+}
+
+// decode decodes the payload of an envelope whose header parseEnvelope
+// accepted, and cross-checks the sketch against the header.
+func decode(info KindInfo, digest uint64, payload []byte) (Sketch, error) {
+	s, err := info.Decode(payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkIdentity(info, digest, s.Kind(), s.Digest()); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// checkIdentity cross-checks the kind and digest a decoded or staged
+// payload reports against its envelope header: the kind the header
+// routed it by, and the digest the header claims.
+func checkIdentity(info KindInfo, digest uint64, kind Kind, got uint64) error {
+	if kind != info.Kind {
+		return fmt.Errorf("%w: %s payload decoded to kind %s", ErrCorrupt, info.Name, kind)
+	}
+	if got != digest {
+		return fmt.Errorf("%w: %s config digest %016x, envelope says %016x", ErrCorrupt, info.Name, got, digest)
+	}
+	return nil
 }

@@ -28,6 +28,10 @@ type KindInfo struct {
 	// Decode parses a canonical payload (the bytes MarshalBinary
 	// produced, without the envelope header) into a fresh sketch.
 	Decode func(payload []byte) (Sketch, error)
+	// Stage, when set, validates a payload exactly as Decode does and
+	// returns it as a Run, the form it merges into a group in. A kind
+	// without one stages by decoding (see Stage).
+	Stage func(payload []byte) (Run, error)
 }
 
 // registry holds the process-wide kind table. Registration happens in

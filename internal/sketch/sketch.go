@@ -87,6 +87,21 @@ type Sketch interface {
 	Digest() uint64
 }
 
+// Run is a payload a kind has staged for merging (KindInfo.Stage): it
+// passed every check the kind's decoder makes, and it is held in the
+// form the kind merges it in rather than as a sketch.
+type Run interface {
+	// Kind, Seed and Digest report what the decoded sketch would.
+	Kind() Kind
+	Seed() uint64
+	Digest() uint64
+	// MergeInto folds the run into dst, leaving dst byte-identical to
+	// dst.Merge of the decoded payload. A dst of another kind or
+	// configuration is refused with an error wrapping ErrMismatch and
+	// left unchanged.
+	MergeInto(dst Sketch) error
+}
+
 // Weighted is the optional capability of kinds that track a fixed
 // per-label value (for duplicate-insensitive sums).
 type Weighted interface {

@@ -184,6 +184,79 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 		}
 	})
 
+	t.Run("staged-fold", func(t *testing.T) {
+		// A coordinator stages each push and folds it into its group
+		// under the group's lock. The group must end byte-identical to
+		// merging the opened envelope, both when it sits below the
+		// envelope's sampling level (a's 1000 labels; the fold raises
+		// it) and when it sits above it.
+		env, err := sketch.Envelope(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		below := build(t, info, 1, 5000, 5100)
+		above := build(t, info, 1, 2000, 10000)
+		for _, group := range []sketch.Sketch{below, above} {
+			want := clone(t, group)
+			opened, err := sketch.Open(env)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if err := want.Merge(opened); err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+			st, err := sketch.Stage(env)
+			if err != nil {
+				t.Fatalf("stage: %v", err)
+			}
+			got := clone(t, group)
+			if err := st.MergeInto(got); err != nil {
+				t.Fatalf("fold: %v", err)
+			}
+			if !bytes.Equal(canon(t, got), canon(t, want)) {
+				t.Errorf("staged fold into a %v-estimate group differs from merging the opened envelope", group.Estimate())
+			}
+		}
+
+		// A refused envelope must leave the group as it was. A flipped
+		// payload byte may still decode for some kinds; Stage must then
+		// accept it exactly when Open does.
+		truncated := env[:len(env)-1]
+		digest := bytes.Clone(env)
+		digest[4] ^= 1
+		payload := bytes.Clone(env)
+		payload[sketch.EnvelopeHeaderSize+(len(env)-sketch.EnvelopeHeaderSize)/2] ^= 0x80
+		for _, bad := range []struct {
+			name       string
+			env        []byte
+			mustRefuse bool
+		}{{"truncated", truncated, true}, {"digest flipped", digest, true}, {"payload byte flipped", payload, false}} {
+			group := clone(t, below)
+			before := canon(t, group)
+			_, openErr := sketch.Open(bad.env)
+			st, err := sketch.Stage(bad.env)
+			if err == nil {
+				err = st.MergeInto(group)
+			}
+			if (err == nil) != (openErr == nil) {
+				t.Errorf("%s envelope: Open err = %v, staged fold err = %v", bad.name, openErr, err)
+				continue
+			}
+			if err == nil {
+				if bad.mustRefuse {
+					t.Errorf("%s envelope accepted", bad.name)
+				}
+				continue
+			}
+			if !errors.Is(err, sketch.ErrCorrupt) {
+				t.Errorf("%s envelope: err = %v, want sketch.ErrCorrupt", bad.name, err)
+			}
+			if !bytes.Equal(canon(t, group), before) {
+				t.Errorf("%s envelope was refused but changed the group", bad.name)
+			}
+		}
+	})
+
 	t.Run("merge-refuses-mismatch", func(t *testing.T) {
 		other := build(t, info, 2, 0, 100)
 		if other.Digest() == a.Digest() {

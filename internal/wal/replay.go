@@ -61,7 +61,9 @@ func DecodeSegment(r io.Reader, limit uint32, fn func(stream string, envelope []
 type ReplayStats struct {
 	// SnapshotGroups is how many group envelopes the snapshot restored.
 	SnapshotGroups int64
-	// Records and Bytes count the segment records replayed after it.
+	// Records counts the segment records replayed after it, and Bytes
+	// the frames replayed from the snapshot and the segments together,
+	// each frame counted whole as it lies on disk.
 	Records int64
 	Bytes   int64
 	// Damaged reports that replay hit a damaged record mid-log and
@@ -149,9 +151,9 @@ func (l *Log) replayFile(path string, fn func(stream string, envelope []byte) er
 		return 0, fmt.Errorf("wal: replay %s: %w", filepath.Base(path), err)
 	}
 	defer f.Close()
-	records, _, derr := DecodeSegment(f, l.limit(), func(stream string, envelope []byte) error {
-		l.replayedBytes.Add(int64(wire.HeaderSize + len(envelope)))
-		return fn(stream, envelope)
-	})
+	// clean is the length of the frames delivered, a named record's
+	// stream name included.
+	records, clean, derr := DecodeSegment(f, l.limit(), fn)
+	l.replayedBytes.Add(clean)
 	return records, derr
 }

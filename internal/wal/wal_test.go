@@ -337,6 +337,57 @@ func TestCrashLeftoversCollectedAtOpen(t *testing.T) {
 	}
 }
 
+// TestReplayedBytesCountWholeFrames checks that replay counts each
+// record's whole frame, a named record's stream name included, from
+// the snapshot and the segments alike: a reopened log reports as many
+// replayed bytes as its files hold.
+func TestReplayedBytesCountWholeFrames(t *testing.T) {
+	dir := t.TempDir()
+	env := bytes.Repeat([]byte{7}, 20)
+	l := openReplayed(t, dir, wal.Options{})
+	for _, stream := range []string{"", "clicks", "views"} {
+		if err := l.AppendNamed(stream, env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appended := l.Stats().AppendedBytes
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, _, st := collect(t, dir, wal.Options{})
+	if got := l2.Stats().ReplayedBytes; got != appended || st.Bytes != appended {
+		t.Errorf("replayed %d bytes (ReplayStats.Bytes %d), appended %d", got, st.Bytes, appended)
+	}
+
+	snap := []wal.Record{{Stream: "clicks", Envelope: env}, {Envelope: env}}
+	if err := l2.Snapshot(l2.CurrentSegment(), snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		info, err := f.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += info.Size()
+	}
+	l3, _, st := collect(t, dir, wal.Options{})
+	defer l3.Close()
+	if st.SnapshotGroups != int64(len(snap)) {
+		t.Fatalf("replayed %d snapshot records, want %d", st.SnapshotGroups, len(snap))
+	}
+	if got := l3.Stats().ReplayedBytes; got != onDisk || st.Bytes != onDisk {
+		t.Errorf("replayed %d bytes (ReplayStats.Bytes %d) of a snapshot and a segment holding %d", got, st.Bytes, onDisk)
+	}
+}
+
 func TestReplayTwiceRefused(t *testing.T) {
 	l := openReplayed(t, t.TempDir(), wal.Options{})
 	defer l.Close()
