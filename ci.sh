@@ -108,7 +108,8 @@ go test -race -run '^TestConformance$' -count=1 ./internal/sketch
 
 echo "== hot-path allocation table (internal/allocgate, -race, x3) =="
 # Every registered kind's Process/Merge/decode/absorb/envelope path,
-# plus gt ProcessWeighted, SumSampler.Process, both WAL appends
+# plus gt ProcessWeighted, one set-expression query over four gt
+# streams (gt/expr), SumSampler.Process, both WAL appends
 # (wal/append frames an envelope, wal/append-frame logs a received
 # frame as it is), one TCP push to a serving coordinator (server/push)
 # and one more record in a pushed kmv batch (push/record, which must
@@ -259,6 +260,13 @@ echo "== fuzz smoke: FuzzSketchOpen (10s) =="
 # refuse the rest with the same error class, and fold an accepted input
 # into its own open byte-identically to Merge.
 go test -run='^$' -fuzz='^FuzzSketchOpen$' -fuzztime=10s ./internal/sketch
+
+echo "== fuzz smoke: FuzzEstimatorUnmarshal (10s) =="
+# And for the gt payload decoder behind every gt envelope: no input may
+# panic it, and every accepted input must re-encode to exactly the
+# bytes the test-only reference encoder (internal/core/encode_test.go)
+# produces, so the exactly-sized encoder cannot drift from the format.
+go test -run='^$' -fuzz='^FuzzEstimatorUnmarshal$' -fuzztime=10s ./internal/core
 
 echo "== fuzz smoke: FuzzWALReplay (10s) =="
 # And for the WAL segment decoder and Open/Replay recovery path, which

@@ -3,6 +3,7 @@ package allocgate
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -39,7 +40,7 @@ var allocTable = map[string]uint64{
 	"gt/merge":    0,
 	"gt/decode":   3,
 	"gt/absorb":   2,
-	"gt/envelope": 35,
+	"gt/envelope": 2,
 
 	"exact/process":  33,
 	"exact/merge":    33,
@@ -84,6 +85,7 @@ var allocTable = map[string]uint64{
 	"window/envelope": 21,
 
 	"gt/process-weighted": 0,
+	"gt/expr":             41,
 	"sum/process":         0,
 	"wal/append":          0,
 	"wal/append-frame":    0,
@@ -232,6 +234,28 @@ var otherPaths = []struct {
 				w.ProcessWeighted(r.Uint64(), 1+r.Uint64n(16))
 			}
 		})
+	}},
+	// One Server.AnswerExpr of ((s0|s1)&s2)-s3 over four gt streams,
+	// each absorbed from one warmed sketch: four leaf clones (an
+	// encode under the group's lock and an open), a union merge, two
+	// combines and the result tree.
+	{"gt/expr", func(t *testing.T) uint64 {
+		info, _ := sketch.LookupName("gt")
+		srv := server.New(server.Config{})
+		for i := 0; i < 4; i++ {
+			s, _ := warmed(info, uint64(i+1))
+			if err := srv.AbsorbNamed(fmt.Sprintf("s%d", i), envelope(t, s)); err != nil {
+				t.Fatalf("absorb: %v", err)
+			}
+		}
+		q := wire.ExprQuery{Expr: wire.Diff(wire.Intersect(wire.Union(wire.Leaf("s0"), wire.Leaf("s1")), wire.Leaf("s2")), wire.Leaf("s3"))}
+		answer := func() {
+			if _, err := srv.AnswerExpr(q); err != nil {
+				t.Fatalf("expr: %v", err)
+			}
+		}
+		answer()
+		return mallocs(answer)
 	}},
 	{"sum/process", func(t *testing.T) uint64 {
 		s := core.NewSumSampler(core.Config{Capacity: core.CapacityForEpsilon(tableEps), Seed: tableSeed}, 16)

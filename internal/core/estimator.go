@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/hashing"
 	"repro/internal/sketch"
@@ -147,12 +146,17 @@ func (e *Estimator) EstimateSumWhere(pred func(label uint64) bool) float64 {
 	return e.median(func(s *Sampler) float64 { return s.EstimateSumWhere(pred) })
 }
 
+// medianStack is the copy count up to which a median is taken in a
+// stack buffer; the registry's copy counts are far below it.
+const medianStack = 64
+
 func (e *Estimator) median(f func(*Sampler) float64) float64 {
-	vals := make([]float64, len(e.copies))
+	var buf [medianStack]float64
+	vals := buf[:0]
 	for i := range e.copies {
-		vals[i] = f(&e.copies[i])
+		vals = append(vals, f(&e.copies[i]))
 	}
-	return Median(vals)
+	return medianInPlace(vals)
 }
 
 // Reset clears all copies, keeping the configuration.
@@ -178,20 +182,40 @@ func (e *Estimator) Clone() *Estimator {
 	return c
 }
 
+// estimatorFixedLen is the length of an estimator encoding's magic,
+// version and master seed.
+const estimatorFixedLen = 11
+
 // MarshalBinary encodes the estimator: a small header followed by each
-// copy's encoding, length-prefixed.
+// copy's encoding, length-prefixed. Every copy's entries are sorted in
+// one scratch slice, so the encoding's exact length is known before
+// its one allocation.
 func (e *Estimator) MarshalBinary() ([]byte, error) {
-	b := []byte{wireMagic0, wireMagic1, wireVersion}
+	total := 0
+	for i := range e.copies {
+		total += e.copies[i].n
+	}
+	scratch := make([]uint64, 2*total)
+	labels, weights := scratch[:total], scratch[total:]
+	size := estimatorFixedLen + uvarintLen(uint64(len(e.copies)))
+	for i, o := 0, 0; i < len(e.copies); i++ {
+		c := &e.copies[i]
+		l, w := labels[o:o+c.n], weights[o:o+c.n]
+		c.sortEntries(l, w)
+		n := c.encodedLen(l, w)
+		size += uvarintLen(uint64(n)) + n
+		o += c.n
+	}
+	b := make([]byte, 0, size)
+	b = append(b, wireMagic0, wireMagic1, wireVersion)
 	b = binary.LittleEndian.AppendUint64(b, e.cfg.Seed)
 	b = binary.AppendUvarint(b, uint64(len(e.copies)))
-	var enc []byte // one scratch buffer, reused by every copy
-	for i := range e.copies {
-		var err error
-		if enc, err = e.copies[i].AppendBinary(enc[:0]); err != nil {
-			return nil, err
-		}
-		b = binary.AppendUvarint(b, uint64(len(enc)))
-		b = append(b, enc...)
+	for i, o := 0, 0; i < len(e.copies); i++ {
+		c := &e.copies[i]
+		l, w := labels[o:o+c.n], weights[o:o+c.n]
+		b = binary.AppendUvarint(b, uint64(c.encodedLen(l, w)))
+		b = c.appendEncoding(b, l, w)
+		o += c.n
 	}
 	return b, nil
 }
@@ -219,14 +243,14 @@ type estimatorHeader struct {
 // the entries.
 func parseEstimator(data []byte) (estimatorHeader, error) {
 	var h estimatorHeader
-	if len(data) < 12 || data[0] != wireMagic0 || data[1] != wireMagic1 {
+	if len(data) < estimatorFixedLen+1 || data[0] != wireMagic0 || data[1] != wireMagic1 {
 		return h, fmt.Errorf("%w: bad estimator header", ErrCorrupt)
 	}
 	if data[2] != wireVersion {
 		return h, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, data[2])
 	}
-	seed := binary.LittleEndian.Uint64(data[3:11])
-	d := decoder{buf: data[11:]}
+	seed := binary.LittleEndian.Uint64(data[3:estimatorFixedLen])
+	d := decoder{buf: data[estimatorFixedLen:]}
 	n, err := d.uvarint("copy count")
 	if err != nil {
 		return h, err
@@ -324,15 +348,18 @@ func (e *Estimator) SizeBytes() int {
 // values for even lengths). It returns 0 for an empty slice and does
 // not modify its argument.
 func Median(vals []float64) float64 {
+	return medianInPlace(slices.Clone(vals))
+}
+
+// medianInPlace is Median, sorting vals in place.
+func medianInPlace(vals []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
+	slices.Sort(vals)
+	mid := len(vals) / 2
+	if len(vals)%2 == 1 {
+		return vals[mid]
 	}
-	return (sorted[mid-1] + sorted[mid]) / 2
+	return (vals[mid-1] + vals[mid]) / 2
 }

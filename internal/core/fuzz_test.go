@@ -1,12 +1,16 @@
 package core
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // Native fuzz targets for the wire decoders. The seed corpus runs on
 // every `go test`; `go test -fuzz=FuzzSamplerUnmarshal` explores
 // further. The invariant under test: arbitrary bytes either fail to
-// decode or produce a sketch that is fully usable (process, estimate,
-// re-encode, merge with itself).
+// decode or produce a sketch that re-encodes exactly as the reference
+// encoder (encode_test.go) encodes it and is fully usable (process,
+// estimate, re-encode, merge with itself).
 func FuzzSamplerUnmarshal(f *testing.F) {
 	seed := buildSampler(3, 500)
 	enc, err := seed.MarshalBinary()
@@ -21,6 +25,9 @@ func FuzzSamplerUnmarshal(f *testing.F) {
 		var s Sampler
 		if err := s.UnmarshalBinary(data); err != nil {
 			return
+		}
+		if enc, _ := s.MarshalBinary(); !bytes.Equal(enc, referenceSamplerEncoding(&s, nil)) {
+			t.Fatalf("decoded sampler re-encodes unlike the reference encoder")
 		}
 		s.Process(42)
 		_ = s.EstimateDistinct()
@@ -58,6 +65,9 @@ func FuzzEstimatorUnmarshal(f *testing.F) {
 		var d Estimator
 		if err := d.UnmarshalBinary(data); err != nil {
 			return
+		}
+		if enc, _ := d.MarshalBinary(); !bytes.Equal(enc, referenceEstimatorEncoding(&d)) {
+			t.Fatalf("decoded estimator re-encodes unlike the reference encoder")
 		}
 		d.Process(7)
 		_ = d.EstimateDistinct()

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/hashing"
@@ -41,24 +42,70 @@ func (s *Sampler) MarshalBinary() ([]byte, error) {
 }
 
 // AppendBinary appends the sampler's encoding to b and returns the
-// extended slice. It is the one place the sample is sorted.
+// extended slice. b grows at most once, by the encoding's exact length.
 func (s *Sampler) AppendBinary(b []byte) ([]byte, error) {
-	labels := s.Sample()
-	slices.Sort(labels)
+	scratch := make([]uint64, 2*s.n)
+	labels, weights := scratch[:s.n], scratch[s.n:]
+	s.sortEntries(labels, weights)
+	b = slices.Grow(b, s.encodedLen(labels, weights))
+	return s.appendEncoding(b, labels, weights), nil
+}
 
+// sortEntries writes s's retained labels to labels in increasing order
+// and each one's weight to weights at the same index; both are s.n
+// long. It is the one place a sample is sorted: slot positions are
+// random per process, and an encoding must not depend on them.
+func (s *Sampler) sortEntries(labels, weights []uint64) {
+	j := 0
+	for _, e := range s.table {
+		if e.lv != 0 {
+			labels[j] = e.label
+			j++
+		}
+	}
+	slices.Sort(labels)
+	for j, label := range labels {
+		i, _ := s.find(label)
+		weights[j] = s.table[i].weight
+	}
+}
+
+// samplerFixedLen is the length of a sampler encoding's magic,
+// version, family, raise policy and seed.
+const samplerFixedLen = 13
+
+// encodedLen returns the length of s's encoding, given its entries as
+// sortEntries writes them.
+func (s *Sampler) encodedLen(labels, weights []uint64) int {
+	n := samplerFixedLen + uvarintLen(uint64(s.cfg.Capacity)) + uvarintLen(uint64(s.level)) + uvarintLen(uint64(len(labels)))
+	prev := uint64(0)
+	for j, label := range labels {
+		n += uvarintLen(label-prev) + uvarintLen(weights[j])
+		prev = label
+	}
+	return n
+}
+
+// appendEncoding appends s's encoding to b, given its entries as
+// sortEntries writes them.
+func (s *Sampler) appendEncoding(b []byte, labels, weights []uint64) []byte {
 	b = append(b, wireMagic0, wireMagic1, wireVersion, byte(s.cfg.Family), byte(s.cfg.Raise))
 	b = binary.LittleEndian.AppendUint64(b, s.cfg.Seed)
 	b = binary.AppendUvarint(b, uint64(s.cfg.Capacity))
 	b = binary.AppendUvarint(b, uint64(s.level))
 	b = binary.AppendUvarint(b, uint64(len(labels)))
 	prev := uint64(0)
-	for _, label := range labels {
+	for j, label := range labels {
 		b = binary.AppendUvarint(b, label-prev)
+		b = binary.AppendUvarint(b, weights[j])
 		prev = label
-		i, _ := s.find(label)
-		b = binary.AppendUvarint(b, s.table[i].weight)
 	}
-	return b, nil
+	return b
+}
+
+// uvarintLen returns the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // samplerHeader is the fixed part of a sampler encoding.
@@ -73,7 +120,7 @@ type samplerHeader struct {
 // with detail) if the header is malformed.
 func parseHeader(data []byte) (samplerHeader, []byte, error) {
 	var h samplerHeader
-	if len(data) < 13 {
+	if len(data) < samplerFixedLen {
 		return h, nil, fmt.Errorf("%w: message too short (%d bytes)", ErrCorrupt, len(data))
 	}
 	if data[0] != wireMagic0 || data[1] != wireMagic1 {
@@ -90,8 +137,8 @@ func parseHeader(data []byte) (samplerHeader, []byte, error) {
 	if raise != RaiseIncrement && raise != RaiseJump {
 		return h, nil, fmt.Errorf("%w: unknown raise policy %d", ErrCorrupt, data[4])
 	}
-	seed := binary.LittleEndian.Uint64(data[5:13])
-	d := decoder{buf: data[13:]}
+	seed := binary.LittleEndian.Uint64(data[5:samplerFixedLen])
+	d := decoder{buf: data[samplerFixedLen:]}
 
 	capacity, err := d.uvarint("capacity")
 	if err != nil {

@@ -214,32 +214,32 @@ func (s *Sampler) insert(label, weight uint64, lv int32) bool {
 	return true
 }
 
-// filter drops every entry below the current level. Each gap is
-// closed by backward-shift deletion, so no probe run is broken and no
-// tombstones are left.
+// filter drops every entry below the current level in one walk of
+// the table, leaving no tombstones. The walk starts just after an
+// empty slot, so it meets each probe run from its start: it lifts
+// every entry out of its slot and places each survivor again from its
+// home. Every slot from that home to the survivor's old slot has
+// already been walked, so the probe stops at or before the old slot,
+// and every survivor is again reachable from its home.
 func (s *Sampler) filter() {
 	mask := len(s.table) - 1
-	for i := 0; i < len(s.table); {
+	start := 0
+	for s.table[start].lv != 0 {
+		start++
+	}
+	for k := 1; k < len(s.table); k++ {
+		i := (start + k) & mask
 		e := s.table[i]
-		if e.lv == 0 || int(e.lv) > s.level {
-			i++
+		if e.lv == 0 {
 			continue
 		}
-		s.n--
-		s.weightSum -= e.weight
-		// Shift later members of the run back into the hole; slot i is
-		// then re-examined, since it may now hold a shifted entry.
-		hole := i
-		for j := (hole + 1) & mask; s.table[j].lv != 0; j = (j + 1) & mask {
-			h := home(s.table[j].label, len(s.table))
-			// Entry j may fill the hole unless its home lies cyclically
-			// in (hole, j].
-			if (hole <= j && (h <= hole || h > j)) || (hole > j && h <= hole && h > j) {
-				s.table[hole] = s.table[j]
-				hole = j
-			}
+		s.table[i] = entry{}
+		if int(e.lv) <= s.level {
+			s.n--
+			s.weightSum -= e.weight
+			continue
 		}
-		clear(s.table[hole : hole+1])
+		s.place(e.label, e.weight, e.lv)
 	}
 }
 
@@ -383,17 +383,6 @@ func (s *Sampler) EstimateSumWhere(pred func(label uint64) bool) float64 {
 		}
 	}
 	return float64(sum) * pow2(s.level)
-}
-
-// Sample returns the retained labels (unordered). The slice is a copy.
-func (s *Sampler) Sample() []uint64 {
-	out := make([]uint64, 0, s.n)
-	for _, e := range s.table {
-		if e.lv != 0 {
-			out = append(out, e.label)
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy of the sampler.

@@ -57,17 +57,26 @@ func (e *Estimator) SetJaccard(other sketch.Sketch) (float64, error) {
 }
 
 // combineWith builds a new estimator whose copies are the paired
-// coordinated copies' intersections (keepShared) or differences.
+// coordinated copies' intersections (keepShared) or differences. One
+// slab holds every copy's result table, as in NewEstimator.
 func (e *Estimator) combineWith(other sketch.Sketch, keepShared bool) (sketch.Sketch, error) {
 	o, err := e.setSibling(other)
 	if err != nil {
 		return nil, err
 	}
-	out := &Estimator{cfg: e.cfg, copies: make([]Sampler, len(e.copies))}
+	total := 0
 	for i := range e.copies {
-		if err := combineInto(&out.copies[i], &e.copies[i], &o.copies[i], keepShared); err != nil {
+		if err := checkCoordinated(&e.copies[i], &o.copies[i]); err != nil {
 			return nil, err
 		}
+		total += tableSize(e.copies[i].n)
+	}
+	out := &Estimator{cfg: e.cfg, copies: make([]Sampler, len(e.copies))}
+	slab := make([]entry, total)
+	for i := range e.copies {
+		size := tableSize(e.copies[i].n)
+		combineInto(&out.copies[i], &e.copies[i], &o.copies[i], keepShared, slab[:size:size])
+		slab = slab[size:]
 	}
 	return out, nil
 }

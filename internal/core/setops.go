@@ -107,30 +107,31 @@ func EstimateJaccard(a, b *Sampler) (float64, error) {
 // A ∩ B. Retained entries keep a's weights (the fixed-value-per-label
 // model makes a's and b's weights for a shared label equal anyway).
 func IntersectSamplers(a, b *Sampler) (*Sampler, error) {
-	out := &Sampler{}
-	if err := combineInto(out, a, b, true); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return combineSamplers(a, b, true)
 }
 
 // DiffSamplers returns a coordinated level-max(La,Lb) sample of A \ B.
 func DiffSamplers(a, b *Sampler) (*Sampler, error) {
-	out := &Sampler{}
-	if err := combineInto(out, a, b, false); err != nil {
+	return combineSamplers(a, b, false)
+}
+
+// combineSamplers returns the level-max(La,Lb) filter of a's entries
+// that b holds (keepShared) or does not hold.
+func combineSamplers(a, b *Sampler, keepShared bool) (*Sampler, error) {
+	if err := checkCoordinated(a, b); err != nil {
 		return nil, err
 	}
+	out := &Sampler{}
+	combineInto(out, a, b, keepShared, make([]entry, tableSize(a.n)))
 	return out, nil
 }
 
 // combineInto makes out the level-max(La,Lb) filter of a's entries
-// that b holds (keepShared) or does not hold. out's table is sized by
-// a's entry count, an upper bound on the result.
-func combineInto(out, a, b *Sampler, keepShared bool) error {
-	if err := checkCoordinated(a, b); err != nil {
-		return err
-	}
-	out.init(a.cfg, max(a.level, b.level), make([]entry, tableSize(a.n)))
+// that b holds (keepShared) or does not hold, over table: zeroed and
+// tableSize(a.n) long, since a's entry count bounds the result. a and
+// b must be coordinated.
+func combineInto(out, a, b *Sampler, keepShared bool, table []entry) {
+	out.init(a.cfg, max(a.level, b.level), table)
 	for _, e := range a.table {
 		if int(e.lv) > out.level && b.has(e.label) == keepShared {
 			out.place(e.label, e.weight, e.lv)
@@ -138,7 +139,6 @@ func combineInto(out, a, b *Sampler, keepShared bool) error {
 			out.weightSum += e.weight
 		}
 	}
-	return nil
 }
 
 // Estimator-level variants: medians across the paired copies.
@@ -152,15 +152,16 @@ func estimatorPairwise(a, b *Estimator, f func(x, y *Sampler) (float64, error)) 
 	if a.cfg != b.cfg {
 		return 0, fmt.Errorf("%w: estimator configs %+v vs %+v", ErrMismatch, a.cfg, b.cfg)
 	}
-	vals := make([]float64, len(a.copies))
+	var buf [medianStack]float64
+	vals := buf[:0]
 	for i := range a.copies {
 		v, err := f(&a.copies[i], &b.copies[i])
 		if err != nil {
 			return 0, err
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
-	return Median(vals), nil
+	return medianInPlace(vals), nil
 }
 
 // EstimateIntersection estimates |A ∩ B| as the median over copy

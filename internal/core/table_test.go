@@ -40,10 +40,10 @@ func checkTable(t *testing.T, s *Sampler) {
 }
 
 // TestTableInvariants drives every table operation — probing inserts,
-// raises with backward-shift deletion, decode into a count-sized
-// table, growth while merging into it, set-operation results and
-// clones — on small capacities, where raises and runs that wrap around
-// the end of the table are frequent.
+// raises whose one-walk filter lifts every entry and re-places each
+// survivor, decode into a count-sized table, growth while merging into
+// it, set-operation results and clones — on small capacities, where
+// raises and runs that wrap around the end of the table are frequent.
 func TestTableInvariants(t *testing.T) {
 	r := hashing.NewXoshiro256(11)
 	for trial := 0; trial < 40; trial++ {

@@ -193,23 +193,18 @@ func (s *Server) evalExpr(eq wire.ExprQuery, e *wire.QueryExpr, needSketch bool)
 func (s *Server) selectStreamGroup(stream string, eq wire.ExprQuery) (*group, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var matched []*group
+	var match *group
+	n := 0
 	for _, g := range s.groups {
-		if g.key.Stream != stream {
-			continue
+		if g.servesLeaf(stream, eq) {
+			match = g
+			n++
 		}
-		if eq.HasSeed && g.seed != eq.Seed {
-			continue
-		}
-		if eq.HasKind && g.key.Kind != sketch.Kind(eq.SketchKind) {
-			continue
-		}
-		matched = append(matched, g)
 	}
 	switch {
-	case len(matched) == 1:
-		return matched[0], nil
-	case len(matched) == 0:
+	case n == 1:
+		return match, nil
+	case n == 0:
 		name := stream
 		if name == "" {
 			name = "(default)"
@@ -217,18 +212,33 @@ func (s *Server) selectStreamGroup(stream string, eq wire.ExprQuery) (*group, er
 		return nil, fmt.Errorf("server: no group for stream %q (seed filter: %v, kind filter: %v); groups held: %s",
 			name, eq.HasSeed, eq.HasKind, describeGroups(s.groupsLocked()))
 	default:
+		matched := make([]*group, 0, n)
+		for _, g := range s.groups {
+			if g.servesLeaf(stream, eq) {
+				matched = append(matched, g)
+			}
+		}
 		return nil, fmt.Errorf("server: stream %q matches %d groups: %s; narrow the query's seed/kind filters",
-			stream, len(matched), describeGroups(matched))
+			stream, n, describeGroups(matched))
 	}
+}
+
+// servesLeaf reports whether g holds stream and passes the query's
+// seed/kind filters. It reads only fields fixed at creation.
+func (g *group) servesLeaf(stream string, eq wire.ExprQuery) bool {
+	return g.key.Stream == stream &&
+		(!eq.HasSeed || g.seed == eq.Seed) &&
+		(!eq.HasKind || g.key.Kind == sketch.Kind(eq.SketchKind))
 }
 
 // cloneSketch snapshots the group's merged sketch as an independent
 // copy via an envelope round trip, so expression evaluation never
-// mutates (or holds the lock of) live group state.
+// mutates live group state. Only the encode holds the group's lock:
+// the envelope is the query's own, so it opens after the unlock.
 func (g *group) cloneSketch() (sketch.Sketch, error) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	env, err := sketch.Envelope(g.sk)
+	g.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
