@@ -207,26 +207,6 @@ func BenchmarkWindowQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkGTProcessSliceParallel(b *testing.B) {
-	labels := benchLabels(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.NewSampler(core.Config{Capacity: 1024, Seed: 1})
-		s.ProcessSlice(labels, 0)
-	}
-	b.SetBytes(8 << 20)
-}
-
-func BenchmarkGTProcessSliceSerial(b *testing.B) {
-	labels := benchLabels(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.NewSampler(core.Config{Capacity: 1024, Seed: 1})
-		s.ProcessSlice(labels, 1)
-	}
-	b.SetBytes(8 << 20)
-}
-
 // --- Experiment benchmarks: one per table/figure in DESIGN.md. Each
 // runs the full experiment (quick scale, small ensembles) once per
 // iteration, so ns/op is the wall cost of regenerating that table.

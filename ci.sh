@@ -36,19 +36,14 @@ if [[ -n "$GOFMT_OUT" ]]; then
     exit 1
 fi
 
-echo "== lockorder golden suite =="
-# The lock analyzer's pinned scenarios (guarded field accesses,
-# cross-package ordering cycle, self-deadlock, blocking-while-locked,
-# lockorder:allow escape) plus the .vetx two-run fact round-trip run
-# first and by name: the whole-module verdict below is only as good as
-# these fixtures.
-go test -count=1 ./internal/analysis/lockorder
-
 echo "== unionlint self-test (golden suites) =="
-# The linter's own analysistest suites run before the linter is trusted
-# with the tree: a broken analyzer must fail loudly here, not silently
-# under-report in the unionlint pass below.
-go test ./internal/analysis/...
+# The linter's own analysistest suites, uncached, run before the linter
+# is trusted with the tree: a broken analyzer must fail loudly here,
+# not silently under-report in the unionlint pass below. They include
+# lockorder's pinned scenarios (lockorder, lockcheck), the .vetx
+# two-run fact round trips (driver) and the unionlint:allow grammar
+# (each golden's allowed and reason-less cases).
+go test -count=1 ./internal/analysis/...
 
 echo "== unionlint =="
 # Built into a temporary directory that the EXIT trap removes, so the
@@ -61,14 +56,14 @@ trap 'rm -rf "$UNIONLINT_DIR"' EXIT
 UNIONLINT="$UNIONLINT_DIR/unionlint"
 go build -o "$UNIONLINT" ./cmd/unionlint
 if ! "$UNIONLINT" ./...; then
-    echo "ci.sh: unionlint found violations, summarized per analyzer above" \
-         "(fix them, annotate 'unionlint:allow <analyzer> <reason>', or run" \
-         "'go run ./cmd/unionlint -fix ./...' for %w rewrites)."
-    echo "ci.sh: fact-driven analyzers: mergepure (// mergepure:seam for" \
-         "reviewed nondeterminism), lockorder (guarded field access," \
-         "deadlock/ordering/blocking-while-locked over // guards: mutexes;" \
-         "reviewed waits take // lockorder:allow <reason>); see README" \
-         "'Static analysis'."
+    echo "ci.sh: unionlint found violations, summarized per analyzer above."
+    echo "ci.sh: fix them, mark a reviewed exception with" \
+         "'// unionlint:allow <analyzer> <reason>' (the reason is mandatory)," \
+         "or run 'go run ./cmd/unionlint -fix ./...' for %w rewrites."
+    echo "ci.sh: fact-driven analyzers: mergepure (merge/estimate" \
+         "determinism), lockorder (guarded field access," \
+         "deadlock/ordering/blocking-while-locked over // guards: mutexes);" \
+         "see README 'Static analysis'."
     exit 1
 fi
 

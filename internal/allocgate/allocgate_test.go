@@ -85,7 +85,7 @@ var allocTable = map[string]uint64{
 	"window/envelope": 21,
 
 	"gt/process-weighted": 0,
-	"gt/expr":             41,
+	"gt/expr":             37,
 	"sum/process":         0,
 	"wal/append":          0,
 	"wal/append-frame":    0,

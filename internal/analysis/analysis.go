@@ -14,12 +14,13 @@
 //
 // Every analyzer honors one escape hatch: a comment of the form
 //
-//	// unionlint:allow <name>[,<name>...] [reason]
+//	// unionlint:allow <name>[,<name>...] <reason>
 //
 // on the offending line, or on the line directly above it, suppresses
-// diagnostics from the named analyzers. Reasons are free text and
-// strongly encouraged — the annotation is a reviewed exception, not an
-// off switch.
+// diagnostics from the named analyzers. The reason is mandatory: the
+// annotation is a reviewed exception, not an off switch. An annotation
+// without one still suppresses, but each analyzer it names reports it
+// (Pass.ReportBareAllows).
 package analysis
 
 import (
@@ -27,6 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -55,7 +57,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Report delivers a diagnostic; drivers set it. Analyzers should
-	// call Pass.Reportf / Pass.Report, which apply unionlint:allow
+	// call Pass.Reportf / Pass.ReportDiag, which apply unionlint:allow
 	// suppression before forwarding here.
 	Report func(Diagnostic)
 
@@ -146,49 +148,72 @@ func (p *Pass) Allowed(pos token.Pos) bool {
 	}
 	if p.allow == nil {
 		p.allow = map[allowKey]bool{}
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					names, ok := parseAllow(c.Text)
-					if !ok {
-						continue
-					}
-					cp := p.Fset.Position(c.Pos())
-					for _, n := range names {
-						// The annotation covers its own line and the
-						// following one, so it can trail the offending
-						// code or sit on its own line above it.
-						p.allow[allowKey{cp.Filename, cp.Line, n}] = true
-						p.allow[allowKey{cp.Filename, cp.Line + 1, n}] = true
-					}
+		p.eachAllow(func(c *ast.Comment, names []string, _ bool) {
+			cp := p.Fset.Position(c.Pos())
+			for _, n := range names {
+				// The annotation covers its own line and the
+				// following one, so it can trail the offending
+				// code or sit on its own line above it.
+				p.allow[allowKey{cp.Filename, cp.Line, n}] = true
+				p.allow[allowKey{cp.Filename, cp.Line + 1, n}] = true
+			}
+		})
+	}
+	pp := p.Fset.Position(pos)
+	return p.allow[allowKey{pp.Filename, pp.Line, p.Analyzer.Name}]
+}
+
+// ReportBareAllows reports each unionlint:allow annotation that names
+// this pass's analyzer but gives no reason, whether or not it
+// suppressed anything. The report bypasses suppression, which the
+// annotation itself would otherwise apply to its own line. Drivers
+// call it once per pass.
+func (p *Pass) ReportBareAllows() {
+	p.eachAllow(func(c *ast.Comment, names []string, reason bool) {
+		if !reason && slices.Contains(names, p.Analyzer.Name) {
+			p.Report(Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
+				"unionlint:allow %s needs a reason: say why the finding does not apply here",
+				p.Analyzer.Name)})
+		}
+	})
+}
+
+// eachAllow calls fn for every unionlint:allow annotation in the
+// package's files.
+func (p *Pass) eachAllow(fn func(c *ast.Comment, names []string, reason bool)) {
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if names, reason, ok := parseAllow(c.Text); ok {
+					fn(c, names, reason)
 				}
 			}
 		}
 	}
-	pp := p.Fset.Position(pos)
-	return p.allow[allowKey{pp.Filename, pp.Line, p.Analyzer.Name}] ||
-		p.allow[allowKey{pp.Filename, pp.Line, "all"}]
 }
 
 // parseAllow extracts the analyzer names from one comment's text if it
-// is an unionlint:allow annotation.
-func parseAllow(text string) ([]string, bool) {
-	text = strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(text, "//"), "/*"))
-	if !strings.HasPrefix(text, allowPrefix) {
-		return nil, false
+// is an unionlint:allow annotation, and reports whether a reason
+// follows them.
+func parseAllow(text string) (names []string, reason, ok bool) {
+	text = strings.TrimPrefix(text, "//")
+	if t, block := strings.CutPrefix(text, "/*"); block {
+		text = strings.TrimSuffix(t, "*/")
 	}
-	rest := strings.TrimSpace(text[len(allowPrefix):])
+	rest, ok := strings.CutPrefix(strings.TrimSpace(text), allowPrefix)
+	if !ok {
+		return nil, false, false
+	}
 	// Names are the first whitespace-delimited field; anything after
-	// is a free-text reason.
-	field := rest
-	if i := strings.IndexAny(rest, " \t"); i >= 0 {
-		field = rest[:i]
+	// is the free-text reason.
+	fields := strings.Fields(rest)
+	if len(fields) == 0 {
+		return nil, false, false
 	}
-	var names []string
-	for _, n := range strings.Split(field, ",") {
-		if n = strings.TrimSpace(n); n != "" {
+	for _, n := range strings.Split(fields[0], ",") {
+		if n != "" {
 			names = append(names, n)
 		}
 	}
-	return names, len(names) > 0
+	return names, len(fields) > 1, len(names) > 0
 }

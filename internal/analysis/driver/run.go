@@ -19,9 +19,11 @@ type Finding struct {
 	Fset     *token.FileSet
 }
 
-// RunAnalyzers runs every analyzer over pkg and returns the findings.
-// facts is the pass's fact store view (FactStore.View); nil disables
-// facts, which only fact-free analyzers tolerate meaningfully.
+// RunAnalyzers runs every analyzer over pkg and returns the findings,
+// each analyzer's reports of reason-less unionlint:allow annotations
+// that name it included. facts is the pass's fact store view
+// (FactStore.View); nil disables facts, which only fact-free analyzers
+// tolerate meaningfully.
 func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer, facts analysis.FactContext) ([]Finding, error) {
 	var out []Finding
 	for _, a := range analyzers {
@@ -44,6 +46,7 @@ func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer, facts analysis.F
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
+		pass.ReportBareAllows()
 	}
 	sortFindings(out)
 	return out, nil

@@ -56,13 +56,14 @@
 // annotated, so locking an exported foreign mutex resolves), and
 // LockGraph (package fact: the package's local ordering edges).
 //
-// A reviewed escape mirrors mergepure:seam:
+// A reviewed exception, such as a wait known to be bounded, takes the
+// one suppression every analyzer reads:
 //
-//	// lockorder:allow <reason>
+//	// unionlint:allow lockorder <reason>
 //
-// on the offending line (or the line above) suppresses lockorder's
-// deadlock diagnostics there; the reason is mandatory — a bare
-// annotation is itself reported.
+// on the offending line (or the line above). The reason is mandatory:
+// it should say why the wait is bounded and cannot wedge the lock's
+// other users.
 package lockorder
 
 import (
@@ -71,6 +72,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/analysis"
@@ -129,9 +131,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-// allowPrefix introduces the reviewed blocking-while-locked escape.
-const allowPrefix = "lockorder:allow"
-
 // A heldLock is one mutex in the lexical held set.
 type heldLock struct {
 	id  string
@@ -178,11 +177,6 @@ type funcRec struct {
 	visited, solved bool
 }
 
-type allowKey struct {
-	file string
-	line int
-}
-
 // localEdge is one ordering edge observed in this package.
 type localEdge struct {
 	from, to string
@@ -201,7 +195,6 @@ type state struct {
 	recs      []*funcRec
 	byObj     map[types.Object]*funcRec
 	edges     map[[2]string]*localEdge // (from, to) → first site
-	allow     map[allowKey]bool
 }
 
 func run(pass *analysis.Pass) error {
@@ -214,7 +207,6 @@ func run(pass *analysis.Pass) error {
 		byObj:     map[types.Object]*funcRec{},
 		edges:     map[[2]string]*localEdge{},
 	}
-	st.buildAllow()
 	st.collectMutexes()
 
 	// Walk every non-test function declaration, tracking the lexical
@@ -703,7 +695,7 @@ func (w *walker) scanCall(call *ast.CallExpr) {
 		case "Lock", "RLock":
 			if id, ok := w.st.mutexOf(sel.X); ok {
 				if h := w.holds(id); h != nil {
-					w.st.report(call.Pos(),
+					w.st.pass.Reportf(call.Pos(),
 						"%s re-locks %s (held since %s) — guaranteed self-deadlock: sync mutexes are not reentrant",
 						w.rec.name, shortMutex(id), w.st.posStr(h.pos))
 				} else {
@@ -888,8 +880,8 @@ func (st *state) checkRec(rec *funcRec) {
 			continue
 		}
 		h := ev.held[len(ev.held)-1]
-		st.report(ev.pos,
-			"%s %s while holding %s (locked at %s) — may block indefinitely with the lock held; unlock first, or annotate a reviewed bounded wait with // lockorder:allow <reason>",
+		st.pass.Reportf(ev.pos,
+			"%s %s while holding %s (locked at %s) — may block indefinitely with the lock held; unlock first, or annotate a reviewed bounded wait with // unionlint:allow lockorder <reason>",
 			rec.name, ev.desc, shortMutex(h.id), st.posStr(h.pos))
 	}
 	for _, ev := range rec.calls {
@@ -900,7 +892,7 @@ func (st *state) checkRec(rec *funcRec) {
 		for _, h := range ev.held {
 			for _, m := range sortedKeys(acq) {
 				if m == h.id {
-					st.report(ev.pos,
+					st.pass.Reportf(ev.pos,
 						"%s calls %s while holding %s, and %s %s — self-deadlock: sync mutexes are not reentrant",
 						rec.name, st.fnDisplay(ev.fn), shortMutex(h.id), st.fnDisplay(ev.fn), acq[m])
 					continue
@@ -910,8 +902,8 @@ func (st *state) checkRec(rec *funcRec) {
 		}
 		if blocks != "" {
 			h := ev.held[len(ev.held)-1]
-			st.report(ev.pos,
-				"%s calls %s, which %s, while holding %s (locked at %s) — may block indefinitely with the lock held; unlock first, or annotate a reviewed bounded wait with // lockorder:allow <reason>",
+			st.pass.Reportf(ev.pos,
+				"%s calls %s, which %s, while holding %s (locked at %s) — may block indefinitely with the lock held; unlock first, or annotate a reviewed bounded wait with // unionlint:allow lockorder <reason>",
 				rec.name, st.fnDisplay(ev.fn), blocks, shortMutex(h.id), st.posStr(h.pos))
 		}
 	}
@@ -996,7 +988,7 @@ func (st *state) reportCycles() {
 			continue
 		}
 		reported[key] = true
-		st.report(e.pos, "lock ordering cycle: %s — this call acquires %s while %s is held; consistent acquisition order required",
+		st.pass.Reportf(e.pos, "lock ordering cycle: %s — this call acquires %s while %s is held; consistent acquisition order required",
 			chain.String(), shortMutex(e.to), shortMutex(e.from))
 	}
 }
@@ -1069,46 +1061,6 @@ func (st *state) exportFacts() {
 	}
 }
 
-// --- lockorder:allow -------------------------------------------------------
-
-// buildAllow indexes `// lockorder:allow <reason>` annotations. A bare
-// annotation still suppresses (it was clearly intentional) but is
-// reported: the reason is the review.
-func (st *state) buildAllow() {
-	st.allow = map[allowKey]bool{}
-	for _, f := range st.pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				text = strings.TrimPrefix(text, "//")
-				text = strings.TrimPrefix(text, "/*")
-				text = strings.TrimSuffix(text, "*/")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, allowPrefix) {
-					continue
-				}
-				pos := st.pass.Fset.Position(c.Pos())
-				if strings.TrimSpace(text[len(allowPrefix):]) == "" {
-					st.pass.Reportf(c.Pos(),
-						"lockorder:allow needs a reason: say why this wait is bounded and cannot wedge the lock's other users")
-				}
-				st.allow[allowKey{pos.Filename, pos.Line}] = true
-				st.allow[allowKey{pos.Filename, pos.Line + 1}] = true
-			}
-		}
-	}
-}
-
-// report emits a diagnostic unless a lockorder:allow annotation covers
-// its line (unionlint:allow lockorder applies too, via Reportf).
-func (st *state) report(pos token.Pos, format string, args ...any) {
-	p := st.pass.Fset.Position(pos)
-	if st.allow[allowKey{p.Filename, p.Line}] {
-		return
-	}
-	st.pass.Reportf(pos, format, args...)
-}
-
 // --- small helpers ---------------------------------------------------------
 
 // shortMutex trims a mutex ID's import path to its last element:
@@ -1123,21 +1075,7 @@ func shortMutex(id string) string {
 // posStr renders a position as "file.go:12".
 func (st *state) posStr(pos token.Pos) string {
 	p := st.pass.Fset.Position(pos)
-	return filepath.Base(p.Filename) + ":" + itoa(p.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line)
 }
 
 // fnDisplay renders a callee for diagnostics: local functions by name,

@@ -23,9 +23,9 @@ func testdata(t *testing.T) string {
 // from locks/a), self-deadlocks (direct re-lock, via a local callee,
 // and via an imported LockSummary fact), blocking-while-locked (direct
 // ops, a cross-package call classified through its fact, and a
-// `// locked:` seeded held set), and the lockorder:allow escape (with
-// and without the mandatory reason). The guards: checks have their own
-// golden test, lockcheck.TestLockcheck.
+// `// locked:` seeded held set), and the unionlint:allow lockorder
+// exception (with and without the mandatory reason). The guards:
+// checks have their own golden test, lockcheck.TestLockcheck.
 func TestLockorder(t *testing.T) {
 	analysistest.Run(t, testdata(t), lockorder.Analyzer,
 		"repro/internal/locks/a",

@@ -1,7 +1,7 @@
 // Package held pins blocking-while-locked: direct blocking ops under
 // a guards-annotated mutex, a cross-package call classified through
 // its LockSummary fact, the `// locked:` seeded held set, and the
-// lockorder:allow escape (reason mandatory).
+// unionlint:allow lockorder exception (reason mandatory).
 package held
 
 import (
@@ -70,7 +70,7 @@ func (b *Box) flushLocked() {
 // mandatory reason) suppresses the diagnostic.
 func (b *Box) AllowedSleep() {
 	b.mu.Lock()
-	// lockorder:allow bounded 1ms settle wait, reviewed: no other path takes mu meanwhile
+	// unionlint:allow lockorder bounded 1ms settle wait, reviewed: no other path takes mu meanwhile
 	time.Sleep(time.Millisecond)
 	b.mu.Unlock()
 }
@@ -79,7 +79,7 @@ func (b *Box) AllowedSleep() {
 // is itself reported.
 func (b *Box) BareAllow() {
 	b.mu.Lock()
-	/* lockorder:allow */ // want "needs a reason"
+	/* unionlint:allow lockorder */ // want "needs a reason"
 	time.Sleep(time.Millisecond)
 	b.mu.Unlock()
 }

@@ -18,15 +18,12 @@
 // function, and a root in a downstream package that calls one is
 // reported at the call site.
 //
-// Deliberate, order-independent uses of these constructs — the
-// parallel sharding in core/parallel.go is the canonical case — are
-// declared, not silenced: a
-//
-//	// mergepure:seam <reason>
-//
-// line in the function's doc comment marks a reviewed seam. The reason
-// is mandatory; it should say why the observable result does not
-// depend on order.
+// A deliberate, order-independent use of one of these constructs
+// takes an `unionlint:allow mergepure <reason>` annotation on its line
+// (or the line above); the reason should say why the observable result
+// does not depend on order. The analyzer records nothing for a
+// construct on an allowed line, so the function holding it exports no
+// Impure fact for it and the roots that call it stay clean.
 //
 // Roots additionally must not leak map iteration order (randomized per
 // range in Go). Inside a `for ... range m` over a map, in a root
@@ -39,9 +36,9 @@
 //     arithmetic is not associative, so even commutative-looking
 //     accumulation drifts with order;
 //   - append to an outer slice in a function that never sorts: the
-//     slice ends up in map order. (Non-root helpers such as
-//     Sampler.Sample legitimately return unordered copies that their
-//     callers sort; only roots are held to this rule.)
+//     slice ends up in map order. (Non-root helpers may return
+//     unordered copies that their callers sort; only roots are held
+//     to this rule.)
 //
 // Integer counters, delete, and keyed map/index writes are order-
 // independent and never flagged. The check is scoped to the sketch
@@ -76,13 +73,10 @@ var scope = regexp.MustCompile(`(^|/)internal/(core|exact|window|sketch)(/|$)`)
 var Analyzer = &analysis.Analyzer{
 	Name: "mergepure",
 	Doc: "require functions on the sketch merge/estimate path to be deterministic: no clocks, " +
-		"no randomness, no goroutine fan-out outside declared seams, no map-order leaks",
+		"no randomness, no goroutine fan-out, no map-order leaks",
 	FactTypes: []analysis.Fact{(*Impure)(nil)},
 	Run:       run,
 }
-
-// seamPrefix introduces a declared-seam annotation in a doc comment.
-const seamPrefix = "mergepure:seam"
 
 // rootNamed reports whether a function name puts it on the
 // deterministic merge/estimate path.
@@ -108,7 +102,6 @@ type edge struct {
 
 type funcInfo struct {
 	decl    *ast.FuncDecl
-	seam    bool
 	taints  []taint
 	edges   []edge
 	sorts   bool // body contains a sort/slices ordering call
@@ -142,7 +135,7 @@ func run(pass *analysis.Pass) error {
 	var resolve func(obj types.Object) string
 	resolve = func(obj types.Object) string {
 		fi := funcs[obj]
-		if fi == nil || fi.seam {
+		if fi == nil {
 			return ""
 		}
 		if fi.solved {
@@ -191,8 +184,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for obj, fi := range funcs {
-		checkSeamReason(pass, fi)
-		if !rootNamed(obj.Name()) || fi.seam {
+		if !rootNamed(obj.Name()) {
 			continue
 		}
 		if reason := resolve(obj); reason != "" {
@@ -201,7 +193,7 @@ func run(pass *analysis.Pass) error {
 				pos = fi.decl.Name.Pos()
 			}
 			pass.Reportf(pos,
-				"%s must be deterministic (merge/estimate contract) but %s; if the construct is order-independent, declare it with // mergepure:seam <reason>",
+				"%s must be deterministic (merge/estimate contract) but %s",
 				obj.Name(), reason)
 		}
 		checkMapRanges(pass, fi)
@@ -209,26 +201,22 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// collect gathers a function's direct taints, call edges, seam
-// annotation, and whether it sorts anything.
+// collect gathers a function's direct taints, call edges, and whether
+// it sorts anything. A construct on a line that an unionlint:allow
+// mergepure annotation covers is a reviewed exception: it records no
+// taint and no edge.
 func collect(pass *analysis.Pass, fd *ast.FuncDecl) *funcInfo {
 	fi := &funcInfo{decl: fd}
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if strings.HasPrefix(text, seamPrefix) {
-				fi.seam = true
-			}
-		}
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			fi.taints = append(fi.taints, taint{n.Pos(),
-				"starts goroutines whose completion order is scheduler-dependent"})
+			if !pass.Allowed(n.Pos()) {
+				fi.taints = append(fi.taints, taint{n.Pos(),
+					"starts goroutines whose completion order is scheduler-dependent"})
+			}
 		case *ast.CallExpr:
 			fn := calleeFunc(pass, n)
-			if fn == nil || fn.Pkg() == nil {
+			if fn == nil || fn.Pkg() == nil || pass.Allowed(n.Pos()) {
 				return true
 			}
 			switch path := fn.Pkg().Path(); {
@@ -248,23 +236,6 @@ func collect(pass *analysis.Pass, fd *ast.FuncDecl) *funcInfo {
 		return true
 	})
 	return fi
-}
-
-// checkSeamReason requires every seam annotation to carry a reason.
-func checkSeamReason(pass *analysis.Pass, fi *funcInfo) {
-	if fi.decl.Doc == nil {
-		return
-	}
-	for _, c := range fi.decl.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, seamPrefix) {
-			continue
-		}
-		if strings.TrimSpace(text[len(seamPrefix):]) == "" {
-			pass.Reportf(fi.decl.Name.Pos(),
-				"mergepure:seam needs a reason: say why the observable result does not depend on order")
-		}
-	}
 }
 
 // checkMapRanges flags map-iteration-order leaks in one root function.

@@ -1,6 +1,7 @@
 // Package clean holds every idiom mergepure must accept: counters,
 // keyed writes, deletes, guarded extrema, sorted marshaling, unsorted
-// non-root helpers, and a seam-annotated parallel fan-out.
+// non-root helpers, and parallel fan-outs whose goroutines carry an
+// unionlint:allow mergepure annotation, in a root and in a helper.
 package clean
 
 import (
@@ -69,13 +70,28 @@ func (s *S) Sample() []uint64 {
 }
 
 // ProcessSlice shards the batch across goroutines.
-// mergepure:seam each shard folds into a private S and the merge is a
-// set union, so the final state is independent of completion order.
 func (s *S) ProcessSlice(labels []uint64) {
 	var wg sync.WaitGroup
 	for range labels {
 		wg.Add(1)
+		// unionlint:allow mergepure each shard folds into a private S and merges by set union
 		go func() { defer wg.Done() }()
 	}
 	wg.Wait()
+}
+
+// fanOut is not a root. Its goroutine is allowed, so it exports no
+// Impure fact and ProcessAll, which calls it, is not reported either.
+func (s *S) fanOut(labels []uint64) {
+	var wg sync.WaitGroup
+	for range labels {
+		wg.Add(1)
+		go func() { defer wg.Done() }() // unionlint:allow mergepure the shards join before fanOut returns
+	}
+	wg.Wait()
+}
+
+// ProcessAll folds through the allowed helper.
+func (s *S) ProcessAll(labels []uint64) {
+	s.fanOut(labels)
 }

@@ -1,6 +1,6 @@
 // Package impure puts each nondeterminism source on a root: a clock,
-// randomness through a helper, an undeclared goroutine fan-out, and a
-// seam annotation with no reason.
+// randomness through a helper, an unannotated goroutine fan-out, and
+// an unionlint:allow annotation with no reason.
 package impure
 
 import (
@@ -40,11 +40,11 @@ func (s *S) Process(label uint64) {
 	<-done
 }
 
-// ProcessBatch is parallel on purpose, but the seam annotation below
-// is missing its justification.
-// mergepure:seam
-func (s *S) ProcessBatch(labels []uint64) { // want "mergepure:seam needs a reason"
+// ProcessBatch is parallel on purpose, but the annotation below is
+// missing its justification: it still suppresses, and is reported.
+func (s *S) ProcessBatch(labels []uint64) {
 	for _, l := range labels {
+		/* unionlint:allow mergepure */ // want "needs a reason"
 		go s.Process(l)
 	}
 }

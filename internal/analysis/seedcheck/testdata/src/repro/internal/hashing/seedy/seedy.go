@@ -33,6 +33,20 @@ func Jitter() int64 {
 	return time.Now().UnixNano()
 }
 
+// BareJitter's annotation has no reason: it still suppresses, and
+// seedcheck reports it.
+func BareJitter() int64 {
+	/* unionlint:allow seedcheck */ // want "needs a reason"
+	return time.Now().UnixNano()
+}
+
+// OtherBare's reason-less annotation names another analyzer, so only
+// that analyzer reports it.
+func OtherBare(a, b float64) bool {
+	/* unionlint:allow floatcmp */
+	return a == b
+}
+
 // NotTheClock proves only time.Now().UnixNano() is matched, not any
 // UnixNano on any time value.
 func NotTheClock(t time.Time) int64 {

@@ -12,6 +12,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/hashing"
@@ -153,5 +154,135 @@ func TestPropertyMergeEqualsDirectUnion(t *testing.T) {
 		if !bytes.Equal(merged, direct) {
 			t.Fatalf("seed %#x cfg %+v (%d shards): merged sketches != direct union sketch", seed, cfg, len(sh))
 		}
+	}
+}
+
+func randomLabels(n int, seed uint64) []uint64 {
+	r := hashing.NewXoshiro256(seed)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = r.Uint64n(uint64(n))
+	}
+	return out
+}
+
+// TestConcurrentMergeMatchesSerial is the absorb-determinism property
+// the networked coordinator (internal/server) relies on: N goroutines
+// merging the same part-sketches into one accumulator in arbitrary
+// interleaved order — each merge under a lock, as the server's merge
+// groups do — must leave state bit-identical to merging them serially
+// in site order.
+func TestConcurrentMergeMatchesSerial(t *testing.T) {
+	cfg := Config{Capacity: 256, Seed: 21}
+	labels := randomLabels(80_000, 17)
+	const parts = 24
+	sketches := make([]*Sampler, parts)
+	for i := range sketches {
+		sketches[i] = NewSampler(cfg)
+		lo, hi := i*len(labels)/parts, (i+1)*len(labels)/parts
+		for _, l := range labels[lo:hi] {
+			sketches[i].Process(l)
+		}
+	}
+
+	serial := NewSampler(cfg)
+	for _, p := range sketches {
+		if err := serial.Merge(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := serial.MarshalBinary()
+
+	rng := hashing.NewXoshiro256(23)
+	for trial := 0; trial < 5; trial++ {
+		order := make([]int, parts)
+		for i := range order {
+			order[i] = i
+		}
+		for i := parts - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			order[i], order[j] = order[j], order[i]
+		}
+		acc := NewSampler(cfg)
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		work := make(chan *Sampler)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for p := range work {
+					mu.Lock()
+					err := acc.Merge(p)
+					mu.Unlock()
+					if err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		for _, idx := range order {
+			work <- sketches[idx]
+		}
+		close(work)
+		wg.Wait()
+		got, _ := acc.MarshalBinary()
+		if string(got) != string(want) {
+			t.Fatalf("trial %d: concurrent merge state differs from serial", trial)
+		}
+	}
+}
+
+// TestConcurrentEstimatorMergeMatchesSerial is the same property for
+// the full median-of-copies estimator — the exact object the server
+// merges per absorbed site message.
+func TestConcurrentEstimatorMergeMatchesSerial(t *testing.T) {
+	cfg := EstimatorConfig{Capacity: 128, Copies: 5, Seed: 31}
+	labels := randomLabels(60_000, 19)
+	const parts = 12
+	ests := make([]*Estimator, parts)
+	for i := range ests {
+		ests[i] = NewEstimator(cfg)
+		lo, hi := i*len(labels)/parts, (i+1)*len(labels)/parts
+		for _, l := range labels[lo:hi] {
+			ests[i].Process(l)
+		}
+	}
+
+	serial := NewEstimator(cfg)
+	for _, p := range ests {
+		if err := serial.Merge(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := serial.MarshalBinary()
+
+	acc := NewEstimator(cfg)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	work := make(chan *Estimator)
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := range work {
+				mu.Lock()
+				err := acc.Merge(p)
+				mu.Unlock()
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	// Reverse order, so serial order and absorb order certainly differ.
+	for i := parts - 1; i >= 0; i-- {
+		work <- ests[i]
+	}
+	close(work)
+	wg.Wait()
+	got, _ := acc.MarshalBinary()
+	if string(got) != string(want) {
+		t.Fatal("concurrent estimator merge state differs from serial")
 	}
 }

@@ -84,9 +84,9 @@ var (
 	// migration; an error fails that group's move (the caller retries
 	// — duplicate re-pushes are idempotent).
 	ClusterMigrate = declare("cluster/migrate")
-	// WALAppend fires in wal.(*Log).Append before the record frame is
-	// written; an error fails the append (the absorb is refused with a
-	// transient ack and no group or log state changes).
+	// WALAppend fires in wal.(*Log).AppendNamed and AppendFrame before
+	// the record frame is written; an error fails the append (the absorb
+	// is refused with a transient ack and no group or log state changes).
 	WALAppend = declare("wal/append")
 	// WALFsync fires before each append's fsync (SyncAlways only; the
 	// seal, snapshot and close syncs do not pass through it); an error

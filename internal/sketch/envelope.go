@@ -32,7 +32,8 @@ const (
 )
 
 // AppendEnvelope appends s's envelope (header + payload) to b and
-// returns the extended slice.
+// returns the extended slice. It marshals first, so b grows at most
+// once, by the envelope's length.
 func AppendEnvelope(b []byte, s Sketch) ([]byte, error) {
 	payload, err := s.MarshalBinary()
 	if err != nil {
@@ -42,14 +43,18 @@ func AppendEnvelope(b []byte, s Sketch) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d (kind not registered)", ErrUnknownKind, uint8(s.Kind()))
 	}
+	if n := EnvelopeHeaderSize + len(payload); cap(b)-len(b) < n {
+		// Not slices.Grow: under the race detector it allocates twice.
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
 	b = append(b, EnvelopeMagic0, EnvelopeMagic1, byte(info.Kind), info.Version)
 	b = binary.LittleEndian.AppendUint64(b, s.Digest())
 	return append(b, payload...), nil
 }
 
-// Envelope returns a fresh envelope encoding of s.
+// Envelope returns a fresh envelope encoding of s, allocated once.
 func Envelope(s Sketch) ([]byte, error) {
-	return AppendEnvelope(make([]byte, 0, EnvelopeHeaderSize+64), s)
+	return AppendEnvelope(nil, s)
 }
 
 // PeekKind reads the kind tag from an envelope without decoding the

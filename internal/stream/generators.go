@@ -163,20 +163,3 @@ func (w *WithValues) Next() (Item, bool) {
 
 // Reset implements Source.
 func (w *WithValues) Reset() { w.src.Reset() }
-
-// Shuffled materializes src and replays it in a seed-determined random
-// order — used by order-insensitivity tests.
-type Shuffled struct {
-	*SliceSource
-}
-
-// NewShuffled builds the shuffled replay.
-func NewShuffled(src Source, seed uint64) *Shuffled {
-	items := Collect(src)
-	r := hashing.NewXoshiro256(seed)
-	for i := len(items) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		items[i], items[j] = items[j], items[i]
-	}
-	return &Shuffled{SliceSource: FromSlice(items)}
-}

@@ -81,43 +81,3 @@ func (o *overlapSource) Reset() {
 	o.rng = hashing.NewXoshiro256(hashing.Mix64(o.cfg.Seed + uint64(o.site)*0x9e3779b97f4a7c15))
 	o.emitted = 0
 }
-
-// Partition splits one logical stream across sites — the other
-// distributed workload shape (a load balancer spraying one stream over
-// t monitors). Policy selects how items are routed.
-type Partition struct {
-	srcs []Source
-}
-
-// PartitionPolicy routes item index/label to a site in [0, t).
-type PartitionPolicy func(index int, label uint64, t int) int
-
-// RoundRobin routes item i to site i mod t.
-func RoundRobin(index int, _ uint64, t int) int { return index % t }
-
-// ByLabelHash routes a label to a fixed site (so sites see disjoint
-// label sets). The split is by a mixed label hash, not raw modulo, to
-// avoid correlating the routing with the label structure.
-func ByLabelHash(_ int, label uint64, t int) int {
-	return int(hashing.Mix64(label) % uint64(t))
-}
-
-// SplitSource materializes src and splits it over t sites by policy,
-// returning one Source per site.
-func SplitSource(src Source, t int, policy PartitionPolicy) []Source {
-	if t < 1 {
-		panic(fmt.Sprintf("stream: SplitSource with t=%d", t))
-	}
-	parts := make([][]Item, t)
-	i := 0
-	Feed(src, func(it Item) {
-		site := policy(i, it.Label, t)
-		parts[site] = append(parts[site], it)
-		i++
-	})
-	srcs := make([]Source, t)
-	for j := range srcs {
-		srcs[j] = FromSlice(parts[j])
-	}
-	return srcs
-}

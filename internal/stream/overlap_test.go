@@ -109,61 +109,3 @@ func TestOverlapValidate(t *testing.T) {
 		}()
 	}
 }
-
-func TestSplitSourceRoundRobin(t *testing.T) {
-	srcs := SplitSource(NewSequential(10), 3, RoundRobin)
-	if len(srcs) != 3 {
-		t.Fatalf("got %d sources", len(srcs))
-	}
-	got := Collect(srcs[0])
-	want := []uint64{0, 3, 6, 9}
-	if len(got) != len(want) {
-		t.Fatalf("site 0 items = %v", got)
-	}
-	for i := range want {
-		if got[i].Label != want[i] {
-			t.Errorf("site 0 item %d = %d, want %d", i, got[i].Label, want[i])
-		}
-	}
-}
-
-func TestSplitSourceByLabelHashDisjoint(t *testing.T) {
-	// Each label goes to exactly one site, so per-site distinct sets
-	// are disjoint and their sizes sum to the total.
-	srcs := SplitSource(NewUniform(1000, 20000, 5), 4, ByLabelHash)
-	union := exact.NewDistinct()
-	sum := 0
-	for _, s := range srcs {
-		d := exact.NewDistinct()
-		Feed(s, func(it Item) {
-			d.Process(it.Label)
-			union.Process(it.Label)
-		})
-		sum += d.Count()
-	}
-	if sum != union.Count() {
-		t.Errorf("hash split not disjoint: %d vs %d", sum, union.Count())
-	}
-	if union.Count() != 1000 {
-		t.Errorf("union = %d, want 1000", union.Count())
-	}
-}
-
-func TestSplitSourcePreservesAllItems(t *testing.T) {
-	total := 0
-	for _, s := range SplitSource(NewSequential(1001), 7, RoundRobin) {
-		total += Count(s)
-	}
-	if total != 1001 {
-		t.Errorf("split lost items: %d", total)
-	}
-}
-
-func TestSplitSourcePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for t=0")
-		}
-	}()
-	SplitSource(NewSequential(5), 0, RoundRobin)
-}

@@ -2,8 +2,7 @@
 // the data-stream model (labeled items with optional values), synthetic
 // generators standing in for the network-monitoring traces the paper
 // targets (uniform, sequential, Zipf-skewed, and multi-site unions with
-// controlled overlap), partitioners that split one logical stream
-// across sites, and a binary on-disk stream format.
+// controlled overlap), and a binary on-disk stream format.
 //
 // All generators are deterministic functions of their seed, so every
 // experiment in the repository is exactly reproducible.
@@ -96,36 +95,3 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Len returns the total number of items in the source.
 func (s *SliceSource) Len() int { return len(s.items) }
-
-// Concat returns a Source that replays each of srcs in order — the
-// logical concatenation used to compute union ground truths.
-type Concat struct {
-	srcs []Source
-	idx  int
-}
-
-// NewConcat builds a concatenation of srcs.
-func NewConcat(srcs ...Source) *Concat {
-	c := &Concat{srcs: srcs}
-	c.Reset()
-	return c
-}
-
-// Next implements Source.
-func (c *Concat) Next() (Item, bool) {
-	for c.idx < len(c.srcs) {
-		if it, ok := c.srcs[c.idx].Next(); ok {
-			return it, true
-		}
-		c.idx++
-	}
-	return Item{}, false
-}
-
-// Reset implements Source.
-func (c *Concat) Reset() {
-	c.idx = 0
-	for _, s := range c.srcs {
-		s.Reset()
-	}
-}

@@ -42,23 +42,6 @@ func TestCountAndFeed(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := FromLabels([]uint64{1, 2})
-	b := FromLabels([]uint64{3})
-	c := NewConcat(a, b)
-	items := Collect(c)
-	if len(items) != 3 || items[2].Label != 3 {
-		t.Errorf("concat = %v", items)
-	}
-	// Replays after reset.
-	if len(Collect(c)) != 3 {
-		t.Error("concat replay failed")
-	}
-	if len(Collect(NewConcat())) != 0 {
-		t.Error("empty concat not empty")
-	}
-}
-
 func TestUniformDeterministicAndInRange(t *testing.T) {
 	a := NewUniform(100, 1000, 7)
 	b := NewUniform(100, 1000, 7)
@@ -171,36 +154,5 @@ func TestWithValues(t *testing.T) {
 		if it.Value != it.Label*2 {
 			t.Fatalf("value %d for label %d", it.Value, it.Label)
 		}
-	}
-}
-
-func TestShuffledSameMultiset(t *testing.T) {
-	orig := Collect(NewSequential(100))
-	sh := Collect(NewShuffled(NewSequential(100), 3))
-	if len(sh) != len(orig) {
-		t.Fatal("length changed")
-	}
-	seen := map[uint64]int{}
-	for _, it := range sh {
-		seen[it.Label]++
-	}
-	for _, it := range orig {
-		if seen[it.Label] != 1 {
-			t.Fatalf("label %d count %d", it.Label, seen[it.Label])
-		}
-	}
-	// Deterministic and actually shuffled.
-	sh2 := Collect(NewShuffled(NewSequential(100), 3))
-	moved := false
-	for i := range sh {
-		if sh[i] != sh2[i] {
-			t.Fatal("shuffle not deterministic")
-		}
-		if sh[i] != orig[i] {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Error("shuffle was the identity")
 	}
 }

@@ -154,7 +154,7 @@ func FuzzWALReplay(f *testing.F) {
 		if eerr != nil {
 			t.Fatal(eerr)
 		}
-		if aerr := l.Append(env); aerr != nil {
+		if aerr := l.AppendNamed("", env); aerr != nil {
 			t.Fatalf("append after fuzzed replay: %v", aerr)
 		}
 	})

@@ -79,7 +79,8 @@ type ReplayStats struct {
 // fn, snapshot first (one merged envelope per group), then the
 // surviving segments in order. An envelope is valid only until fn
 // returns (see DecodeSegment). It must run to completion before the
-// first Append; until it has, Append refuses with ErrNotReplayed.
+// first append; until it has, AppendNamed and AppendFrame refuse
+// with ErrNotReplayed.
 //
 // A damaged record mid-log stops replay cleanly at the last good
 // boundary (reported in ReplayStats, not as an error): everything

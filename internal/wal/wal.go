@@ -151,9 +151,10 @@ func parseIndexed(name, prefix, suffix string) (uint64, bool) {
 
 // Log is one coordinator's write-ahead log: an open active segment,
 // the sealed segments behind it, and at most one live snapshot.
-// Append and Snapshot are safe for concurrent use (Snapshot rounds
-// themselves must be serialized by the caller, as the server's
-// snapshot loop does); Replay must complete before the first Append.
+// AppendNamed, AppendFrame and Snapshot are safe for concurrent use
+// (Snapshot rounds themselves must be serialized by the caller, as the
+// server's snapshot loop does); Replay must complete before the first
+// append.
 type Log struct {
 	dir  string
 	opts Options
@@ -275,7 +276,7 @@ func (l *Log) segmentBytes() int64 {
 // files a finished snapshot superseded, truncates the active
 // segment's torn tail at the last clean record boundary, and captures
 // the recovery work list for Replay. The caller must run Replay
-// before the first Append.
+// before the first append.
 func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
@@ -385,23 +386,20 @@ func (l *Log) truncateTornTail(path string) error {
 	return nil
 }
 
-// Append logs one accepted envelope for the default (unnamed)
-// stream, fsyncing per the sync policy and rotating a full segment.
-// The coordinator calls it after validating a push and before merging
-// or acking it: an error means the push must be refused (transiently),
-// because an un-logged merge would not survive a crash the ack
-// promised it would.
-func (l *Log) Append(envelope []byte) error {
-	return l.AppendNamed("", envelope)
-}
-
-// AppendNamed logs one accepted envelope for the given stream, framed
-// by wire.AppendPush in the log's scratch buffer: a default-stream
-// record is a plain MsgPush frame — bit-identical to what every
-// pre-stream log holds — so logs written by old coordinators and new
-// ones carrying only default-stream traffic are interchangeable. It
-// serves pushes that arrive without a frame (Server.AbsorbNamed); a
-// push read off the network is logged as it arrived, by AppendFrame.
+// AppendNamed logs one accepted envelope for the given stream ("" is
+// the default stream), fsyncing per the sync policy and rotating a
+// full segment. The coordinator calls it after validating a push and
+// before merging or acking it: an error means the push must be refused
+// (transiently), because an un-logged merge would not survive a crash
+// the ack promised it would.
+//
+// The record is framed by wire.AppendPush in the log's scratch buffer:
+// a default-stream record is a plain MsgPush frame — bit-identical to
+// what every pre-stream log holds — so logs written by old
+// coordinators and new ones carrying only default-stream traffic are
+// interchangeable. It serves pushes that arrive without a frame
+// (Server.AbsorbNamed); a push read off the network is logged as it
+// arrived, by AppendFrame.
 func (l *Log) AppendNamed(stream string, envelope []byte) error {
 	if err := failpoint.Inject(failpoint.WALAppend); err != nil {
 		return fmt.Errorf("wal: append: %w", err)

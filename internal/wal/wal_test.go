@@ -77,7 +77,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	envs := walEnvelopes(t, 8)
 	l := openReplayed(t, dir, wal.Options{})
 	for _, env := range envs {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestAppendBeforeReplayRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]byte("x")); !errors.Is(err, wal.ErrNotReplayed) {
+	if err := l.AppendNamed("", []byte("x")); !errors.Is(err, wal.ErrNotReplayed) {
 		t.Fatalf("append before replay: err = %v, want ErrNotReplayed", err)
 	}
 }
@@ -121,7 +121,7 @@ func TestSegmentRotation(t *testing.T) {
 	opts := wal.Options{SegmentBytes: int64(2 * (len(envs[0]) + wire.HeaderSize))}
 	l := openReplayed(t, dir, opts)
 	for _, env := range envs {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestSnapshotPrunesAndReplays(t *testing.T) {
 	opts := wal.Options{SegmentBytes: int64(2 * (len(envs[0]) + wire.HeaderSize))}
 	l := openReplayed(t, dir, opts)
 	for _, env := range envs[:4] {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestSnapshotPrunesAndReplays(t *testing.T) {
 	}
 	// Tail records after the snapshot.
 	for _, env := range envs[4:] {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestTornTailTruncatedAtOpen(t *testing.T) {
 	envs := walEnvelopes(t, 3)
 	l := openReplayed(t, dir, wal.Options{})
 	for _, env := range envs {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestTornTailTruncatedAtOpen(t *testing.T) {
 		t.Fatal("TruncatedTailBytes = 0 after torn-tail recovery")
 	}
 	// The log must accept appends right where the clean prefix ends.
-	if err := l2.Append(envs[2]); err != nil {
+	if err := l2.AppendNamed("", envs[2]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -259,7 +259,7 @@ func TestMidLogDamageStopsCleanly(t *testing.T) {
 	envs := walEnvelopes(t, 4)
 	l := openReplayed(t, dir, wal.Options{})
 	for _, env := range envs {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +296,7 @@ func TestCrashLeftoversCollectedAtOpen(t *testing.T) {
 	envs := walEnvelopes(t, 2)
 	l := openReplayed(t, dir, wal.Options{})
 	for _, env := range envs {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -450,7 +450,7 @@ func TestRotateErrorCountedAppendSucceeds(t *testing.T) {
 	l := openReplayed(t, t.TempDir(), opts)
 	defer l.Close()
 	for i, env := range envs[:3] {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatalf("append %d failed with rotation faulted: %v", i, err)
 		}
 	}
@@ -464,7 +464,7 @@ func TestRotateErrorCountedAppendSucceeds(t *testing.T) {
 	}
 
 	failpoint.Disable(failpoint.WALRotate)
-	if err := l.Append(envs[3]); err != nil {
+	if err := l.AppendNamed("", envs[3]); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Rotations != 1 || st.RotateErrors != 3 {
@@ -527,7 +527,7 @@ func TestDirSyncErrorStopsSnapshotPrune(t *testing.T) {
 	l := openReplayed(t, dir, opts)
 	defer l.Close()
 	for _, env := range envs {
-		if err := l.Append(env); err != nil {
+		if err := l.AppendNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -570,7 +570,7 @@ func TestDirSyncErrorCountedAsRotateError(t *testing.T) {
 	opts := wal.Options{SegmentBytes: int64(len(envs[0]) + wire.HeaderSize)}
 	l := openReplayed(t, t.TempDir(), opts)
 	defer l.Close()
-	if err := l.Append(envs[0]); err != nil {
+	if err := l.AppendNamed("", envs[0]); err != nil {
 		t.Fatalf("append failed with the directory sync faulted: %v", err)
 	}
 	if hits := failpoint.Hits(failpoint.WALDirSync); hits != 1 {

@@ -12,8 +12,7 @@ import (
 // extension as sketch.KindWindow. Process stamps each label with an
 // internal logical clock (one tick per call), so a Union observed
 // over a whole stream estimates that stream's distinct count like any
-// other kind — while the wrapped Sketch, reachable via Inner, keeps
-// its full windowed query surface.
+// other kind.
 type Union struct {
 	sk *Sketch
 	// now is the logical clock; it never runs behind sk.LastTimestamp,
@@ -25,9 +24,6 @@ type Union struct {
 func NewUnion(cfg Config) *Union {
 	return &Union{sk: New(cfg)}
 }
-
-// Inner returns the wrapped window sketch (for windowed queries).
-func (u *Union) Inner() *Sketch { return u.sk }
 
 func init() {
 	sketch.Register(sketch.KindInfo{

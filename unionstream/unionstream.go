@@ -124,15 +124,6 @@ func (s *Sketch) AddValued(label, value uint64) {
 	s.est.ProcessWeighted(label, value)
 }
 
-// AddAll observes a batch of labels, sharding the work across up to
-// workers goroutines (workers <= 0 selects GOMAXPROCS). The resulting
-// sketch is bit-for-bit identical to calling Add on each label in
-// order — the multicore dividend of the scheme's merge-equals-union
-// property.
-func (s *Sketch) AddAll(labels []uint64, workers int) {
-	s.est.ProcessSlice(labels, workers)
-}
-
 // AddBytes observes a byte-string label, mapped to uint64 with FNV-1a.
 // The mapping is stable across processes, preserving coordination.
 // (FNV collisions, ~n²/2⁶⁴, are negligible at sketchable scales.)

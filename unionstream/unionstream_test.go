@@ -221,25 +221,6 @@ func TestSetOperations(t *testing.T) {
 	}
 }
 
-func TestAddAllMatchesAdd(t *testing.T) {
-	opts := Options{Epsilon: 0.1, Seed: 77}
-	serial, _ := New(opts)
-	batch, _ := New(opts)
-	labels := make([]uint64, 50000)
-	for i := range labels {
-		labels[i] = uint64(i * 31 % 20011)
-	}
-	for _, l := range labels {
-		serial.Add(l)
-	}
-	batch.AddAll(labels, 0)
-	a, _ := serial.MarshalBinary()
-	b, _ := batch.MarshalBinary()
-	if string(a) != string(b) {
-		t.Error("AddAll state differs from sequential Add")
-	}
-}
-
 func TestWindowSketchPublicAPI(t *testing.T) {
 	opts := WindowOptions{Epsilon: 0.05, Seed: 1}
 	a, err := NewWindow(opts)
