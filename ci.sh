@@ -223,6 +223,15 @@ if ((${#RECOVERY_FAILED[@]})); then
     exit 1
 fi
 
+echo "== shutdown drains (relay flush + WAL snapshot, -race, x5) =="
+# Shutdown's final relay flush and final WAL snapshot each wait out a
+# round still in flight instead of skipping it (internal/server's
+# round.go). Each of these tests parks or races a round against the
+# drain inside a timing window, so a drain that skips, wedges or
+# races shows in some runs and not others; five runs each make a
+# regression show here rather than as a rare flake in the ./... pass.
+go test -race -count=5 -run '^(TestWALShutdownSnapshotWaitsForInFlightRound|TestRelayDrainWaitsForInFlightRound|TestRelayFlushRacesShutdownDrain|TestWALRacesShutdownDrain)$' ./internal/server
+
 echo "== pipeline benchmark (build, vet, tests) =="
 # pipebench is its own module (it pins the root through a replace
 # directive), so the ./... runs above never compile it. Its tests run

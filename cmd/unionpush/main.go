@@ -104,63 +104,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	base := client.Config{DialTimeout: *timeout, Attempts: *attempts}
 	opts := unionstream.Options{Epsilon: *eps, Delta: *delta, Seed: *seed}
 
-	// push sends one envelope to its coordinator; describe names that
-	// coordinator in error reports. Single-coordinator mode pushes
-	// everything to -addr; -shards mode routes by the group's ring
-	// owner.
-	var push func(msg []byte) (tries int, describe string, err error)
-	var queryClient func(msg []byte) (*client.Client, error)
-	var queryExpr func(eq wire.ExprQuery, msg []byte) (*wire.ExprResult, error)
-	if *shards == "" {
-		base.Addr = *addr
-		cl := client.New(base)
-		push = func(msg []byte) (int, string, error) {
-			tries, err := cl.PushNamed(*streamNm, msg)
-			return tries, *addr, err
+	// One coordinator is a one-shard ring: every envelope routes to it.
+	addrs := []string{*addr}
+	if *shards != "" {
+		addrs = strings.Split(*shards, ",")
+	}
+	sc, err := client.NewSharded(cluster.NewRing(len(addrs), 0, *ringSeed), addrs, base)
+	if err != nil {
+		fmt.Fprintf(stderr, "unionpush: %v\n", err)
+		return 2
+	}
+	if *parent != "" {
+		pcfg := base
+		pcfg.Addr = *parent
+		sc.SetParent(client.New(pcfg))
+	}
+	// unshard strips the *client.ShardError a Sharded call wraps a
+	// failure in, for error lines that name the coordinator themselves
+	// or, with one coordinator, need not name it at all.
+	unshard := func(err error) error {
+		var se *client.ShardError
+		if errors.As(err, &se) {
+			return se.Err
 		}
-		queryClient = func([]byte) (*client.Client, error) { return cl, nil }
-		queryExpr = func(eq wire.ExprQuery, _ []byte) (*wire.ExprResult, error) {
-			return cl.QueryExpr(eq)
-		}
-	} else {
-		addrs := strings.Split(*shards, ",")
-		ring := cluster.NewRing(len(addrs), 0, *ringSeed)
-		sc, err := client.NewSharded(ring, addrs, base)
-		if err != nil {
-			fmt.Fprintf(stderr, "unionpush: %v\n", err)
-			return 2
-		}
-		if *parent != "" {
-			pcfg := base
-			pcfg.Addr = *parent
-			sc.SetParent(client.New(pcfg))
-		}
-		push = func(msg []byte) (int, string, error) {
-			shard, tries, err := sc.PushNamed(*streamNm, msg)
-			// The describe string already names the shard, so unwrap the
-			// ShardError to avoid printing "shard N (addr)" twice.
-			var se *client.ShardError
-			if errors.As(err, &se) {
-				err = se.Err
-			}
-			return tries, fmt.Sprintf("shard %d (%s)", shard, addrs[shard]), err
-		}
-		// Every file shares one backend config, so every envelope lands
-		// in one merge group with one ring owner: queries go there.
-		queryClient = func(msg []byte) (*client.Client, error) {
-			shard, err := sc.RouteNamed(*streamNm, msg)
-			if err != nil {
-				return nil, err
-			}
-			return sc.Shard(shard), nil
-		}
-		queryExpr = func(eq wire.ExprQuery, msg []byte) (*wire.ExprResult, error) {
-			kind, digest, ok := sketch.PeekHeader(msg)
-			if !ok {
-				return nil, fmt.Errorf("cannot route expression: last push is not a sketch envelope")
-			}
-			return sc.QueryExpr(eq, uint8(kind), digest)
-		}
+		return err
 	}
 
 	// sketchFile reads one stream file into a fresh sketch of the
@@ -208,7 +175,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		lastMsg = msg
-		tries, where, err := push(msg)
+		shard, tries, err := sc.PushNamed(*streamNm, msg)
+		err = unshard(err)
+		where := addrs[0]
+		if len(addrs) > 1 {
+			where = fmt.Sprintf("shard %d (%s)", shard, addrs[shard])
+		}
 		switch {
 		case errors.Is(err, client.ErrSeedMismatch):
 			fail("%s: %s refused our coordination seed %d: %v", path, where, *seed, err)
@@ -224,10 +196,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *query && lastMsg != nil {
-		cl, err := queryClient(lastMsg)
-		if err != nil {
+		// Every file shares one backend config, so every envelope lands
+		// in one merge group with one ring owner: queries go there.
+		if shard, err := sc.RouteNamed(*streamNm, lastMsg); err != nil {
 			fail("query routing: %v", err)
 		} else {
+			cl := sc.Shard(shard)
 			distinct, err := cl.DistinctCount(*seed)
 			if err != nil {
 				fail("distinct query: %v", err)
@@ -248,8 +222,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// coordination seed, so a coordinator holding several
 		// configurations of the same stream still resolves uniquely.
 		eq := wire.ExprQuery{HasSeed: true, Seed: *seed, Expr: parsedExpr}
-		res, err := queryExpr(eq, lastMsg)
+		kind, digest, _ := sketch.PeekHeader(lastMsg) // an envelope this run built
+		res, err := sc.QueryExpr(eq, uint8(kind), digest)
 		if err != nil {
+			if len(addrs) == 1 {
+				err = unshard(err)
+			}
 			fail("expression %s: %v", parsedExpr, err)
 		} else {
 			var sb strings.Builder

@@ -95,6 +95,22 @@ func TestRunSingleCoordinator(t *testing.T) {
 	}
 }
 
+// TestRunSingleCoordinatorRefusalNamesAddress: a lone coordinator runs
+// as a one-shard ring, but its refusals name it by address alone.
+func TestRunSingleCoordinatorRefusalNamesAddress(t *testing.T) {
+	addr := startTestServer(t, server.Config{RequireKind: "kmv"})
+	paths := writeStreams(t, 1)
+	var stdout, stderr bytes.Buffer
+	code := run(append([]string{"-addr", addr}, paths...), &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	msg := stderr.String()
+	if !strings.Contains(msg, ": "+addr+" is pinned to another sketch kind") || strings.Contains(msg, "shard") {
+		t.Errorf("stderr does not name the coordinator by its address alone:\n%s", msg)
+	}
+}
+
 func TestRunShardedPushesAndQueries(t *testing.T) {
 	addrs := make([]string, 3)
 	for i := range addrs {

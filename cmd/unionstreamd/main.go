@@ -63,8 +63,7 @@ func main() {
 		addr        = flag.String("addr", ":7600", "TCP listen address for the sketch protocol")
 		statsz      = flag.String("statsz", "", "HTTP listen address for /statsz (empty = disabled)")
 		maxFrame    = flag.Uint("max-frame", 0, "maximum accepted frame payload in bytes (0 = 16 MiB)")
-		requireSeed = flag.Uint64("require-seed", 0, "reject sketches whose coordination seed differs (with -pin-seed)")
-		pinSeed     = flag.Bool("pin-seed", false, "enforce -require-seed (otherwise any seed forms its own group)")
+		requireSeed = flag.Uint64("require-seed", 0, "reject sketches whose coordination seed differs (unset = any seed forms its own group)")
 		requireKind = flag.String("require-kind", "", "reject sketches of any other kind (empty = accept all registered kinds)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 		quiet       = flag.Bool("quiet", false, "suppress per-event logging")
@@ -101,9 +100,11 @@ func main() {
 		RequireKind: *requireKind,
 		Logf:        logf,
 	}
-	if *pinSeed {
-		cfg.RequireSeed = requireSeed
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "require-seed" {
+			cfg.RequireSeed = requireSeed
+		}
+	})
 	if *relayTo != "" {
 		cfg.Relay = &server.RelayConfig{
 			Upstream:      *relayTo,

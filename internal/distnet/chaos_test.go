@@ -56,7 +56,7 @@ func chaosOpts(seed uint64, proxy **faultnet.Proxy) Options {
 func TestChaosNetworkRunMatchesSimulator(t *testing.T) {
 	for _, seed := range chaosSeeds() {
 		srcs := overlapSources(6, seed+20)
-		p := distsim.GT{Config: core.EstimatorConfig{Capacity: 256, Copies: 3, Seed: 909}}
+		p := distsim.GT(core.EstimatorConfig{Capacity: 256, Copies: 3, Seed: 909})
 		want, err := distsim.Run(p, srcs, false)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestChaosNetworkRunMatchesSimulator(t *testing.T) {
 func TestChaosConcurrentSitesThroughProxy(t *testing.T) {
 	for _, seed := range chaosSeeds() {
 		srcs := overlapSources(6, seed+21)
-		p := distsim.GT{Config: core.EstimatorConfig{Capacity: 256, Copies: 3, Seed: 910}}
+		p := distsim.GT(core.EstimatorConfig{Capacity: 256, Copies: 3, Seed: 910})
 		want, err := distsim.Run(p, srcs, false)
 		if err != nil {
 			t.Fatal(err)

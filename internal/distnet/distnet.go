@@ -1,11 +1,12 @@
 // Package distnet runs a distsim.Protocol over a real network: the
 // referee becomes a unionstreamd coordinator on a loopback TCP socket,
-// sites become goroutines that dial it and push their one-shot
-// envelope messages through internal/client, and the answers come
-// back as wire queries. The coordinator merges by registered sketch
-// kind, so any protocol whose sites emit sketch envelopes (GT, the
-// baselines, exact) runs unchanged; protocols with private message
-// formats (Uncoordinated's local-estimate pairs) are in-process only.
+// and distsim.RunSites — the simulator's own site loop — hands each
+// site's one-shot envelope to a client that pushes it; the answers
+// come back as wire queries. The coordinator merges by registered
+// sketch kind, so every distsim.KindProtocol (GT, Exact, or any
+// other registered kind) runs unchanged; protocols with private
+// message formats (Uncoordinated's local-estimate pairs) are
+// in-process only.
 // Because every sketch in this repository merges order-independently,
 // the network run's estimates are identical to the in-process
 // simulator's on the same sources — the equivalence the end-to-end
@@ -19,8 +20,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -98,57 +97,25 @@ func RunOptions(p distsim.Protocol, sources []stream.Source, concurrent bool, op
 		defer closer.Close() // deferred after the shutdown, so it runs first
 	}
 
+	// Each site pushes from its own client, so a fleet of sites does
+	// not back off in lockstep.
 	acct := distsim.NewByteAccountant()
-	var items atomic.Int64
-
-	runSite := func(i int, src stream.Source) error {
-		sk := p.NewSite(i)
-		var n int64
-		stream.Feed(src, func(it stream.Item) {
-			sk.Process(it)
-			n++
-		})
-		msg, err := sk.Message()
-		if err != nil {
-			return fmt.Errorf("distnet: site %d: %w", i, err)
-		}
+	items, err := distsim.RunSites(p, sources, concurrent, func(site int, msg []byte) error {
 		cl := client.New(client.Config{
 			Addr:        addr,
 			Attempts:    opts.Attempts,
 			BackoffBase: opts.BackoffBase,
 			IOTimeout:   opts.IOTimeout,
-			JitterSeed:  int64(i) + 1,
+			JitterSeed:  int64(site) + 1,
 		})
 		if _, err := cl.Push(msg); err != nil {
-			return fmt.Errorf("distnet: site %d push: %w", i, err)
+			return fmt.Errorf("site %d push: %w", site, err)
 		}
-		acct.Record(i, len(msg))
-		items.Add(n)
+		acct.Record(len(msg))
 		return nil
-	}
-
-	if concurrent {
-		errs := make([]error, len(sources))
-		var wg sync.WaitGroup
-		for i, src := range sources {
-			wg.Add(1)
-			go func(i int, src stream.Source) {
-				defer wg.Done()
-				errs[i] = runSite(i, src)
-			}(i, src)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i, src := range sources {
-			if err := runSite(i, src); err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("distnet: %w", err)
 	}
 
 	// Every push was acked, so every message is absorbed: query.
@@ -173,7 +140,7 @@ func RunOptions(p distsim.Protocol, sources []stream.Source, concurrent bool, op
 		SumEstimate:      sum,
 		Stats: distsim.Stats{
 			Sites:          len(sources),
-			ItemsProcessed: items.Load(),
+			ItemsProcessed: items,
 		},
 	}
 	acct.FillStats(&res.Stats)

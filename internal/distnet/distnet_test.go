@@ -7,6 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distsim"
+	"repro/internal/sketch"
+	"repro/internal/sketch/kmv"
+	"repro/internal/sketch/ll"
 	"repro/internal/stream"
 )
 
@@ -24,7 +27,7 @@ var fastOpts = Options{Attempts: 3, BackoffBase: 5 * time.Millisecond}
 // estimates and byte accounting both.
 func TestNetworkMatchesInProcess(t *testing.T) {
 	srcs := overlapSources(8, 1)
-	p := distsim.GT{Config: core.EstimatorConfig{Capacity: 512, Copies: 5, Seed: 7}}
+	p := distsim.GT(core.EstimatorConfig{Capacity: 512, Copies: 5, Seed: 7})
 
 	want, err := distsim.Run(p, srcs, false)
 	if err != nil {
@@ -62,9 +65,9 @@ func TestNetworkMatchesInProcess(t *testing.T) {
 func TestBaselineProtocolsOverNetwork(t *testing.T) {
 	srcs := overlapSources(4, 3)
 	for _, p := range []distsim.Protocol{
-		distsim.NewKMV(256, 5),
-		distsim.NewLogLog(256, 5),
-		distsim.Exact{},
+		distsim.KindProtocol{Label: "kmv", New: func(int) sketch.Sketch { return kmv.New(256, 5) }},
+		distsim.KindProtocol{Label: "hll", New: func(int) sketch.Sketch { return ll.New(256, 5) }},
+		distsim.Exact(),
 	} {
 		want, err := distsim.Run(p, srcs, false)
 		if err != nil {
@@ -89,22 +92,16 @@ func TestBaselineProtocolsOverNetwork(t *testing.T) {
 }
 
 func TestRunNoSources(t *testing.T) {
-	if _, err := Run(distsim.Exact{}, nil, false); err == nil {
+	if _, err := Run(distsim.Exact(), nil, false); err == nil {
 		t.Error("Run with no sources succeeded")
 	}
 }
 
 func TestByteAccountantPerSite(t *testing.T) {
 	a := distsim.NewByteAccountant()
-	a.Record(0, 100)
-	a.Record(1, 250)
-	a.Record(0, 50)
-	if a.Messages() != 3 || a.TotalBytes() != 400 || a.MaxMessageBytes() != 250 {
-		t.Errorf("totals: %d msgs, %d bytes, max %d", a.Messages(), a.TotalBytes(), a.MaxMessageBytes())
-	}
-	if a.SiteBytes(0) != 150 || a.SiteBytes(1) != 250 || a.SiteBytes(9) != 0 {
-		t.Errorf("per-site: %d, %d", a.SiteBytes(0), a.SiteBytes(1))
-	}
+	a.Record(100)
+	a.Record(250)
+	a.Record(50)
 	var st distsim.Stats
 	st.Sites = 2
 	a.FillStats(&st)

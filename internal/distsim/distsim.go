@@ -6,12 +6,16 @@
 // This mirrors the network-monitoring set-up the paper cites: one
 // monitor per link, sketches collected afterwards.
 //
-// The simulator runs sites as goroutines, transports messages over a
-// channel, and accounts every byte sent, so experiments can report
-// both estimation error and communication cost. Because all the
-// sketches in this repository merge commutatively and associatively,
-// the coordinator's result is independent of message arrival order —
-// a property the tests verify by comparing concurrent and serial runs.
+// RunSites is the one site loop: it runs every site's stream through
+// the protocol's site sketch, serially or one goroutine per site, and
+// hands each end-of-stream message to a transport. Run delivers the
+// messages to an in-process coordinator and accounts every byte sent,
+// so experiments can report both estimation error and communication
+// cost; internal/distnet delivers them over TCP instead. Because all
+// the sketches in this repository merge commutatively and
+// associatively, the coordinator's result is independent of message
+// arrival order — a property the tests verify by comparing concurrent
+// and serial runs.
 package distsim
 
 import (
@@ -79,57 +83,73 @@ func Run(p Protocol, sources []stream.Source, concurrent bool) (*Result, error) 
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("distsim: no sources")
 	}
-	type siteMsg struct {
-		site  int
-		data  []byte
-		items int64
-		err   error
-	}
-
-	runSite := func(i int, src stream.Source) siteMsg {
-		sk := p.NewSite(i)
-		var items int64
-		stream.Feed(src, func(it stream.Item) {
-			sk.Process(it)
-			items++
-		})
-		data, err := sk.Message()
-		return siteMsg{site: i, data: data, items: items, err: err}
-	}
-
-	msgs := make(chan siteMsg, len(sources))
-	if concurrent {
-		var wg sync.WaitGroup
-		for i, src := range sources {
-			wg.Add(1)
-			go func(i int, src stream.Source) {
-				defer wg.Done()
-				msgs <- runSite(i, src)
-			}(i, src)
-		}
-		wg.Wait()
-	} else {
-		for i, src := range sources {
-			msgs <- runSite(i, src)
-		}
-	}
-	close(msgs)
-
 	coord := p.NewCoordinator()
-	res := &Result{Stats: Stats{Sites: len(sources)}}
 	acct := NewByteAccountant()
-	for m := range msgs {
-		if m.err != nil {
-			return nil, fmt.Errorf("distsim: site %d: %w", m.site, m.err)
+	var mu sync.Mutex // serializes absorbs from concurrent sites
+	items, err := RunSites(p, sources, concurrent, func(site int, msg []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if err := coord.Absorb(msg); err != nil {
+			return fmt.Errorf("coordinator absorbing site %d: %w", site, err)
 		}
-		if err := coord.Absorb(m.data); err != nil {
-			return nil, fmt.Errorf("distsim: coordinator absorbing site %d: %w", m.site, err)
-		}
-		res.Stats.ItemsProcessed += m.items
-		acct.Record(m.site, len(m.data))
+		acct.Record(len(msg))
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("distsim: %w", err)
 	}
+	res := &Result{Stats: Stats{Sites: len(sources), ItemsProcessed: items}}
 	acct.FillStats(&res.Stats)
 	res.DistinctEstimate = coord.EstimateDistinct()
 	res.SumEstimate = coord.EstimateSum()
 	return res, nil
+}
+
+// RunSites runs every site of p over its source — serially, or one
+// goroutine per site when concurrent is true — and hands each site's
+// end-of-stream message to deliver, on that site's goroutine. It
+// returns the items processed across all sites, or the first error in
+// site order, from a site's Message or from deliver. A serial run
+// stops at its first error.
+func RunSites(p Protocol, sources []stream.Source, concurrent bool, deliver func(site int, msg []byte) error) (items int64, err error) {
+	counts := make([]int64, len(sources))
+	runSite := func(i int) error {
+		sk := p.NewSite(i)
+		stream.Feed(sources[i], func(it stream.Item) {
+			sk.Process(it)
+			counts[i]++
+		})
+		msg, err := sk.Message()
+		if err != nil {
+			return fmt.Errorf("site %d: %w", i, err)
+		}
+		return deliver(i, msg)
+	}
+	if concurrent {
+		errs := make([]error, len(sources))
+		var wg sync.WaitGroup
+		for i := range sources {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = runSite(i)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return 0, err
+			}
+		}
+	} else {
+		for i := range sources {
+			if err := runSite(i); err != nil {
+				return 0, err
+			}
+		}
+	}
+	for _, n := range counts {
+		items += n
+	}
+	return items, nil
 }

@@ -6,6 +6,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exact"
+	"repro/internal/sketch"
+	"repro/internal/sketch/ams"
+	"repro/internal/sketch/bjkst"
+	"repro/internal/sketch/fm"
+	"repro/internal/sketch/kmv"
+	"repro/internal/sketch/ll"
 	"repro/internal/stream"
 )
 
@@ -18,6 +24,19 @@ func unionTruth(sources []stream.Source) (distinct int, sum uint64) {
 	return d.Count(), d.Sum()
 }
 
+// baselines returns the five baseline kinds as protocols: fm with maps
+// bitmaps, kmv, bjkst and hll with size entries, ams with copies
+// copies, every site with the same seed.
+func baselines(maps, size, copies int, seed uint64) []KindProtocol {
+	return []KindProtocol{
+		{Label: "fm-pcsa", New: func(int) sketch.Sketch { return fm.New(maps, seed) }},
+		{Label: "kmv", New: func(int) sketch.Sketch { return kmv.New(size, seed) }},
+		{Label: "bjkst", New: func(int) sketch.Sketch { return bjkst.New(size, seed) }},
+		{Label: "hll", New: func(int) sketch.Sketch { return ll.New(size, seed) }},
+		{Label: "ams", New: func(int) sketch.Sketch { return ams.New(copies, seed) }},
+	}
+}
+
 func overlapSources(t int, seed uint64) []stream.Source {
 	return stream.OverlapConfig{
 		Sites: t, PerSite: 5000, CoreSize: 2000, PrivateSize: 2000,
@@ -28,7 +47,7 @@ func overlapSources(t int, seed uint64) []stream.Source {
 func TestGTProtocolAccuracy(t *testing.T) {
 	srcs := overlapSources(8, 1)
 	truth, _ := unionTruth(srcs)
-	res, err := Run(GT{Config: core.EstimatorConfig{Capacity: 1024, Copies: 9, Seed: 7}}, srcs, false)
+	res, err := Run(GT(core.EstimatorConfig{Capacity: 1024, Copies: 9, Seed: 7}), srcs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +70,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	// Merge commutativity ⇒ the coordinator's answer must not depend
 	// on message arrival order. Run both modes repeatedly.
 	srcs := overlapSources(16, 3)
-	p := GT{Config: core.EstimatorConfig{Capacity: 256, Copies: 5, Seed: 9}}
+	p := GT(core.EstimatorConfig{Capacity: 256, Copies: 5, Seed: 9})
 	serial, err := Run(p, srcs, false)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +96,7 @@ func TestUncoordinatedOvercounts(t *testing.T) {
 	truth, _ := unionTruth(srcs)
 	cfg := core.EstimatorConfig{Capacity: 1024, Copies: 5, Seed: 11}
 
-	gt, err := Run(GT{Config: cfg}, srcs, false)
+	gt, err := Run(GT(cfg), srcs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +120,7 @@ func TestUncoordinatedOvercounts(t *testing.T) {
 func TestExactProtocol(t *testing.T) {
 	srcs := overlapSources(4, 7)
 	truth, sumTruth := unionTruth(srcs)
-	res, err := Run(Exact{}, srcs, false)
+	res, err := Run(Exact(), srcs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +134,11 @@ func TestExactProtocol(t *testing.T) {
 
 func TestGTCommunicationFarBelowExact(t *testing.T) {
 	srcs := overlapSources(8, 9)
-	gt, err := Run(GT{Config: core.EstimatorConfig{Capacity: 256, Copies: 5, Seed: 3}}, srcs, false)
+	gt, err := Run(GT(core.EstimatorConfig{Capacity: 256, Copies: 5, Seed: 3}), srcs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Run(Exact{}, srcs, false)
+	ex, err := Run(Exact(), srcs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,38 +150,29 @@ func TestGTCommunicationFarBelowExact(t *testing.T) {
 func TestBaselineProtocols(t *testing.T) {
 	srcs := overlapSources(6, 11)
 	truth, _ := unionTruth(srcs)
-	cases := []struct {
-		p   Protocol
-		tol float64
-	}{
-		{NewFM(512, 21), 0.25},
-		{NewKMV(1024, 21), 0.15},
-		{NewBJKST(1024, 21), 0.15},
-		{NewLogLog(1024, 21), 0.15},
-		{NewAMS(15, 21), 7.0}, // constant-factor only
-	}
-	for _, c := range cases {
-		res, err := Run(c.p, srcs, false)
+	tols := []float64{0.25, 0.15, 0.15, 0.15, 7.0} // ams: constant-factor only
+	for i, p := range baselines(512, 1024, 15, 21) {
+		res, err := Run(p, srcs, false)
 		if err != nil {
-			t.Fatalf("%s: %v", c.p.Name(), err)
+			t.Fatalf("%s: %v", p.Name(), err)
 		}
 		rel := math.Abs(res.DistinctEstimate-float64(truth)) / float64(truth)
-		if rel > c.tol {
+		if rel > tols[i] {
 			t.Errorf("%s: rel err %.3f > %.2f (est %.0f, truth %d)",
-				c.p.Name(), rel, c.tol, res.DistinctEstimate, truth)
+				p.Name(), rel, tols[i], res.DistinctEstimate, truth)
 		}
 		if !math.IsNaN(res.SumEstimate) {
-			t.Errorf("%s: expected NaN sum estimate", c.p.Name())
+			t.Errorf("%s: expected NaN sum estimate", p.Name())
 		}
 		if res.Stats.BytesSent == 0 {
-			t.Errorf("%s: no communication accounted", c.p.Name())
+			t.Errorf("%s: no communication accounted", p.Name())
 		}
 	}
 }
 
 func TestBaselineConcurrentMatchesSerial(t *testing.T) {
 	srcs := overlapSources(8, 13)
-	for _, p := range []Protocol{NewFM(128, 5), NewKMV(256, 5), NewBJKST(256, 5), NewLogLog(256, 5), NewAMS(7, 5)} {
+	for _, p := range baselines(128, 256, 7, 5) {
 		serial, err := Run(p, srcs, false)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +188,7 @@ func TestBaselineConcurrentMatchesSerial(t *testing.T) {
 }
 
 func TestRunNoSources(t *testing.T) {
-	if _, err := Run(Exact{}, nil, false); err == nil {
+	if _, err := Run(Exact(), nil, false); err == nil {
 		t.Error("Run with no sources succeeded")
 	}
 }
@@ -188,7 +198,7 @@ func TestSingleSiteMatchesLocal(t *testing.T) {
 	// estimator locally.
 	src := stream.NewUniform(5000, 20000, 3)
 	cfg := core.EstimatorConfig{Capacity: 512, Copies: 5, Seed: 9}
-	res, err := Run(GT{Config: cfg}, []stream.Source{src}, false)
+	res, err := Run(GT(cfg), []stream.Source{src}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +219,7 @@ func TestGTSumAcrossSites(t *testing.T) {
 		stream.FromSlice(items), stream.FromSlice(items), stream.FromSlice(items),
 	}
 	truth, sumTruth := unionTruth(srcs)
-	res, err := Run(GT{Config: core.EstimatorConfig{Capacity: 1024, Copies: 9, Seed: 13}}, srcs, false)
+	res, err := Run(GT(core.EstimatorConfig{Capacity: 1024, Copies: 9, Seed: 13}), srcs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +233,9 @@ func TestGTSumAcrossSites(t *testing.T) {
 
 func TestProtocolNames(t *testing.T) {
 	names := map[string]Protocol{
-		"gt-coordinated":    GT{},
+		"gt-coordinated":    GT(core.EstimatorConfig{}),
 		"uncoordinated-sum": Uncoordinated{},
-		"exact-dedup":       Exact{},
-		"fm-pcsa":           NewFM(16, 1),
-		"ams":               NewAMS(3, 1),
-		"kmv":               NewKMV(16, 1),
-		"bjkst":             NewBJKST(16, 1),
-		"hll":               NewLogLog(16, 1),
+		"exact-dedup":       Exact(),
 	}
 	for want, p := range names {
 		if p.Name() != want {
@@ -240,10 +245,11 @@ func TestProtocolNames(t *testing.T) {
 }
 
 func TestCoordinatorRejectsGarbage(t *testing.T) {
-	for _, p := range []Protocol{
-		GT{Config: core.EstimatorConfig{Capacity: 8, Copies: 3, Seed: 1}},
-		NewFM(16, 1), NewKMV(16, 1), NewBJKST(16, 1), NewLogLog(16, 1), NewAMS(3, 1),
-	} {
+	protocols := []Protocol{GT(core.EstimatorConfig{Capacity: 8, Copies: 3, Seed: 1})}
+	for _, p := range baselines(16, 16, 3, 1) {
+		protocols = append(protocols, p)
+	}
+	for _, p := range protocols {
 		c := p.NewCoordinator()
 		if err := c.Absorb([]byte("garbage message")); err == nil {
 			t.Errorf("%s: coordinator accepted garbage", p.Name())

@@ -9,11 +9,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/hashing"
 	"repro/internal/sketch"
-	"repro/internal/sketch/ams"
-	"repro/internal/sketch/bjkst"
-	"repro/internal/sketch/fm"
-	"repro/internal/sketch/kmv"
-	"repro/internal/sketch/ll"
 	"repro/internal/stream"
 )
 
@@ -84,38 +79,37 @@ func (c *kindCoord) EstimateSum() float64 {
 	return math.NaN()
 }
 
-// kindProtocol adapts a sketch-kind constructor into a Protocol using
-// kindSite and kindCoord.
-type kindProtocol struct {
-	name string
-	mk   func(site int) sketch.Sketch
+// KindProtocol runs a registered sketch kind as a protocol: site i
+// processes its stream into New(i) and sends the sketch's envelope,
+// and the coordinator opens and merges the envelopes. Every kind's
+// envelope also travels the networked path unchanged
+// (internal/distnet).
+type KindProtocol struct {
+	// Label names the protocol in experiment tables.
+	Label string
+	// New returns site i's empty sketch. Coordinated protocols give
+	// every site the identical configuration.
+	New func(site int) sketch.Sketch
 }
 
 // Name implements Protocol.
-func (p *kindProtocol) Name() string { return p.name }
+func (p KindProtocol) Name() string { return p.Label }
 
 // NewSite implements Protocol.
-func (p *kindProtocol) NewSite(site int) SiteSketch { return newKindSite(p.mk(site)) }
+func (p KindProtocol) NewSite(site int) SiteSketch { return newKindSite(p.New(site)) }
 
 // NewCoordinator implements Protocol.
-func (p *kindProtocol) NewCoordinator() Coordinator { return &kindCoord{} }
+func (p KindProtocol) NewCoordinator() Coordinator { return &kindCoord{} }
 
-// GT is the paper's protocol: every site runs a coordinated
-// core.Estimator (shared master seed), sends its serialized sketch,
-// and the coordinator merges copy-by-copy.
-type GT struct {
-	Config core.EstimatorConfig
+// GT is the paper's protocol: every site runs a core.Estimator with
+// the identical configuration (shared master seed, the coordination
+// requirement), and the coordinator merges copy-by-copy.
+func GT(cfg core.EstimatorConfig) KindProtocol {
+	return KindProtocol{
+		Label: "gt-coordinated",
+		New:   func(int) sketch.Sketch { return core.NewEstimator(cfg) },
+	}
 }
-
-// Name implements Protocol.
-func (g GT) Name() string { return "gt-coordinated" }
-
-// NewSite implements Protocol. Every site uses the identical
-// configuration — the coordination requirement.
-func (g GT) NewSite(int) SiteSketch { return newKindSite(core.NewEstimator(g.Config)) }
-
-// NewCoordinator implements Protocol.
-func (g GT) NewCoordinator() Coordinator { return &kindCoord{} }
 
 // Uncoordinated is the strawman E3 contrasts with GT: each site runs
 // the same sampler but with an *independent* seed, so sketches cannot
@@ -171,53 +165,9 @@ func (c *sumCoord) EstimateSum() float64      { return c.sum }
 // Exact is the communication baseline: each site ships its entire
 // distinct label/value set and the coordinator unions exactly.
 // Accuracy is perfect; E6 measures what that costs in bytes.
-type Exact struct{}
-
-// Name implements Protocol.
-func (Exact) Name() string { return "exact-dedup" }
-
-// NewSite implements Protocol.
-func (Exact) NewSite(int) SiteSketch { return newKindSite(exact.NewDistinct()) }
-
-// NewCoordinator implements Protocol.
-func (Exact) NewCoordinator() Coordinator { return &kindCoord{} }
-
-// NewFM returns the FM/PCSA baseline protocol (strong hashing).
-func NewFM(numMaps int, seed uint64) Protocol {
-	return &kindProtocol{
-		name: "fm-pcsa",
-		mk:   func(int) sketch.Sketch { return fm.New(numMaps, seed) },
-	}
-}
-
-// NewAMS returns the AMS baseline protocol.
-func NewAMS(copies int, seed uint64) Protocol {
-	return &kindProtocol{
-		name: "ams",
-		mk:   func(int) sketch.Sketch { return ams.New(copies, seed) },
-	}
-}
-
-// NewKMV returns the KMV/bottom-k baseline protocol.
-func NewKMV(k int, seed uint64) Protocol {
-	return &kindProtocol{
-		name: "kmv",
-		mk:   func(int) sketch.Sketch { return kmv.New(k, seed) },
-	}
-}
-
-// NewBJKST returns the BJKST baseline protocol.
-func NewBJKST(capacity int, seed uint64) Protocol {
-	return &kindProtocol{
-		name: "bjkst",
-		mk:   func(int) sketch.Sketch { return bjkst.New(capacity, seed) },
-	}
-}
-
-// NewLogLog returns the HLL-style baseline protocol (strong hashing).
-func NewLogLog(numRegs int, seed uint64) Protocol {
-	return &kindProtocol{
-		name: "hll",
-		mk:   func(int) sketch.Sketch { return ll.New(numRegs, seed) },
+func Exact() KindProtocol {
+	return KindProtocol{
+		Label: "exact-dedup",
+		New:   func(int) sketch.Sketch { return exact.NewDistinct() },
 	}
 }

@@ -66,7 +66,7 @@ func (e TraceEvent) String() string {
 type Proxy struct {
 	target string
 	sched  Schedule
-	acct   *distsim.ByteAccountant // optional; records forwarded up-bytes per conn
+	acct   *distsim.ByteAccountant // optional; records each connection's forwarded up-bytes
 
 	ln net.Listener
 	wg sync.WaitGroup
@@ -80,8 +80,8 @@ type Proxy struct {
 // Option configures a Proxy.
 type Option func(*Proxy)
 
-// WithAccountant records every forwarded client→server byte in acct
-// (connection index as the site), reusing the distributed simulator's
+// WithAccountant records each connection's forwarded client→server
+// bytes in acct as one message, reusing the distributed simulator's
 // byte accounting.
 func WithAccountant(acct *distsim.ByteAccountant) Option {
 	return func(p *Proxy) { p.acct = acct }
@@ -229,7 +229,7 @@ func (p *Proxy) handle(id int, client net.Conn, plan Plan) {
 		ev.ReplayBytes = p.replay(tee.Bytes())
 	}
 	if p.acct != nil {
-		p.acct.Record(id, int(ev.UpBytes))
+		p.acct.Record(int(ev.UpBytes))
 	}
 	p.record(ev)
 }

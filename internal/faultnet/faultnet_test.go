@@ -90,8 +90,10 @@ func TestPassThroughAndTrace(t *testing.T) {
 	if tr[0].DownBytes == 0 {
 		t.Error("ack bytes not forwarded")
 	}
-	if acct.TotalBytes() != wantUp {
-		t.Errorf("accountant recorded %d bytes, want %d", acct.TotalBytes(), wantUp)
+	var st distsim.Stats
+	acct.FillStats(&st)
+	if st.Messages != 1 || st.BytesSent != wantUp {
+		t.Errorf("accountant recorded %d messages, %d bytes, want 1, %d", st.Messages, st.BytesSent, wantUp)
 	}
 }
 

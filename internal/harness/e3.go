@@ -54,7 +54,7 @@ func runE3(cfg Config) ([]*Table, error) {
 
 				c := estCfg
 				c.Seed = seed ^ 0xc0de
-				coord, err := distsim.Run(distsim.GT{Config: c}, srcs, false)
+				coord, err := distsim.Run(distsim.GT(c), srcs, false)
 				if err != nil {
 					return nil, err
 				}

@@ -42,8 +42,8 @@ func runE6(cfg Config) ([]*Table, error) {
 			stream.Feed(s, func(it stream.Item) { truth.Process(it.Label) })
 		}
 		for _, p := range []distsim.Protocol{
-			distsim.GT{Config: estCfg},
-			distsim.Exact{},
+			distsim.GT(estCfg),
+			distsim.Exact(),
 			distsim.Uncoordinated{Config: estCfg},
 		} {
 			res, err := distsim.Run(p, srcs, false)
@@ -68,11 +68,11 @@ func runE6(cfg Config) ([]*Table, error) {
 			CoreSize: uint64(ps/2) + 1, PrivateSize: uint64(ps/2) + 1,
 			Overlap: 0.5, Seed: cfg.Seed ^ 0x66,
 		}
-		gtRes, err := distsim.Run(distsim.GT{Config: estCfg}, wl.Build(), false)
+		gtRes, err := distsim.Run(distsim.GT(estCfg), wl.Build(), false)
 		if err != nil {
 			return nil, err
 		}
-		exRes, err := distsim.Run(distsim.Exact{}, wl.Build(), false)
+		exRes, err := distsim.Run(distsim.Exact(), wl.Build(), false)
 		if err != nil {
 			return nil, err
 		}

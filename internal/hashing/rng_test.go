@@ -122,18 +122,3 @@ func TestXoshiroIntnPanicsOnNonPositive(t *testing.T) {
 	}()
 	NewXoshiro256(1).Intn(-1)
 }
-
-func TestXoshiroJumpDecorrelates(t *testing.T) {
-	a := NewXoshiro256(9)
-	b := NewXoshiro256(9)
-	b.Jump()
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("jumped stream collided on %d/64 outputs", same)
-	}
-}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,24 +49,17 @@ type RelayConfig struct {
 const DefaultRelayInterval = time.Second
 
 // relayState is the running relay: the upstream client, the flush
-// loop's plumbing, and the /statsz counters.
+// rounds and their timer's nudge, and the /statsz counters.
 type relayState struct {
 	cfg      RelayConfig
 	upstream *client.Client
 	flushNow chan struct{}
-	wg       sync.WaitGroup
-
-	// round holds one token while a flush round runs, so rounds never
-	// interleave snapshots of the same group: the timer, threshold
-	// triggers and explicit calls skip a round when it is taken, and
-	// the drain flush waits for it.
-	round chan struct{}
+	round
 
 	flushes     atomic.Int64
 	groupsSent  atomic.Int64
 	bytesSent   atomic.Int64
 	pushErrors  atomic.Int64
-	flushSkips  atomic.Int64
 	lastErr     atomic.Value // string
 	drainFlush  atomic.Bool
 	drainGroups atomic.Int64
@@ -88,28 +80,7 @@ func newRelayState(cfg RelayConfig) *relayState {
 			JitterSeed:  cfg.JitterSeed,
 		}),
 		flushNow: make(chan struct{}, 1),
-		round:    make(chan struct{}, 1),
-	}
-}
-
-// relayLoop is the flush timer goroutine: it runs one flush round per
-// tick, plus one whenever a hot group crosses the FlushAfter
-// threshold. The final drain flush is Shutdown's job, not this
-// loop's.
-func (s *Server) relayLoop() {
-	defer s.relay.wg.Done()
-	t := time.NewTicker(s.relay.cfg.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-		case <-s.relay.flushNow:
-		}
-		if _, err := s.FlushRelay(); err != nil {
-			s.logf("unionstreamd: relay flush: %v", err)
-		}
+		round:    round{token: make(chan struct{}, 1)},
 	}
 }
 
@@ -124,31 +95,20 @@ func (g *group) relayDirty(r *relayState) bool {
 // FlushRelay pushes every dirty group's envelope upstream over one
 // batched connection and returns how many groups were durably acked.
 // It is what the relay timer runs each tick and what tests call to
-// make relay timing deterministic. Rounds are serialized; a round that
-// finds one in progress returns immediately (the running round will
-// deliver the dirt it snapshotted, and the next tick catches the
-// rest). Shutdown's drain flush, which has no next tick, waits
-// instead.
+// make relay timing deterministic. A call that finds a round in
+// progress returns (0, nil) at once (see round); Shutdown's drain
+// flush waits instead.
 func (s *Server) FlushRelay() (groups int, err error) {
 	r := s.relay
 	if r == nil {
 		return 0, fmt.Errorf("server: not a relay (no RelayConfig)")
 	}
-	select {
-	case r.round <- struct{}{}:
-	default:
-		r.flushSkips.Add(1)
-		return 0, nil
-	}
-	return s.flushRound()
+	return r.try(s.flushRound)
 }
 
-// flushRound runs one flush round. The caller must hold the round
-// token; flushRound releases it.
+// flushRound runs one flush round; the caller holds the round token.
 func (s *Server) flushRound() (groups int, err error) {
 	r := s.relay
-	defer func() { <-r.round }()
-
 	if ferr := failpoint.Inject(failpoint.ServerRelayFlush); ferr != nil {
 		// Chaos hook: the whole cycle fails before any snapshot — every
 		// group stays dirty and the next cycle retries.
@@ -235,8 +195,7 @@ func (s *Server) drainRelay() {
 	// Wait out a round still in flight (an explicit FlushRelay outlives
 	// the timer loop): its snapshot may predate the last absorbs, and
 	// no later tick will deliver them.
-	s.relay.round <- struct{}{}
-	n, err := s.flushRound()
+	n, err := s.relay.wait(s.flushRound)
 	s.relay.drainGroups.Store(int64(n))
 	if err != nil {
 		s.logf("unionstreamd: relay drain flush: %v", err)

@@ -2,12 +2,13 @@ package server_test
 
 // Regression suite for the relay tier's worst interleaving: flush
 // rounds (timer-driven and explicit) racing Shutdown's drain. The
-// round token in relayState serializes rounds, Shutdown must never
-// hold a lock across the upstream push, and the drain flush must
-// still deliver every dirty group — so the whole dance has to finish
-// without deadlock and leave the parent bit-identical to a
-// coordinator that absorbed every site push directly. Run under
-// -race (ci.sh always does).
+// relay's round (round.go, shared with the WAL's snapshots)
+// serializes rounds, Shutdown must never hold a lock across the
+// upstream push, and the drain flush must wait out a round in flight
+// and still deliver every dirty group — so the whole dance has to
+// finish without deadlock and leave the parent bit-identical to a
+// coordinator that absorbed every site push directly. Run under -race
+// (ci.sh always does).
 
 import (
 	"bytes"

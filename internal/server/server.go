@@ -134,6 +134,9 @@ type Server struct {
 	wal   *walState   // nil unless cfg.WAL is set
 
 	connWG sync.WaitGroup
+	// loops counts the relay's and the WAL's round timers, which
+	// Shutdown and Abort wait out before their own final steps.
+	loops sync.WaitGroup
 
 	mu       sync.Mutex // guards: groups, ln, conns, started, shutdown
 	groups   map[cluster.GroupKey]*group
@@ -160,7 +163,7 @@ func New(cfg Config) *Server {
 		s.relay = newRelayState(*cfg.Relay)
 	}
 	if cfg.WAL != nil {
-		s.wal = &walState{cfg: *cfg.WAL}
+		s.wal = &walState{cfg: *cfg.WAL, round: round{token: make(chan struct{}, 1)}}
 	}
 	return s
 }
@@ -205,17 +208,31 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 
-	if s.relay != nil {
-		s.relay.wg.Add(1)
-		go s.relayLoop()
+	if r := s.relay; r != nil {
+		s.loops.Add(1)
+		go func() {
+			defer s.loops.Done()
+			r.tick(s.quit, r.cfg.FlushInterval, r.flushNow, s.flushRound, func(err error) {
+				s.logf("unionstreamd: relay flush: %v", err)
+			})
+		}()
 		s.logf("unionstreamd: relaying merged groups to %s every %s",
-			s.relay.cfg.Upstream, s.relay.cfg.FlushInterval)
+			r.cfg.Upstream, r.cfg.FlushInterval)
 	}
-	if s.wal != nil {
-		s.wal.wg.Add(1)
-		go s.walLoop()
+	if w := s.wal; w != nil {
+		every := w.cfg.SnapshotEvery
+		if every <= 0 {
+			every = DefaultSnapshotInterval
+		}
+		s.loops.Add(1)
+		go func() {
+			defer s.loops.Done()
+			w.tick(s.quit, every, nil, s.snapshotGroupsToWAL, func(err error) {
+				s.logf("unionstreamd: wal snapshot: %v", err)
+			})
+		}()
 		s.logf("unionstreamd: logging accepted envelopes to %s (fsync %s)",
-			s.wal.cfg.Dir, s.wal.cfg.Sync)
+			w.cfg.Dir, w.cfg.Sync)
 	}
 	s.logf("unionstreamd: serving on %s (%d byte frame limit)", ln.Addr(), s.cfg.MaxPayload)
 
@@ -307,22 +324,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-drained
 	}
-	if s.relay != nil {
-		// The relay timer stopped when quit closed; with every
-		// connection drained (all absorbs acked), one final flush
-		// pushes whatever is still dirty upstream — a cleanly-stopped
-		// shard leaves nothing behind.
-		s.relay.wg.Wait()
-		if started {
-			s.drainRelay()
-		}
+	// The round timers stop once quit has closed.
+	s.loops.Wait()
+	if s.relay != nil && started {
+		// With every connection drained (all absorbs acked), one final
+		// flush pushes whatever is still dirty upstream — a
+		// cleanly-stopped shard leaves nothing behind.
+		s.drainRelay()
 	}
 	if w := s.wal; w != nil && w.recovered.Load() {
 		// With every absorb drained and acked, one final snapshot
 		// captures the groups and prunes the log, so the next boot
-		// replays a snapshot instead of the whole history.
-		w.wg.Wait()
-		if _, serr := s.SnapshotWAL(); serr != nil {
+		// replays a snapshot instead of the whole history. It waits
+		// out an explicit SnapshotWAL still in flight: skipping would
+		// close the log under that round, and no snapshot would cover
+		// the pushes after its cut.
+		if _, serr := w.wait(s.snapshotGroupsToWAL); serr != nil {
 			s.logf("unionstreamd: shutdown wal snapshot: %v", serr)
 		}
 		if cerr := w.log.Close(); cerr != nil {

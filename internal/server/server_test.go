@@ -92,7 +92,7 @@ func TestLoopbackMatchesDistsim(t *testing.T) {
 	srcs := overlapSources(8, 1)
 	cfg := core.EstimatorConfig{Capacity: 512, Copies: 5, Seed: 77}
 
-	want, err := distsim.Run(distsim.GT{Config: cfg}, srcs, true)
+	want, err := distsim.Run(distsim.GT(cfg), srcs, true)
 	if err != nil {
 		t.Fatal(err)
 	}

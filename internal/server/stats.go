@@ -28,7 +28,6 @@ type counters struct {
 	queries       atomic.Int64
 	exprQueries   atomic.Int64
 	rejected      atomic.Int64
-	merges        atomic.Int64
 	mergeNanos    atomic.Int64
 	mergeNanosMax atomic.Int64
 }
@@ -36,7 +35,6 @@ type counters struct {
 func (s *Server) recordMerge(d time.Duration, payloadBytes int64) {
 	s.stats.absorbed.Add(1)
 	s.stats.sketchBytes.Add(payloadBytes)
-	s.stats.merges.Add(1)
 	ns := d.Nanoseconds()
 	s.stats.mergeNanos.Add(ns)
 	for {
@@ -161,17 +159,19 @@ type Stats struct {
 // digest for stable output; the streams block aggregates them per
 // stream in the same order.
 func (s *Server) Stats() Stats {
+	// Every absorb is one merge, so one counter serves both fields.
+	absorbed := s.stats.absorbed.Load()
 	st := Stats{
 		ConnsAccepted:    s.stats.connsAccepted.Load(),
 		ActiveConns:      s.stats.activeConns.Load(),
 		FramesRead:       s.stats.framesRead.Load(),
 		BytesRead:        s.stats.bytesRead.Load(),
-		SketchesAbsorbed: s.stats.absorbed.Load(),
+		SketchesAbsorbed: absorbed,
 		SketchBytes:      s.stats.sketchBytes.Load(),
 		QueriesServed:    s.stats.queries.Load(),
 		ExprQueries:      s.stats.exprQueries.Load(),
 		Rejected:         s.stats.rejected.Load(),
-		Merges:           s.stats.merges.Load(),
+		Merges:           absorbed,
 		MergeNanosTotal:  s.stats.mergeNanos.Load(),
 		MergeNanosMax:    s.stats.mergeNanosMax.Load(),
 	}
@@ -182,7 +182,7 @@ func (s *Server) Stats() Stats {
 		rs := &RelayStats{
 			Upstream:     r.cfg.Upstream,
 			Flushes:      r.flushes.Load(),
-			FlushSkips:   r.flushSkips.Load(),
+			FlushSkips:   r.skips.Load(),
 			GroupsPushed: r.groupsSent.Load(),
 			BytesPushed:  r.bytesSent.Load(),
 			PushErrors:   r.pushErrors.Load(),

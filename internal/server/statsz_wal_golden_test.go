@@ -93,19 +93,22 @@ func TestStatszWALGoldenShape(t *testing.T) {
 		t.Errorf("durable /statsz shape drifted from golden (regenerate with -update-golden if intentional)\n--- got\n%s--- want\n%s", got, want)
 	}
 
-	// Every non-omitempty tag on the wal section must render.
+	// Every non-omitempty tag on the wal section, the embedded
+	// wal.Stats's included, must render.
 	rendered := string(got)
-	typ := reflect.TypeOf(server.WALStats{})
-	for i := 0; i < typ.NumField(); i++ {
-		tag := strings.Split(typ.Field(i).Tag.Get("json"), ",")[0]
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(server.WALStats{})) {
+		if f.Anonymous {
+			continue
+		}
+		tag := strings.Split(f.Tag.Get("json"), ",")[0]
 		if tag == "" || tag == "-" {
 			continue
 		}
-		if strings.Contains(typ.Field(i).Tag.Get("json"), "omitempty") {
+		if strings.Contains(f.Tag.Get("json"), "omitempty") {
 			continue
 		}
 		if !strings.Contains(rendered, `"`+tag+`"`) {
-			t.Errorf("field WALStats.%s (json %q) missing from durable /statsz output", typ.Field(i).Name, tag)
+			t.Errorf("field WALStats.%s (json %q) missing from durable /statsz output", f.Name, tag)
 		}
 	}
 }

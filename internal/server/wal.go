@@ -37,7 +37,8 @@ type WALConfig struct {
 	Sync wal.SyncPolicy
 	// SnapshotEvery is the period between merged-state snapshots,
 	// which bound replay time and prune the log; <= 0 selects
-	// DefaultSnapshotInterval. Shutdown always writes a final one.
+	// DefaultSnapshotInterval. Shutdown always writes a final one,
+	// after waiting out a round still in flight.
 	SnapshotEvery time.Duration
 }
 
@@ -46,10 +47,10 @@ type WALConfig struct {
 const DefaultSnapshotInterval = time.Minute
 
 // walState is the running durability layer: the log, the snapshot
-// loop's plumbing, and the /statsz counters.
+// rounds, and the /statsz counters.
 type walState struct {
 	cfg WALConfig
-	wg  sync.WaitGroup
+	round
 
 	// seal is the snapshot barrier, not a field guard: every
 	// append→merge window holds it for read, and a snapshot round
@@ -60,12 +61,6 @@ type walState struct {
 	// land in the kept segments and replay on top of the snapshot,
 	// where idempotent joins absorb the overlap.
 	seal sync.RWMutex // guards:
-
-	mu sync.Mutex // guards: snapshotting
-	// snapshotting serializes snapshot rounds, like the relay's round
-	// token: the timer, explicit SnapshotWAL calls, and the shutdown
-	// snapshot must not interleave.
-	snapshotting bool
 
 	// recoverOnce runs Open+Replay exactly once, before the first
 	// append; log, recErr, and replay are written inside it and read
@@ -78,7 +73,6 @@ type walState struct {
 
 	appendErrors atomic.Int64
 	snapErrors   atomic.Int64
-	snapSkips    atomic.Int64
 	lastErr      atomic.Value // string
 }
 
@@ -131,7 +125,9 @@ func (s *Server) recoverWAL() error {
 	w.replay = st
 	if st.Damaged {
 		s.logf("unionstreamd: wal replay stopped at damaged %s; snapshotting restored state", st.DamagedFile)
-		if serr := s.snapshotNow(); serr != nil {
+		// Nothing else runs yet, so this round needs no token, and
+		// SnapshotWAL would re-enter recoverOnce.
+		if _, serr := s.snapshotGroupsToWAL(); serr != nil {
 			log.Close()
 			return fmt.Errorf("server: wal recovery: superseding damaged %s: %w", st.DamagedFile, serr)
 		}
@@ -144,33 +140,12 @@ func (s *Server) recoverWAL() error {
 	return nil
 }
 
-// walLoop is the snapshot timer goroutine.
-func (s *Server) walLoop() {
-	defer s.wal.wg.Done()
-	every := s.wal.cfg.SnapshotEvery
-	if every <= 0 {
-		every = DefaultSnapshotInterval
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-		}
-		if _, err := s.SnapshotWAL(); err != nil {
-			s.logf("unionstreamd: wal snapshot: %v", err)
-		}
-	}
-}
-
 // SnapshotWAL writes a merged-state snapshot (one envelope per group)
 // and prunes the segments it supersedes, returning how many groups it
-// captured. It is what the snapshot timer runs, what Shutdown runs
-// last, and what tests call to make snapshot timing deterministic.
-// Rounds are serialized; a round that finds one in progress returns
-// immediately.
+// captured. It is what the snapshot timer runs and what tests call to
+// make snapshot timing deterministic. A call that finds a round in
+// progress returns (0, nil) at once (see round); Shutdown's final
+// snapshot waits instead.
 func (s *Server) SnapshotWAL() (groups int, err error) {
 	w := s.wal
 	if w == nil {
@@ -179,28 +154,7 @@ func (s *Server) SnapshotWAL() (groups int, err error) {
 	if err := s.ensureRecovered(); err != nil {
 		return 0, err
 	}
-	w.mu.Lock()
-	if w.snapshotting {
-		w.mu.Unlock()
-		w.snapSkips.Add(1)
-		return 0, nil
-	}
-	w.snapshotting = true
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		w.snapshotting = false
-		w.mu.Unlock()
-	}()
-	return s.snapshotGroupsToWAL()
-}
-
-// snapshotNow is the recovery-time snapshot: recoverOnce is still
-// running, so it must not re-enter ensureRecovered (and needs no
-// round serialization — nothing else is started yet).
-func (s *Server) snapshotNow() error {
-	_, err := s.snapshotGroupsToWAL()
-	return err
+	return w.try(s.snapshotGroupsToWAL)
 }
 
 // snapshotGroupsToWAL collects every group's merged envelope under
@@ -253,9 +207,7 @@ func (s *Server) Abort() {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	if s.relay != nil {
-		s.relay.wg.Wait()
-	}
+	s.loops.Wait()
 	if w := s.wal; w != nil && w.recovered.Load() {
 		// Release the directory so the rebooted server can reopen it;
 		// Close's sync does not make the crash gentler — the bytes a
@@ -266,58 +218,38 @@ func (s *Server) Abort() {
 }
 
 // WALStats is the /statsz section a durable coordinator adds: the
-// log's geometry and counters, the recovery outcome, and the append/
-// rotate/snapshot error tallies.
+// log's own counters (wal.Stats), the fsync policy, the recovery
+// outcome, and the append and snapshot error tallies.
 type WALStats struct {
-	Dir        string `json:"dir"`
+	wal.Stats
 	SyncPolicy string `json:"sync_policy"`
 	// Recovered reports that boot-time replay completed; ReplayDamaged
 	// that it stopped early at a damaged record (the restored prefix
 	// was immediately re-snapshotted).
-	Recovered     bool `json:"recovered"`
-	ReplayDamaged bool `json:"replay_damaged"`
-	// CurrentSegment, LiveSegments, and SnapshotSegment describe the
-	// log's on-disk geometry; the Appended/Fsyncs/Rotations/
-	// RotateErrors counters its append path (a failed rotation does
-	// not fail its append); Snapshots/LastSnapshotGroups/
-	// PrunedSegments its snapshot path; the Replayed counters what
-	// boot restored.
-	CurrentSegment         uint64 `json:"current_segment"`
-	LiveSegments           int64  `json:"live_segments"`
-	SnapshotSegment        uint64 `json:"snapshot_segment"`
-	AppendedRecords        int64  `json:"appended_records"`
-	AppendedBytes          int64  `json:"appended_bytes"`
-	Fsyncs                 int64  `json:"fsyncs"`
-	Rotations              int64  `json:"rotations"`
-	RotateErrors           int64  `json:"rotate_errors"`
-	Snapshots              int64  `json:"snapshots"`
-	LastSnapshotGroups     int64  `json:"last_snapshot_groups"`
-	PrunedSegments         int64  `json:"pruned_segments"`
-	ReplayedSnapshotGroups int64  `json:"replayed_snapshot_groups"`
-	ReplayedRecords        int64  `json:"replayed_records"`
-	ReplayedBytes          int64  `json:"replayed_bytes"`
-	TruncatedTailBytes     int64  `json:"truncated_tail_bytes"`
-	AppendErrors           int64  `json:"append_errors"`
-	SnapshotErrors         int64  `json:"snapshot_errors"`
-	SnapshotSkips          int64  `json:"snapshot_skips"`
+	Recovered      bool  `json:"recovered"`
+	ReplayDamaged  bool  `json:"replay_damaged"`
+	AppendErrors   int64 `json:"append_errors"`
+	SnapshotErrors int64 `json:"snapshot_errors"`
+	SnapshotSkips  int64 `json:"snapshot_skips"`
 	// LastError is the latest append or snapshot error or, when there
 	// is none, the log's latest failed rotation.
 	LastError string `json:"last_error,omitempty"`
 }
 
 // walStats assembles the /statsz wal block. Before recovery has run
-// (or after it failed) only the configuration is reported.
+// (or after it failed) only the configuration and the error tallies
+// are reported.
 func (s *Server) walStats() *WALStats {
 	w := s.wal
 	if w == nil {
 		return nil
 	}
 	ws := &WALStats{
-		Dir:            w.cfg.Dir,
+		Stats:          wal.Stats{Dir: w.cfg.Dir},
 		SyncPolicy:     w.cfg.Sync.String(),
 		AppendErrors:   w.appendErrors.Load(),
 		SnapshotErrors: w.snapErrors.Load(),
-		SnapshotSkips:  w.snapSkips.Load(),
+		SnapshotSkips:  w.skips.Load(),
 	}
 	if v, ok := w.lastErr.Load().(string); ok {
 		ws.LastError = v
@@ -325,26 +257,11 @@ func (s *Server) walStats() *WALStats {
 	if !w.recovered.Load() {
 		return ws
 	}
+	ws.Stats = w.log.Stats()
 	ws.Recovered = true
 	ws.ReplayDamaged = w.replay.Damaged
-	ls := w.log.Stats()
-	ws.CurrentSegment = ls.CurrentSegment
-	ws.LiveSegments = ls.LiveSegments
-	ws.SnapshotSegment = ls.SnapshotSegment
-	ws.AppendedRecords = ls.AppendedRecords
-	ws.AppendedBytes = ls.AppendedBytes
-	ws.Fsyncs = ls.Fsyncs
-	ws.Rotations = ls.Rotations
-	ws.RotateErrors = ls.RotateErrors
 	if ws.LastError == "" {
-		ws.LastError = ls.LastRotateError
+		ws.LastError = ws.LastRotateError
 	}
-	ws.Snapshots = ls.Snapshots
-	ws.LastSnapshotGroups = ls.LastSnapshotGroups
-	ws.PrunedSegments = ls.PrunedSegments
-	ws.ReplayedSnapshotGroups = ls.ReplayedSnapshotGroups
-	ws.ReplayedRecords = ls.ReplayedRecords
-	ws.ReplayedBytes = ls.ReplayedBytes
-	ws.TruncatedTailBytes = ls.TruncatedTailBytes
 	return ws
 }

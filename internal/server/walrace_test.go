@@ -2,12 +2,13 @@ package server_test
 
 // Regression suite for the durability layer's worst interleaving:
 // snapshot rounds (timer-driven, explicit, and one injected mid-drain)
-// racing concurrent site pushes and Shutdown. The snapshotting flag in
-// walState serializes rounds, absorb holds only the seal read-lock
-// across append+merge, and Shutdown's final snapshot must capture
-// every acked envelope — so the whole dance has to finish without
-// deadlock and leave the rebooted coordinator bit-identical to a
-// direct-absorb control. Run under -race (ci.sh always does).
+// racing concurrent site pushes and Shutdown. The WAL's round
+// (round.go, shared with the relay's flushes) serializes rounds,
+// absorb holds only the seal read-lock across append+merge, and
+// Shutdown's final snapshot waits out a round in flight and must
+// capture every acked envelope — so the whole dance has to finish
+// without deadlock and leave the rebooted coordinator bit-identical
+// to a direct-absorb control. Run under -race (ci.sh always does).
 
 import (
 	"context"
@@ -26,8 +27,8 @@ import (
 // SnapshotWAL hammer against a durable coordinator whose snapshot
 // timer actually fires, then shuts it down while the ServerDrain
 // failpoint injects one more snapshot in the middle of the drain —
-// the exact "snapshot fires mid-shutdown" schedule the snapshotting
-// flag exists for.
+// the exact "snapshot fires mid-shutdown" schedule the round token
+// exists for.
 func TestWALRacesShutdownDrain(t *testing.T) {
 	envs := relayEnvelopes(t, 24)
 	dir := t.TempDir()
@@ -103,6 +104,82 @@ func TestWALRacesShutdownDrain(t *testing.T) {
 	}
 	assertSnapshotsEqual(t, "rebooted after snapshot storm", snaps, ref)
 	boot.Abort()
+}
+
+// TestWALShutdownSnapshotWaitsForInFlightRound pins the final
+// snapshot's one difference from every other round: it must not skip.
+// An explicit SnapshotWAL can still be writing a snapshot cut before
+// the last pushes when Shutdown drains; were the final snapshot to
+// skip, the log would close under that round and no snapshot would
+// cover those pushes, so the next boot would replay them as raw
+// records.
+func TestWALShutdownSnapshotWaitsForInFlightRound(t *testing.T) {
+	envs := relayEnvelopes(t, 4)
+	ref := controlSnapshots(t, envs)
+	dir := t.TempDir()
+	srv := server.New(server.Config{WAL: testWALConfig(dir)})
+	addr, done := startCrashable(t, srv)
+	pushAll(t, addr, envs[:2])
+
+	// Park an explicit round inside the log's snapshot write, after its
+	// cut was pinned and its groups collected.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hits atomic.Int32
+	failpoint.Enable(failpoint.WALSnapshot, func() error {
+		if hits.Add(1) == 1 {
+			close(entered)
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return nil
+	})
+	defer failpoint.Disable(failpoint.WALSnapshot)
+	roundDone := make(chan struct{})
+	go func() {
+		defer close(roundDone)
+		if _, err := srv.SnapshotWAL(); err != nil {
+			t.Errorf("in-flight round: %v", err)
+		}
+	}()
+	<-entered
+	pushAll(t, addr, envs[2:]) // logged after the parked round's cut
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownDone <- srv.Shutdown(ctx)
+	}()
+	// Give the drain time to reach the parked round before releasing
+	// it; a final snapshot that skips instead of waiting closes the log
+	// in this window.
+	select {
+	case err := <-shutdownDone:
+		shutdownDone <- err
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
+	<-roundDone
+	failpoint.Disable(failpoint.WALSnapshot)
+
+	boot := rebootRecovered(t, dir)
+	defer boot.Abort()
+	snaps, err := boot.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSnapshotsEqual(t, "restart after a final snapshot raced an explicit round", snaps, ref)
+	if n := boot.Stats().WAL.ReplayedRecords; n != 0 {
+		t.Fatalf("restart replayed %d raw records: the final snapshot did not cover the pushes after the in-flight round's cut", n)
+	}
 }
 
 // TestWALRotateErrorsSurfaceInStats: with rotation faulted, pushes are

@@ -57,15 +57,6 @@ func Envelope(s Sketch) ([]byte, error) {
 	return AppendEnvelope(nil, s)
 }
 
-// PeekKind reads the kind tag from an envelope without decoding the
-// payload. It reports false when b is not even a plausible envelope.
-func PeekKind(b []byte) (Kind, bool) {
-	if len(b) < EnvelopeHeaderSize || b[0] != EnvelopeMagic0 || b[1] != EnvelopeMagic1 {
-		return 0, false
-	}
-	return Kind(b[2]), true
-}
-
 // PeekHeader reads the kind tag and config digest from an envelope
 // without decoding the payload — enough to route the envelope (a
 // merge group is identified by exactly this pair) without paying for

@@ -101,8 +101,8 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k, ok := sketch.PeekKind(env); !ok || k != info.Kind {
-			t.Errorf("PeekKind = (%v, %v), want (%v, true)", k, ok, info.Kind)
+		if k, d, ok := sketch.PeekHeader(env); !ok || k != info.Kind || d != a.Digest() {
+			t.Errorf("PeekHeader = (%v, %016x, %v), want (%v, %016x, true)", k, d, ok, info.Kind, a.Digest())
 		}
 		dec, err := sketch.Open(env)
 		if err != nil {

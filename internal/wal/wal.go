@@ -153,7 +153,7 @@ func parseIndexed(name, prefix, suffix string) (uint64, bool) {
 // the sealed segments behind it, and at most one live snapshot.
 // AppendNamed, AppendFrame and Snapshot are safe for concurrent use
 // (Snapshot rounds themselves must be serialized by the caller, as the
-// server's snapshot loop does); Replay must complete before the first
+// server's snapshot round does); Replay must complete before the first
 // append.
 type Log struct {
 	dir  string
@@ -202,26 +202,35 @@ type Log struct {
 	truncatedTail   atomic.Int64
 }
 
-// Stats is a point-in-time snapshot of the log's counters, surfaced
-// by the server's /statsz wal block.
+// Stats is a point-in-time snapshot of the log's counters. The
+// server's /statsz wal block embeds it, so the JSON tags are the
+// operator-facing names.
 type Stats struct {
-	Dir                    string
-	CurrentSegment         uint64
-	LiveSegments           int64
-	SnapshotSegment        uint64
-	AppendedRecords        int64
-	AppendedBytes          int64
-	Fsyncs                 int64
-	Rotations              int64
-	RotateErrors           int64
-	LastRotateError        string
-	Snapshots              int64
-	LastSnapshotGroups     int64
-	PrunedSegments         int64
-	ReplayedSnapshotGroups int64
-	ReplayedRecords        int64
-	ReplayedBytes          int64
-	TruncatedTailBytes     int64
+	Dir string `json:"dir"`
+	// CurrentSegment, LiveSegments, and SnapshotSegment describe the
+	// on-disk geometry; the Appended/Fsyncs/Rotations/RotateErrors
+	// counters the append path (a failed rotation does not fail its
+	// append); Snapshots/LastSnapshotGroups/PrunedSegments the
+	// snapshot path; the Replayed counters and TruncatedTailBytes what
+	// Open and Replay restored.
+	CurrentSegment  uint64 `json:"current_segment"`
+	LiveSegments    int64  `json:"live_segments"`
+	SnapshotSegment uint64 `json:"snapshot_segment"`
+	AppendedRecords int64  `json:"appended_records"`
+	AppendedBytes   int64  `json:"appended_bytes"`
+	Fsyncs          int64  `json:"fsyncs"`
+	Rotations       int64  `json:"rotations"`
+	RotateErrors    int64  `json:"rotate_errors"`
+	// LastRotateError is the latest failed rotation's error; /statsz
+	// reports it as last_error when no append or snapshot error is set.
+	LastRotateError        string `json:"-"`
+	Snapshots              int64  `json:"snapshots"`
+	LastSnapshotGroups     int64  `json:"last_snapshot_groups"`
+	PrunedSegments         int64  `json:"pruned_segments"`
+	ReplayedSnapshotGroups int64  `json:"replayed_snapshot_groups"`
+	ReplayedRecords        int64  `json:"replayed_records"`
+	ReplayedBytes          int64  `json:"replayed_bytes"`
+	TruncatedTailBytes     int64  `json:"truncated_tail_bytes"`
 }
 
 // Stats returns the log's current counters.
