@@ -37,12 +37,15 @@ if [[ -n "$GOFMT_OUT" ]]; then
 fi
 
 echo "== unionlint self-test (golden suites) =="
-# The linter's own analysistest suites, uncached, run before the linter
-# is trusted with the tree: a broken analyzer must fail loudly here,
-# not silently under-report in the unionlint pass below. They include
-# lockorder's pinned scenarios (lockorder, lockcheck), the .vetx
-# two-run fact round trips (driver) and the unionlint:allow grammar
-# (each golden's allowed and reason-less cases).
+# The linter's own golden suites, uncached, run before the linter is
+# trusted with the tree: a broken analyzer must fail loudly here, not
+# silently under-report in the unionlint pass below. Each golden builds
+# unionlint from the checkout and runs it as `go vet -vettool` over a
+# temporary copy of its testdata module, the front end the unionlint
+# pass below uses. They include lockorder's pinned scenarios
+# (lockorder, lockcheck), the .vetx two-run fact round trips (driver)
+# and the unionlint:allow grammar (each golden's allowed and
+# reason-less cases).
 go test -count=1 ./internal/analysis/...
 
 echo "== unionlint =="
@@ -110,9 +113,12 @@ echo "== hot-path allocation table (internal/allocgate, -race, x3) =="
 # and one more record in a pushed kmv batch (push/record, which must
 # equal kmv/absorb), is driven on a fixed seeded input and its malloc
 # count compared with the measured table in internal/allocgate: a rise
-# fails, and so does a fall until the table is lowered. Three runs,
-# so a row whose count varies from run to run fails here rather than
-# in a later change.
+# fails, and so does a fall until the table is lowered. Each exact row
+# is the least of three measurements on fresh state, since the
+# runtime's type-assertion cache fill and a map's seed-dependent growth
+# can each add a malloc to one of them. The stage runs the test three
+# times, so a row that still varies fails here rather than in a later
+# change.
 go test -race -run '^TestHotPathAllocSummaries$' -count=3 ./internal/allocgate
 
 echo "== benchmarks (every benchmark, one iteration) =="

@@ -30,9 +30,23 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/driver"
-	"repro/internal/analysis/registry"
+	"repro/internal/analysis/errcontract"
+	"repro/internal/analysis/floatcmp"
+	"repro/internal/analysis/lockorder"
+	"repro/internal/analysis/mergepure"
+	"repro/internal/analysis/seedcheck"
 )
+
+// analyzers is the suite, in reporting order.
+var analyzers = []*analysis.Analyzer{
+	errcontract.Analyzer,
+	floatcmp.Analyzer,
+	lockorder.Analyzer,
+	mergepure.Analyzer,
+	seedcheck.Analyzer,
+}
 
 // fixUsage describes -fix, the one flag; the -flags handshake
 // announces it so go vet forwards it to every unit.
@@ -45,7 +59,6 @@ func main() {
 func run(argv []string) int {
 	progname := filepath.Base(argv[0])
 	args := argv[1:]
-	analyzers := registry.Analyzers()
 
 	// The two go-command handshakes come before normal flag parsing:
 	// cmd/go invokes them with exactly one argument.

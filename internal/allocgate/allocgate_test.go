@@ -423,9 +423,24 @@ func replayedLog(t *testing.T) *wal.Log {
 	return l
 }
 
-// checkRow compares one measured count with its table row.
-func checkRow(t *testing.T, row string, got uint64) {
+// checkRow measures one row and compares the count with its table
+// row. A ceiling row is measured once; an exact row is the least of
+// three measurements, each on fresh state. Two kinds of allocation
+// land in a measured call at random, neither a cost the path pays on
+// every call. The runtime fills an interface type assertion's cache on
+// about 1 in 1,024 misses and never again once the assertion hits it
+// (gt/expr read 38 with the extra malloc in runtime.typeAssert under
+// relativeStdErr's sketch.Accuracy assertion). A map that deletes
+// grows after a number of inserts that depends on its random hash
+// seed (bjkst/merge read 2 in 2 of 400 runs, bjkst/process in 1).
+// Neither lands in all three runs, while an allocation the path makes
+// on every call does and still fails.
+func checkRow(t *testing.T, row string, measure func() uint64) {
 	t.Helper()
+	got := measure()
+	for i := 1; i < 3 && !ceilingRows[row]; i++ {
+		got = min(got, measure())
+	}
 	want, ok := allocTable[row]
 	switch {
 	case !ok:
@@ -467,14 +482,14 @@ func TestHotPathAllocSummaries(t *testing.T) {
 			for _, p := range kindPaths {
 				p := p
 				t.Run(p.name, func(t *testing.T) {
-					checkRow(t, info.Name+"/"+p.name, p.measure(t, info))
+					checkRow(t, info.Name+"/"+p.name, func() uint64 { return p.measure(t, info) })
 				})
 			}
 		})
 	}
 	for _, p := range otherPaths {
 		p := p
-		t.Run(p.name, func(t *testing.T) { checkRow(t, p.name, p.measure(t)) })
+		t.Run(p.name, func(t *testing.T) { checkRow(t, p.name, func() uint64 { return p.measure(t) }) })
 	}
 }
 

@@ -6,9 +6,10 @@
 // The repository vendors no third-party modules, so this package
 // reimplements just the slice of the x/tools surface the unionlint
 // analyzers need, keeping their code shaped so a future migration to
-// the real framework is a find-and-replace. Drivers live in
-// internal/analysis/driver (the `go vet -vettool` front end) and
-// internal/analysis/analysistest (golden tests).
+// the real framework is a find-and-replace. The one driver is
+// internal/analysis/driver, the `go vet -vettool` front end of
+// cmd/unionlint; the golden tests (internal/analysis/analysistest) run
+// unionlint through go vet too.
 //
 // # Suppression
 //
@@ -61,11 +62,10 @@ type Pass struct {
 	// suppression before forwarding here.
 	Report func(Diagnostic)
 
-	// Facts is the driver's fact store view for this pass: exports
-	// attach to this package, imports see the transitive imports. Nil
-	// when the driver does not support facts; the Pass fact methods
-	// (facts.go) degrade gracefully then.
-	Facts FactContext
+	// FactContext is the driver's fact store view for this pass:
+	// exports attach to this package, imports see the transitive
+	// imports. Its methods are the Pass's fact methods.
+	FactContext
 
 	allow map[allowKey]bool // lazily built unionlint:allow index
 }

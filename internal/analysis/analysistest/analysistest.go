@@ -1,238 +1,260 @@
-// Package analysistest runs an analyzer over golden packages under a
-// testdata directory and checks its diagnostics against `// want`
-// comments, after the pattern of golang.org/x/tools'
-// go/analysis/analysistest.
+// Package analysistest runs an analyzer's golden tests the way CI runs
+// the analyzers, after the pattern of golang.org/x/tools'
+// go/analysis/analysistest: it copies a testdata module to a temporary
+// directory, builds unionlint from the checkout, runs it there as
+// `go vet -vettool`, and checks the analyzer's findings against
+// `// want` comments. The goldens thus go through the front end
+// `unionlint ./...` uses: the vet config's export data, the .vetx files
+// that carry facts from a package's imports, and the on-disk -fix.
 //
-// Layout: testdata/src/<import/path>/*.go, loaded as package
-// <import/path> (so scope-sensitive analyzers see realistic paths).
-// Imports between testdata packages are resolved from source,
-// recursively, within one shared fact store — so fact-driven analyzers
-// (lockorder, mergepure) see their dependencies' facts exactly
-// as the vet driver delivers them. Standard-library imports resolve
-// through the build cache. Expectations are comments of the form
+// Layout: testdata/src/<module>/..., one module per testdata tree. A
+// package keeps its import path (testdata/src/repro/internal/wire/errs
+// is repro/internal/wire/errs), so scope-sensitive analyzers see
+// realistic paths. Expectations are comments of the form
 //
 //	expr // want "regexp"
 //	expr // want "first" "second"
 //
-// Every diagnostic must match a want on its line, and every want must
-// be matched by at least one diagnostic. Dependency packages loaded
-// only as imports are analyzed too (their facts are needed) but their
-// wants are checked only when the package is named in the Run call.
+// Every finding of the analyzer in a named package must match a want
+// on its line, and every want must be matched by at least one finding.
+// Findings of other analyzers, and of packages not named (dependencies
+// vet analyzes only for their facts), are ignored. Any other line of
+// vet's output, such as a type error, fails the test.
 //
-// RunFixes additionally applies the analyzer's suggested fixes in
-// memory and compares the result against <file>.golden siblings,
-// re-analyzes the fixed sources to prove the fixes compile, and checks
-// that a second application changes nothing (idempotency).
+// RunFixes runs `go vet -fix` instead, compares each file it changed
+// with its <file>.golden sibling, and runs it again: the second run
+// type-checks the fixed package and must change nothing.
 package analysistest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
+	"io/fs"
 	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/driver"
 )
 
-// Run loads each pkgPath from dir/src (with its testdata imports) and
-// applies a to it, checking diagnostics against // want comments.
+// Run vets each pkgPath of the testdata module under dir/src and
+// checks a's findings against the want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	ld := newLoader(t, dir, a, nil)
-	for _, path := range pkgPaths {
-		lp := ld.load(path)
-		checkWants(t, ld.fset, lp.files, lp.findings)
+	m := newModule(t, dir, pkgPaths)
+	for _, msg := range m.check(a.Name, pkgPaths, m.vet(t, false, pkgPaths)) {
+		t.Error(msg)
 	}
 }
 
-// RunFixes loads pkgPath, applies the analyzer's suggested fixes in
-// memory, and for every changed file requires a sibling
-// <file>.golden with the expected output. It then re-parses and
-// re-typechecks the fixed sources (fixes must never produce
-// non-compiling code), re-runs the analyzer over them, and requires
-// that applying fixes again yields zero edits (idempotency).
+// RunFixes vets pkgPath with -fix and requires every file the fixes
+// changed to equal its <file>.golden sibling. A second -fix run must
+// then type-check the fixed package and change nothing.
 func RunFixes(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	t.Helper()
-	ld := newLoader(t, dir, a, nil)
-	lp := ld.load(pkgPath)
-	fixed, n, err := driver.FixedSources(lp.findings)
-	if err != nil {
-		t.Fatalf("%s: applying fixes: %v", pkgPath, err)
-	}
-	if n == 0 {
-		t.Fatalf("%s: analyzer produced no applicable fixes; nothing to test", pkgPath)
-	}
-	for name, got := range fixed {
-		golden := name + ".golden"
-		want, err := os.ReadFile(golden)
-		if err != nil {
+	m := newModule(t, dir, []string{pkgPath})
+	m.fix(t, pkgPath)
+	names, _ := filepath.Glob(filepath.Join(m.src, m.rel(pkgPath), "*.go"))
+	fixed := map[string][]byte{} // file in the copy → its fixed contents
+	for _, name := range names {
+		file := filepath.Join(m.copy, m.rel(pkgPath), filepath.Base(name))
+		got := readFile(t, file)
+		if bytes.Equal(got, readFile(t, name)) {
+			continue
+		}
+		fixed[file] = got
+		if want, err := os.ReadFile(name + ".golden"); err != nil {
 			t.Errorf("%s: missing golden file for fixed output: %v\nfixed contents:\n%s", pkgPath, err, got)
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: fixed output differs from %s:\n-- got --\n%s\n-- want --\n%s",
-				name, golden, got, want)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s: fixed output differs from %s.golden:\n-- got --\n%s\n-- want --\n%s", name, name, got, want)
 		}
 	}
-	// Second pass over the fixed sources: must compile, and a second
-	// fix application must be a no-op.
-	ld2 := newLoader(t, dir, a, fixed)
-	lp2 := ld2.load(pkgPath)
-	_, n2, err := driver.FixedSourcesFrom(lp2.findings, fixed)
+	if len(fixed) == 0 {
+		t.Fatalf("%s: %s produced no applicable fixes; nothing to test", pkgPath, a.Name)
+	}
+	m.fix(t, pkgPath)
+	for file, before := range fixed {
+		if !bytes.Equal(readFile(t, file), before) {
+			t.Errorf("%s: fixes are not idempotent: a second -fix changed %s", pkgPath, filepath.Base(file))
+		}
+	}
+}
+
+func readFile(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(name)
 	if err != nil {
-		t.Fatalf("%s: re-applying fixes: %v", pkgPath, err)
+		t.Fatal(err)
 	}
-	if n2 != 0 {
-		t.Errorf("%s: fixes are not idempotent: second application produced %d edit(s)", pkgPath, n2)
-	}
+	return data
 }
 
-// loadedPkg is one testdata package after parse/typecheck/analysis.
-type loadedPkg struct {
-	files    []*ast.File
-	pkg      *driver.Package
-	findings []driver.Finding
+// A module is a testdata module and the temporary copy go vet runs in.
+type module struct {
+	path string // module path: the first element of every package path
+	src  string // the testdata tree, dir/src/<path>
+	copy string // the copy, with a go.mod added
+	tool string // the unionlint binary
 }
 
-// loader resolves testdata packages from source (recursively, through
-// one shared FileSet and fact store) and stdlib packages from export
-// data. overlay maps filename → contents taking precedence over disk,
-// so RunFixes can re-analyze fixed sources in place.
-type loader struct {
-	t        *testing.T
-	dir      string
-	analyzer *analysis.Analyzer
-	fset     *token.FileSet
-	store    *driver.FactStore
-	gcImp    types.Importer
-	overlay  map[string][]byte
-	pkgs     map[string]*loadedPkg
-	loading  map[string]bool
-}
-
-func newLoader(t *testing.T, dir string, a *analysis.Analyzer, overlay map[string][]byte) *loader {
-	ld := &loader{
-		t:        t,
-		dir:      dir,
-		analyzer: a,
-		fset:     token.NewFileSet(),
-		store:    driver.NewFactStore([]*analysis.Analyzer{a}),
-		overlay:  overlay,
-		pkgs:     map[string]*loadedPkg{},
-		loading:  map[string]bool{},
+// newModule copies the testdata module holding pkgPaths, gives the
+// copy a go.mod, and builds unionlint.
+func newModule(t *testing.T, dir string, pkgPaths []string) *module {
+	t.Helper()
+	if len(pkgPaths) == 0 {
+		t.Fatal("analysistest: no packages named")
 	}
-	ld.gcImp = importer.ForCompiler(ld.fset, "gc", importer.Lookup(func(path string) (io.ReadCloser, error) {
-		return stdlibExport(t, path)
-	}))
-	return ld
-}
-
-// srcDir returns the on-disk directory for a testdata import path, or
-// "" if the path is not provided by this testdata tree.
-func (ld *loader) srcDir(pkgPath string) string {
-	dir := filepath.Join(ld.dir, "src", filepath.FromSlash(pkgPath))
-	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		return dir
-	}
-	return ""
-}
-
-// Import implements types.Importer over the testdata tree + stdlib.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if ld.srcDir(path) != "" {
-		return ld.load(path).pkg.Pkg, nil
-	}
-	return ld.gcImp.Import(path)
-}
-
-// load parses, type-checks, and analyzes one testdata package,
-// memoized. Dependencies load (and are analyzed) first via Import, so
-// their facts are in the store before the importer's pass runs.
-func (ld *loader) load(pkgPath string) *loadedPkg {
-	ld.t.Helper()
-	if lp, ok := ld.pkgs[pkgPath]; ok {
-		return lp
-	}
-	if ld.loading[pkgPath] {
-		ld.t.Fatalf("import cycle in testdata involving %s", pkgPath)
-	}
-	ld.loading[pkgPath] = true
-	defer delete(ld.loading, pkgPath)
-
-	pkgDir := ld.srcDir(pkgPath)
-	if pkgDir == "" {
-		ld.t.Fatalf("%s: no such testdata package under %s", pkgPath, filepath.Join(ld.dir, "src"))
-	}
-	entries, err := os.ReadDir(pkgDir)
-	if err != nil {
-		ld.t.Fatalf("%s: %v", pkgPath, err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	modPath, _, _ := strings.Cut(pkgPaths[0], "/")
+	m := &module{path: modPath, src: filepath.Join(dir, "src", modPath), copy: t.TempDir()}
+	for _, p := range pkgPaths {
+		if p != modPath && !strings.HasPrefix(p, modPath+"/") {
+			t.Fatalf("analysistest: %s is not in testdata module %s", p, modPath)
 		}
-		name := filepath.Join(pkgDir, e.Name())
-		var src any
-		if ov, ok := ld.overlay[name]; ok {
-			src = ov
-		}
-		f, err := parser.ParseFile(ld.fset, name, src, parser.ParseComments|parser.SkipObjectResolution)
+	}
+	if err := copyTree(m.src, m.copy); err != nil {
+		t.Fatal(err)
+	}
+	// The repository's go version, so testdata type-checks as the tree does.
+	gomod := fmt.Sprintf("module %s\n\ngo 1.22\n", modPath)
+	if err := os.WriteFile(filepath.Join(m.copy, "go.mod"), []byte(gomod), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.tool = filepath.Join(t.TempDir(), "unionlint")
+	if out, err := goCmd("", "build", "-o", m.tool, "repro/cmd/unionlint").CombinedOutput(); err != nil {
+		t.Fatalf("building unionlint: %v\n%s", err, out)
+	}
+	return m
+}
+
+// rel returns the directory of package pkgPath relative to the module
+// root ("." for the root package).
+func (m *module) rel(pkgPath string) string {
+	if pkgPath == m.path {
+		return "."
+	}
+	return filepath.FromSlash(strings.TrimPrefix(pkgPath, m.path+"/"))
+}
+
+// vet runs `go vet -vettool=unionlint [-fix] pkgPaths` in the copy and
+// returns its output. Its exit status says only whether there were
+// findings; check reads every line.
+func (m *module) vet(t *testing.T, fix bool, pkgPaths []string) []byte {
+	t.Helper()
+	args := []string{"vet", "-vettool=" + m.tool}
+	if fix {
+		args = append(args, "-fix")
+	}
+	out, err := goCmd(m.copy, append(args, pkgPaths...)...).CombinedOutput()
+	if err != nil && !errors.As(err, new(*exec.ExitError)) {
+		t.Fatalf("go vet: %v", err)
+	}
+	return out
+}
+
+// fix runs `go vet -fix` on pkgPath and fails the test on any output
+// line that is not a finding, such as a type error in fixed code.
+func (m *module) fix(t *testing.T, pkgPath string) {
+	t.Helper()
+	if errs := m.check("", nil, m.vet(t, true, []string{pkgPath})); len(errs) > 0 {
+		t.Fatalf("%s: go vet -fix:\n%s", pkgPath, strings.Join(errs, "\n"))
+	}
+}
+
+// goCmd returns a go command run in dir ("" for the test's own
+// directory) that neither a developer's environment nor the network
+// can steer: no workspace, no GOFLAGS, the local toolchain, no proxy.
+func goCmd(dir string, args ...string) *exec.Cmd {
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=", "GOTOOLCHAIN=local", "GOPROXY=off")
+	return cmd
+}
+
+// copyTree copies the files under src to dst.
+func copyTree(src, dst string) error {
+	return filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
-			ld.t.Fatalf("%s: %v", pkgPath, err)
+			return err
 		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		ld.t.Fatalf("%s: no Go files in %s", pkgPath, pkgDir)
-	}
-	pkg, err := driver.TypeCheckImporter(ld.fset, pkgPath, files, ld, "")
-	if err != nil {
-		ld.t.Fatalf("%s: %v", pkgPath, err)
-	}
-	// Restrict fact visibility to the package's transitive imports,
-	// exactly as the vet driver does — a testdata package must not see
-	// facts of packages it does not (transitively) import, even when
-	// one Run call has already loaded them into the shared store.
-	findings, err := driver.RunAnalyzers(pkg, []*analysis.Analyzer{ld.analyzer},
-		ld.store.View(pkg.Pkg, depClosure(pkg.Pkg)))
-	if err != nil {
-		ld.t.Fatalf("%s: %v", pkgPath, err)
-	}
-	lp := &loadedPkg{files: files, pkg: pkg, findings: findings}
-	ld.pkgs[pkgPath] = lp
-	return lp
+		rel, err := filepath.Rel(src, p)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
 }
 
-// depClosure returns the import paths transitively reachable from pkg.
-func depClosure(pkg *types.Package) map[string]bool {
-	seen := map[string]bool{}
-	var walk func(p *types.Package)
-	walk = func(p *types.Package) {
-		for _, imp := range p.Imports() {
-			if !seen[imp.Path()] {
-				seen[imp.Path()] = true
-				walk(imp)
+// check matches vet's output, from a run in the copy, against the want
+// comments of the named packages' testdata files. It returns one
+// message per mismatch and per output line that is neither a finding
+// nor a "# package" header, each naming testdata files, not the copy.
+func (m *module) check(analyzer string, pkgPaths []string, out []byte) []string {
+	wants, errs := m.wants(pkgPaths)
+	for _, l := range strings.Split(string(out), "\n") {
+		if strings.TrimSpace(l) == "" || strings.HasPrefix(l, "# ") {
+			continue
+		}
+		loc, name, msg, ok := driver.ParseVetLine(l)
+		file, line, lok := splitLoc(loc)
+		if !ok || !lok {
+			errs = append(errs, "go vet: "+strings.ReplaceAll(l, m.copy, m.src))
+			continue
+		}
+		if !filepath.IsAbs(file) {
+			file = filepath.Join(m.copy, file)
+		}
+		rel, err := filepath.Rel(m.copy, file)
+		if err != nil || name != analyzer || !slices.Contains(pkgPaths, path.Join(m.path, filepath.ToSlash(filepath.Dir(rel)))) {
+			continue
+		}
+		key := fmt.Sprintf("%s:%d", filepath.Join(m.src, rel), line)
+		matched := false
+		for _, w := range wants[key] {
+			if w.re.MatchString(msg) {
+				w.matched, matched = true, true
+				break
+			}
+		}
+		if !matched {
+			errs = append(errs, fmt.Sprintf("%s: unexpected diagnostic: [%s] %s", key, name, msg))
+		}
+	}
+	for key, ws := range wants {
+		for _, w := range ws {
+			if !w.matched {
+				errs = append(errs, fmt.Sprintf("%s: no diagnostic matched want %q", key, w.raw))
 			}
 		}
 	}
-	walk(pkg)
-	return seen
+	slices.Sort(errs)
+	return errs
+}
+
+// splitLoc splits a "file:line:col" location into its file and line.
+func splitLoc(loc string) (file string, line int, ok bool) {
+	parts := strings.Split(loc, ":")
+	if len(parts) < 3 {
+		return "", 0, false
+	}
+	line, err := strconv.Atoi(parts[len(parts)-2])
+	return strings.Join(parts[:len(parts)-2], ":"), line, err == nil
 }
 
 // want is one expectation.
@@ -242,122 +264,63 @@ type want struct {
 	matched bool
 }
 
-type lineKey struct {
-	file string
-	line int
-}
-
-func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, findings []driver.Finding) {
-	t.Helper()
-	wants := map[lineKey][]*want{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, "want ") {
-					continue
+// wants collects the want comments of the named packages' testdata
+// files by "file:line", returning a message for each package with no
+// Go files and for each malformed comment.
+func (m *module) wants(pkgPaths []string) (map[string][]*want, []string) {
+	fset := token.NewFileSet()
+	wants := map[string][]*want{}
+	var errs []string
+	for _, p := range pkgPaths {
+		files, _ := filepath.Glob(filepath.Join(m.src, m.rel(p), "*.go"))
+		if len(files) == 0 {
+			errs = append(errs, fmt.Sprintf("%s: no Go files in %s", p, filepath.Join(m.src, m.rel(p))))
+		}
+		for _, name := range files {
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				errs = append(errs, err.Error())
+				continue
+			}
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "want ")
+					if !ok {
+						continue
+					}
+					pos := fset.Position(c.Pos())
+					ws, err := parseWants(text)
+					if err != nil {
+						errs = append(errs, fmt.Sprintf("%s: bad want comment: %v", pos, err))
+						continue
+					}
+					key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+					wants[key] = append(wants[key], ws...)
 				}
-				pos := fset.Position(c.Pos())
-				ws, err := parseWants(text[len("want "):])
-				if err != nil {
-					t.Errorf("%s: bad want comment: %v", pos, err)
-					continue
-				}
-				key := lineKey{pos.Filename, pos.Line}
-				wants[key] = append(wants[key], ws...)
 			}
 		}
 	}
-	for _, f := range findings {
-		key := lineKey{f.Pos.Filename, f.Pos.Line}
-		var hit *want
-		for _, w := range wants[key] {
-			if w.re.MatchString(f.Diag.Message) {
-				hit = w
-				break
-			}
-		}
-		if hit == nil {
-			t.Errorf("%s: unexpected diagnostic: [%s] %s", f.Pos, f.Analyzer, f.Diag.Message)
-			continue
-		}
-		hit.matched = true
-	}
-	for key, ws := range wants {
-		for _, w := range ws {
-			if !w.matched {
-				t.Errorf("%s:%d: no diagnostic matched want %q", key.file, key.line, w.raw)
-			}
-		}
-	}
+	return wants, errs
 }
 
 // parseWants parses a sequence of quoted regexps.
 func parseWants(s string) ([]*want, error) {
 	var out []*want
-	s = strings.TrimSpace(s)
-	for s != "" {
-		if s[0] != '"' {
+	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+		q, err := strconv.QuotedPrefix(s)
+		if err != nil {
 			return nil, fmt.Errorf("expected quoted regexp at %q", s)
 		}
-		// Find the end of the quoted string, honoring escapes.
-		end := -1
-		for i := 1; i < len(s); i++ {
-			if s[i] == '\\' {
-				i++
-				continue
-			}
-			if s[i] == '"' {
-				end = i
-				break
-			}
-		}
-		if end < 0 {
-			return nil, fmt.Errorf("unterminated quote in %q", s)
-		}
-		raw, err := strconv.Unquote(s[:end+1])
-		if err != nil {
-			return nil, err
-		}
+		raw, _ := strconv.Unquote(q)
 		re, err := regexp.Compile(raw)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, &want{re: re, raw: raw})
-		s = strings.TrimSpace(s[end+1:])
+		s = s[len(q):]
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty want")
 	}
 	return out, nil
-}
-
-// stdlibExport resolves a standard-library import to its export data
-// via one cached `go list` sweep per process.
-var (
-	exportMu    sync.Mutex
-	exportCache = map[string]string{}
-)
-
-func stdlibExport(t *testing.T, path string) (io.ReadCloser, error) {
-	t.Helper()
-	exportMu.Lock()
-	file, ok := exportCache[path]
-	exportMu.Unlock()
-	if !ok {
-		pkgs, err := driver.GoList(".", path)
-		if err != nil {
-			return nil, fmt.Errorf("resolving testdata import %q: %v", path, err)
-		}
-		exportMu.Lock()
-		for p, export := range driver.ExportMap(pkgs) {
-			exportCache[p] = export
-		}
-		file, ok = exportCache[path]
-		exportMu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("testdata import %q not resolved", path)
-		}
-	}
-	return os.Open(file)
 }

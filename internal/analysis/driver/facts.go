@@ -20,9 +20,7 @@ import (
 // and flushed to the unit's own .vetx (WriteFile). Every .vetx
 // re-exports the facts it imported, so direct-import files carry the
 // whole transitive closure — exactly the x/tools unitchecker
-// contract. analysistest keeps one store across the testdata packages
-// of a run and hands each package a View restricted to its transitive
-// imports.
+// contract — so a unit's store holds exactly the facts it may see.
 //
 // Facts are stored and shipped as gob; RegisterFactTypes must see
 // every analyzer before any store I/O so the concrete types decode.
@@ -155,35 +153,23 @@ func (s *FactStore) ReadFile(path string) error {
 	return nil
 }
 
-// View binds the store to one pass: exports attach to pkg, and imports
-// are restricted to visible import paths (plus pkg itself). A nil
-// visible set means everything in the store is visible — the vet front
-// end uses that, since its store holds exactly the unit's transitive
-// closure by construction.
-func (s *FactStore) View(pkg *types.Package, visible map[string]bool) analysis.FactContext {
-	return &storeView{store: s, pkg: pkg, visible: visible}
+// View binds the store to one pass: exports attach to pkg, and
+// imports read every fact in the store.
+func (s *FactStore) View(pkg *types.Package) analysis.FactContext {
+	return &storeView{store: s, pkg: pkg}
 }
 
 type storeView struct {
-	store   *FactStore
-	pkg     *types.Package
-	visible map[string]bool // nil = all
+	store *FactStore
+	pkg   *types.Package
 }
 
 func (v *storeView) selfPath() string {
 	return analysis.TrimPkgPath(v.pkg.Path())
 }
 
-func (v *storeView) canSee(path string) bool {
-	return v.visible == nil || v.visible[path] || path == v.selfPath()
-}
-
 func (v *storeView) ImportPackageFact(path string, fact analysis.Fact) bool {
-	path = analysis.TrimPkgPath(path)
-	if !v.canSee(path) {
-		return false
-	}
-	return v.store.get(path, "", fact)
+	return v.store.get(analysis.TrimPkgPath(path), "", fact)
 }
 
 func (v *storeView) ExportPackageFact(fact analysis.Fact) {
@@ -195,10 +181,7 @@ func (v *storeView) ExportPackageFact(fact analysis.Fact) {
 
 func (v *storeView) ImportObjectFact(obj types.Object, fact analysis.Fact) bool {
 	path, objPath, ok := v.keyFor(obj)
-	if !ok || !v.canSee(path) {
-		return false
-	}
-	return v.store.get(path, objPath, fact)
+	return ok && v.store.get(path, objPath, fact)
 }
 
 func (v *storeView) ExportObjectFact(obj types.Object, fact analysis.Fact) {
@@ -230,7 +213,7 @@ func (v *storeView) AllPackageFacts() []analysis.PackageFact {
 	v.store.mu.Lock()
 	var out []analysis.PackageFact
 	for k, f := range v.store.facts {
-		if k.obj == "" && v.canSee(k.pkg) {
+		if k.obj == "" {
 			out = append(out, analysis.PackageFact{Path: k.pkg, Fact: f})
 		}
 	}

@@ -16,16 +16,7 @@ import (
 // must come back out of the cached .vetx file for the diagnostic to
 // survive.
 func TestVetLockSummaryRoundTrip(t *testing.T) {
-	root, err := filepath.Abs("../../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(t.TempDir(), "unionlint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/unionlint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building unionlint: %v\n%s", err, out)
-	}
+	_, bin := buildUnionlint(t)
 
 	tmod := t.TempDir()
 	writeTree(t, tmod, map[string]string{

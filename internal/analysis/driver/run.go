@@ -22,18 +22,17 @@ type Finding struct {
 // RunAnalyzers runs every analyzer over pkg and returns the findings,
 // each analyzer's reports of reason-less unionlint:allow annotations
 // that name it included. facts is the pass's fact store view
-// (FactStore.View); nil disables facts, which only fact-free analyzers
-// tolerate meaningfully.
+// (FactStore.View).
 func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer, facts analysis.FactContext) ([]Finding, error) {
 	var out []Finding
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Pkg,
-			TypesInfo: pkg.Info,
-			Facts:     facts,
+			Analyzer:    a,
+			Fset:        pkg.Fset,
+			Files:       pkg.Files,
+			Pkg:         pkg.Pkg,
+			TypesInfo:   pkg.Info,
+			FactContext: facts,
 		}
 		pass.Report = func(d analysis.Diagnostic) {
 			out = append(out, Finding{
@@ -76,27 +75,35 @@ func PrintPlain(w io.Writer, fs []Finding) {
 	}
 }
 
-// Summarize reads go vet's output — the units' plain "file:line:col:
-// [name] message" lines among go vet's own "# package" headers — and
-// writes the grouped per-analyzer summary.
+// ParseVetLine splits one finding line of go vet's output,
+// "file:line:col: [name] message", into its location, analyzer name
+// and message. It reports false for any other line, such as vet's
+// "# package" headers or a type error.
+func ParseVetLine(l string) (loc, name, msg string, ok bool) {
+	l = strings.TrimSpace(l)
+	open := strings.Index(l, "[")
+	end := strings.Index(l, "]")
+	if open < 0 || end < open || !strings.HasSuffix(strings.TrimSpace(l[:open]), ":") {
+		return "", "", "", false
+	}
+	return strings.TrimSuffix(strings.TrimSpace(l[:open]), ":"), l[open+1 : end], strings.TrimSpace(l[end+1:]), true
+}
+
+// Summarize reads go vet's output and writes its findings grouped per
+// analyzer.
 func Summarize(w io.Writer, vetOutput []byte) {
-	type line struct{ loc, name, msg string }
+	type line struct{ loc, msg string }
 	byName := map[string][]line{}
 	var names []string
 	for _, l := range strings.Split(string(vetOutput), "\n") {
-		l = strings.TrimSpace(l)
-		open := strings.Index(l, "[")
-		end := strings.Index(l, "]")
-		if open < 0 || end < open || !strings.HasSuffix(strings.TrimSpace(l[:open]), ":") {
+		loc, name, msg, ok := ParseVetLine(l)
+		if !ok {
 			continue
 		}
-		name := l[open+1 : end]
-		loc := strings.TrimSuffix(strings.TrimSpace(l[:open]), ":")
-		msg := strings.TrimSpace(l[end+1:])
 		if _, ok := byName[name]; !ok {
 			names = append(names, name)
 		}
-		byName[name] = append(byName[name], line{loc, name, msg})
+		byName[name] = append(byName[name], line{loc, msg})
 	}
 	sort.Strings(names)
 	total := 0
@@ -157,49 +164,19 @@ func applyEdits(src []byte, edits []edit) ([]byte, int) {
 	return src, applied
 }
 
-// FixedSources computes the result of applying every suggested fix in
-// fs without touching disk: filename → new contents, only for files
-// with at least one applied edit. Tests use it to check fix output
-// (and re-run analysis over it) against golden files.
-func FixedSources(fs []Finding) (map[string][]byte, int, error) {
-	return FixedSourcesFrom(fs, nil)
-}
-
-// FixedSourcesFrom is FixedSources reading input from overlay first
-// and disk second, so a test can apply fixes to already-fixed sources
-// (the idempotency check) without writing them anywhere.
-func FixedSourcesFrom(fs []Finding, overlay map[string][]byte) (map[string][]byte, int, error) {
-	out := map[string][]byte{}
-	applied := 0
+// ApplyFixes applies every suggested fix carried by fs to the files on
+// disk.
+func ApplyFixes(fs []Finding) error {
 	for name, edits := range collectEdits(fs) {
-		src, ok := overlay[name]
-		if !ok {
-			var err error
-			src, err = os.ReadFile(name)
-			if err != nil {
-				return nil, applied, err
+		src, err := os.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		if fixed, n := applyEdits(src, edits); n > 0 {
+			if err := os.WriteFile(name, fixed, 0o644); err != nil {
+				return err
 			}
 		}
-		fixed, n := applyEdits(src, edits)
-		if n > 0 {
-			out[name] = fixed
-			applied += n
-		}
 	}
-	return out, applied, nil
-}
-
-// ApplyFixes applies every suggested fix carried by fs to the files on
-// disk. It returns the number of edits applied.
-func ApplyFixes(fs []Finding) (int, error) {
-	fixed, applied, err := FixedSources(fs)
-	if err != nil {
-		return applied, err
-	}
-	for name, src := range fixed {
-		if err := os.WriteFile(name, src, 0o644); err != nil {
-			return applied, err
-		}
-	}
-	return applied, nil
+	return nil
 }

@@ -6,8 +6,8 @@
 // fact files of its direct imports. Imports come from that export
 // data (no source re-typechecking of dependencies), which keeps a
 // full-repo run well under a second after the build cache is warm.
-// analysistest drives the same type-checking and analysis core over
-// golden testdata packages.
+// The analyzers' golden tests (analysistest) run through it too: they
+// build unionlint and run go vet over a copy of their testdata.
 package driver
 
 import (
@@ -22,9 +22,6 @@ import (
 	"runtime"
 	"strings"
 )
-
-// ExportLookup resolves an import path to a reader of gc export data.
-type ExportLookup func(path string) (io.ReadCloser, error)
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
@@ -48,16 +45,21 @@ func ParseFiles(fset *token.FileSet, filenames []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// TypeCheck type-checks files as package path, resolving imports
-// through lookup. goVersion may be empty.
-func TypeCheck(fset *token.FileSet, path string, files []*ast.File, lookup ExportLookup, goVersion string) (*Package, error) {
-	imp := unsafeAware{importer.ForCompiler(fset, "gc", importer.Lookup(lookup))}
-	return TypeCheckImporter(fset, path, files, imp, goVersion)
-}
-
-// TypeCheckImporter is TypeCheck with a caller-supplied types.Importer,
-// for front ends (analysistest) that resolve some imports from source.
-func TypeCheckImporter(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*Package, error) {
+// TypeCheck type-checks files as package path, importing each
+// dependency from the export data file packageFile names for it, after
+// importMap (vet configs use it for vendoring and test-variant
+// remapping). goVersion may be empty.
+func TypeCheck(fset *token.FileSet, path string, files []*ast.File, importMap, packageFile map[string]string, goVersion string) (*Package, error) {
+	lookup := func(path string) (io.ReadCloser, error) {
+		if canon, ok := importMap[path]; ok && canon != "" {
+			path = canon
+		}
+		file, ok := packageFile[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -67,7 +69,7 @@ func TypeCheckImporter(fset *token.FileSet, path string, files []*ast.File, imp 
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	cfg := types.Config{
-		Importer: imp,
+		Importer: unsafeAware{importer.ForCompiler(fset, "gc", lookup)},
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
 	if goVersion != "" && !strings.HasPrefix(goVersion, "go1.") && goVersion != "go1" {
@@ -91,20 +93,4 @@ func (i unsafeAware) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	return i.base.Import(path)
-}
-
-// FileLookup builds an ExportLookup over an importPath→exportFile map,
-// with an optional importMap applied first (vet configs use it for
-// vendoring and test-variant remapping).
-func FileLookup(importMap, packageFile map[string]string) ExportLookup {
-	return func(path string) (io.ReadCloser, error) {
-		if canon, ok := importMap[path]; ok && canon != "" {
-			path = canon
-		}
-		file, ok := packageFile[path]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
 }

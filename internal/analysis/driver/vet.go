@@ -127,7 +127,7 @@ func RunVetUnit(cfgPath string, analyzers []*analysis.Analyzer, fix bool) int {
 		fmt.Fprintf(os.Stderr, "unionlint: %v\n", err)
 		return 1
 	}
-	pkg, err := TypeCheck(fset, cfg.ImportPath, files, FileLookup(cfg.ImportMap, cfg.PackageFile), cfg.GoVersion)
+	pkg, err := TypeCheck(fset, cfg.ImportPath, files, cfg.ImportMap, cfg.PackageFile, cfg.GoVersion)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure && writeFacts() {
 			return 0
@@ -135,9 +135,7 @@ func RunVetUnit(cfgPath string, analyzers []*analysis.Analyzer, fix bool) int {
 		fmt.Fprintf(os.Stderr, "unionlint: %v\n", err)
 		return 1
 	}
-	// The store holds exactly the unit's visible closure, so the view
-	// needs no extra visibility restriction (nil = everything).
-	findings, err := RunAnalyzers(pkg, analyzers, store.View(pkg.Pkg, nil))
+	findings, err := RunAnalyzers(pkg, analyzers, store.View(pkg.Pkg))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "unionlint: %v\n", err)
 		return 1
@@ -151,7 +149,7 @@ func RunVetUnit(cfgPath string, analyzers []*analysis.Analyzer, fix bool) int {
 		return 0
 	}
 	if fix {
-		if _, err := ApplyFixes(findings); err != nil {
+		if err := ApplyFixes(findings); err != nil {
 			fmt.Fprintf(os.Stderr, "unionlint: applying fixes: %v\n", err)
 			return 1
 		}

@@ -36,9 +36,7 @@ type PackageFact struct {
 // FactContext is the driver-provided view of the fact store for one
 // pass: facts exported here become visible to passes over importing
 // packages, and facts imported here come from the transitive imports
-// of the package under analysis. A nil FactContext (analyzer run by a
-// driver predating facts) makes every import report false and every
-// export a no-op; the Pass methods below encode that tolerance.
+// of the package under analysis.
 type FactContext interface {
 	// ImportPackageFact copies the fact of fact's concrete type
 	// attached to the package with the given import path into fact,
@@ -57,46 +55,6 @@ type FactContext interface {
 	// AllPackageFacts returns every visible package fact, in
 	// deterministic order.
 	AllPackageFacts() []PackageFact
-}
-
-// ImportPackageFact reads a fact attached to the package with the
-// given import path; see FactContext.
-func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
-	if p.Facts == nil {
-		return false
-	}
-	return p.Facts.ImportPackageFact(path, fact)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.Facts != nil {
-		p.Facts.ExportPackageFact(fact)
-	}
-}
-
-// ImportObjectFact reads a fact attached to obj; see FactContext.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.Facts == nil {
-		return false
-	}
-	return p.Facts.ImportObjectFact(obj, fact)
-}
-
-// ExportObjectFact attaches fact to obj, which must belong to the
-// package under analysis.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.Facts != nil {
-		p.Facts.ExportObjectFact(obj, fact)
-	}
-}
-
-// AllPackageFacts returns every visible package fact.
-func (p *Pass) AllPackageFacts() []PackageFact {
-	if p.Facts == nil {
-		return nil
-	}
-	return p.Facts.AllPackageFacts()
 }
 
 // ObjectPath encodes a stable, serializable name for a package-level

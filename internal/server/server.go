@@ -335,11 +335,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if w := s.wal; w != nil && w.recovered.Load() {
 		// With every absorb drained and acked, one final snapshot
 		// captures the groups and prunes the log, so the next boot
-		// replays a snapshot instead of the whole history. It waits
-		// out an explicit SnapshotWAL still in flight: skipping would
-		// close the log under that round, and no snapshot would cover
-		// the pushes after its cut.
-		if _, serr := w.wait(s.snapshotGroupsToWAL); serr != nil {
+		// replays the snapshot alone. It seals the active segment
+		// first, so its cut covers every record. It waits out an
+		// explicit SnapshotWAL still in flight: skipping would close
+		// the log under that round, and no snapshot would cover the
+		// pushes after its cut. A failed seal leaves the snapshot at
+		// the old cut, and the next boot replays that segment again.
+		if _, serr := w.wait(func() (int, error) {
+			if err := w.log.Seal(); err != nil {
+				s.logf("unionstreamd: shutdown wal seal: %v", err)
+			}
+			return s.snapshotGroupsToWAL()
+		}); serr != nil {
 			s.logf("unionstreamd: shutdown wal snapshot: %v", serr)
 		}
 		if cerr := w.log.Close(); cerr != nil {

@@ -21,6 +21,8 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/server"
+	"repro/internal/sketch"
+	"repro/internal/sketch/kmv"
 )
 
 // TestWALRacesShutdownDrain drives concurrent site pushes and a
@@ -180,6 +182,87 @@ func TestWALShutdownSnapshotWaitsForInFlightRound(t *testing.T) {
 	if n := boot.Stats().WAL.ReplayedRecords; n != 0 {
 		t.Fatalf("restart replayed %d raw records: the final snapshot did not cover the pushes after the in-flight round's cut", n)
 	}
+}
+
+// TestWALCleanShutdownReplaysNoRecords: with the default 4 MiB
+// segments, every push lands in the active segment. Shutdown seals
+// that segment before its final snapshot, so the snapshot prunes it
+// and the next boot replays the snapshot alone. Were the snapshot to
+// cut at the unsealed segment, the reboot would merge both pushes
+// again on top of it.
+func TestWALCleanShutdownReplaysNoRecords(t *testing.T) {
+	boot := cleanRestart(t, nil)
+	st := boot.Stats()
+	if st.WAL.ReplayedSnapshotGroups != 1 || st.WAL.ReplayedRecords != 0 || st.SketchesAbsorbed != 1 {
+		t.Fatalf("restart replayed %d snapshot groups and %d records (%d sketches absorbed); want 1 group, 0 records and 1 sketch",
+			st.WAL.ReplayedSnapshotGroups, st.WAL.ReplayedRecords, st.SketchesAbsorbed)
+	}
+}
+
+// TestWALShutdownSealFailureKeepsOldCut: a seal that fails is counted
+// in wal.rotate_errors and named in wal.last_error, and the final
+// snapshot still runs, at the old cut, so the reboot replays both
+// records on top of it and still equals the control.
+func TestWALShutdownSealFailureKeepsOldCut(t *testing.T) {
+	failpoint.Enable(failpoint.WALRotate, failpoint.Error(errors.New("injected seal failure")))
+	defer failpoint.Disable(failpoint.WALRotate)
+	boot := cleanRestart(t, func(srv *server.Server) {
+		ws := srv.Stats().WAL
+		if ws.RotateErrors != 1 || !strings.Contains(ws.LastError, "injected seal failure") || ws.Snapshots != 1 {
+			t.Errorf("after a failed seal: rotate_errors %d, last_error %q, snapshots %d; want 1, the injected failure, 1",
+				ws.RotateErrors, ws.LastError, ws.Snapshots)
+		}
+		failpoint.Disable(failpoint.WALRotate)
+	})
+	if st := boot.Stats(); st.WAL.ReplayedSnapshotGroups != 1 || st.WAL.ReplayedRecords != 2 {
+		t.Fatalf("restart replayed %d snapshot groups and %d records; want 1 and 2", st.WAL.ReplayedSnapshotGroups, st.WAL.ReplayedRecords)
+	}
+}
+
+// cleanRestart absorbs two sites' kmv sketches of one seed (one merge
+// group) into a durable coordinator with the default segment size,
+// shuts it down, calls stopped (if not nil) with the stopped
+// coordinator, and reboots one from its log, which must equal the
+// control.
+func cleanRestart(t *testing.T, stopped func(*server.Server)) *server.Server {
+	t.Helper()
+	var envs [][]byte
+	for site := uint64(0); site < 2; site++ {
+		sk := kmv.New(4, 5000)
+		for x := uint64(0); x < 32; x++ {
+			sk.Process(x*7 + site)
+		}
+		env, err := sketch.Envelope(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, env)
+	}
+	cfg := server.WALConfig{Dir: t.TempDir()}
+	srv := server.New(server.Config{WAL: &cfg})
+	for _, env := range envs {
+		if err := srv.Absorb(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if stopped != nil {
+		stopped(srv)
+	}
+
+	boot := server.New(server.Config{WAL: &cfg})
+	t.Cleanup(boot.Abort)
+	if _, err := boot.SnapshotWAL(); err != nil {
+		t.Fatalf("recovery on reboot: %v", err)
+	}
+	snaps, err := boot.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSnapshotsEqual(t, "restart after a clean shutdown", snaps, controlSnapshots(t, envs))
+	return boot
 }
 
 // TestWALRotateErrorsSurfaceInStats: with rotation faulted, pushes are

@@ -169,8 +169,9 @@ type Log struct {
 	liveSegs int64
 	replayed bool
 	closed   bool
-	// rotateErr is the latest failed rotation's error: the append that
-	// triggered it succeeded, so Stats is where the failure shows.
+	// rotateErr is the latest failed rotation's error: the append or
+	// Seal that triggered it logged its record or left it in place,
+	// so Stats is where the failure shows.
 	rotateErr string
 	// syncErr is the first failed per-append fsync; once set, appends
 	// are refused (see appendLocked).
@@ -482,6 +483,30 @@ func (l *Log) appendLocked(frame []byte) error {
 			l.rotateErrors.Add(1)
 			l.rotateErr = err.Error()
 		}
+	}
+	return nil
+}
+
+// Seal rotates the active segment if it holds records, so that a
+// snapshot cut at CurrentSegment afterwards prunes every record
+// logged so far. Shutdown seals before its final snapshot, which no
+// append follows, so the next boot replays no record. A failed
+// rotation is counted and kept for Stats like an append's.
+func (l *Log) Seal() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.closed:
+		return ErrClosed
+	case !l.replayed:
+		return ErrNotReplayed
+	case l.segBytes == 0:
+		return nil
+	}
+	if err := l.rotateLocked(); err != nil {
+		l.rotateErrors.Add(1)
+		l.rotateErr = err.Error()
+		return err
 	}
 	return nil
 }
