@@ -153,15 +153,23 @@ func BenchmarkGTUnmarshal(b *testing.B) {
 }
 
 func BenchmarkGTMerge(b *testing.B) {
-	x := builtSampler(4096)
-	y := core.NewSampler(x.Config())
+	enc, err := builtSampler(4096).MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	y := core.NewSampler(core.Config{Capacity: 4096, Seed: 3})
 	r := hashing.NewXoshiro256(9)
 	for i := 0; i < 1<<17; i++ {
 		y.Process(r.Uint64n(1 << 20))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := x.Clone()
+		b.StopTimer()
+		c, err := core.DecodeSampler(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		if err := c.Merge(y); err != nil {
 			b.Fatal(err)
 		}

@@ -115,10 +115,10 @@ echo "== hot-path allocation table (internal/allocgate, -race, x3) =="
 # count compared with the measured table in internal/allocgate: a rise
 # fails, and so does a fall until the table is lowered. Each exact row
 # is the least of three measurements on fresh state, since the
-# runtime's type-assertion cache fill and a map's seed-dependent growth
-# can each add a malloc to one of them. The stage runs the test three
-# times, so a row that still varies fails here rather than in a later
-# change.
+# runtime's type-assertion cache fill and the seed-dependent growth of
+# a map that deletes (a window level's index) can each add a malloc to
+# one of them. The stage runs the test three times, so a row that
+# still varies fails here rather than in a later change.
 go test -race -run '^TestHotPathAllocSummaries$' -count=3 ./internal/allocgate
 
 echo "== benchmarks (every benchmark, one iteration) =="
@@ -159,22 +159,21 @@ go test -race -count=10 -run '^TestChaosNetworkRunMatchesSimulator$' ./internal/
 echo "== cluster convergence (3 shards -> parent, seeds 1..3, -race) =="
 # The sharded-tier tentpole: three shards relaying into a parent must
 # leave the parent bit-identical to a single coordinator that absorbed
-# every site push directly — through seeded faults on both hops, and
-# across shard death with ring migration. The fault-free 10^5-group
-# run (TestClusterConvergesBitIdentical) is already part of the
-# 'go test -race ./...' pass above; this gate names the chaos and
-# shard-death legs per seed so a divergence is unmistakable.
+# every site push directly — through seeded faults on both hops. The
+# fault-free 10^5-group run (TestClusterConvergesBitIdentical) is
+# already part of the 'go test -race ./...' pass above; this gate
+# names the chaos leg per seed so a divergence is unmistakable.
 CLUSTER_FAILED=()
 for seed in 1 2 3; do
     echo "-- cluster chaos.seed=$seed --"
-    if ! go test -race -run 'TestChaosClusterConvergesThroughFaultyHops|TestClusterShardDeathMigrationConverges' \
+    if ! go test -race -run 'TestChaosClusterConvergesThroughFaultyHops' \
             ./internal/distnet -chaos.seed="$seed"; then
         CLUSTER_FAILED+=("$seed")
     fi
 done
 if ((${#CLUSTER_FAILED[@]})); then
     echo "ci.sh: cluster convergence failed for seed(s): ${CLUSTER_FAILED[*]}."
-    echo "ci.sh: the ring and migration logic live in internal/cluster, the relay" \
+    echo "ci.sh: the ring lives in internal/cluster, the relay" \
          "flush in internal/server/relay.go, the batched/sharded push in" \
          "internal/client; replay one seed with:" \
          "go test -race -run Cluster ./internal/distnet -chaos.seed=<seed>"

@@ -51,12 +51,12 @@ func writeStreams(t *testing.T, n int) []string {
 	dir := t.TempDir()
 	paths := make([]string, n)
 	for i := range paths {
-		labels := make([]uint64, 0, 50)
+		items := make([]stream.Item, 0, 50)
 		for x := uint64(i) * 30; x < uint64(i)*30+50; x++ {
-			labels = append(labels, x)
+			items = append(items, stream.Item{Label: x, Value: 1})
 		}
 		paths[i] = filepath.Join(dir, fmt.Sprintf("site%d.gts", i))
-		if err := stream.WriteFile(paths[i], stream.FromLabels(labels)); err != nil {
+		if err := stream.WriteFile(paths[i], stream.FromSlice(items)); err != nil {
 			t.Fatal(err)
 		}
 	}

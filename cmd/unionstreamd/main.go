@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -87,6 +88,10 @@ func main() {
 	}
 	if *shards > 0 && (*shard < 0 || *shard >= *shards) {
 		fmt.Fprintf(os.Stderr, "unionstreamd: -shard %d outside [0,%d)\n", *shard, *shards)
+		os.Exit(2)
+	}
+	if *maxFrame > math.MaxUint32 {
+		fmt.Fprintf(os.Stderr, "unionstreamd: -max-frame %d outside [0,%d]\n", *maxFrame, uint32(math.MaxUint32))
 		os.Exit(2)
 	}
 

@@ -9,16 +9,6 @@ type Record struct {
 	Envelope []byte
 }
 
-// PushBatch pushes many sketch envelopes to the default stream over
-// one long-lived connection; see PushBatchNamed.
-func (c *Client) PushBatch(envelopes [][]byte) (pushed int, err error) {
-	records := make([]Record, len(envelopes))
-	for i, env := range envelopes {
-		records[i] = Record{Envelope: env}
-	}
-	return c.PushBatchNamed(records)
-}
-
 // PushBatchNamed pushes many records over one long-lived connection —
 // the shape the relay tier and bulk loaders need, where dialing per
 // message (Push's one-shot contract) would dominate the cost of

@@ -61,7 +61,7 @@ func chaosCoordinator(t *testing.T) (*server.Server, string) {
 }
 
 // chaosMessages builds per-site sketch messages over overlapping label
-// ranges, plus the serial fault-free reference merge.
+// ranges, plus the envelope of the serial fault-free reference merge.
 func chaosMessages(t *testing.T, cfg core.EstimatorConfig, sites int) (msgs [][]byte, ref []byte) {
 	t.Helper()
 	union := core.NewEstimator(cfg)
@@ -79,7 +79,7 @@ func chaosMessages(t *testing.T, cfg core.EstimatorConfig, sites int) (msgs [][]
 		}
 		msgs = append(msgs, msg)
 	}
-	ref, err := union.MarshalBinary()
+	ref, err := sketch.Envelope(union)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,14 @@ func TestChaosConvergesThroughSeededProxy(t *testing.T) {
 				}
 			}
 			p.Close()
-			snapshot, err = srv.SnapshotGroup(cfg.Seed)
+			snaps, err := srv.Snapshots()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return snapshot, p.TraceString()
+			if len(snaps) != 1 {
+				t.Fatalf("seed %d: coordinator holds %d groups, want 1", seed, len(snaps))
+			}
+			return snaps[0].Envelope, p.TraceString()
 		}
 
 		snap1, trace1 := run()

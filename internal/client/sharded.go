@@ -62,26 +62,14 @@ func NewSharded(ring *cluster.Ring, addrs []string, base Config) (*Sharded, erro
 	return s, nil
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.clients) }
-
 // Shard returns the per-shard Client — for queries, stats, or batch
 // pushes aimed at one coordinator.
 func (s *Sharded) Shard(i int) *Client { return s.clients[i] }
-
-// Addr returns shard i's coordinator address.
-func (s *Sharded) Addr(i int) string { return s.addrs[i] }
 
 // SetParent registers the aggregation tier's root coordinator, the
 // target for expression queries whose leaves span shards. Call before
 // sharing the Sharded across goroutines.
 func (s *Sharded) SetParent(c *Client) { s.parent = c }
-
-// Route returns the shard index owning the envelope's default-stream
-// merge group; see RouteNamed.
-func (s *Sharded) Route(envelope []byte) (int, error) {
-	return s.RouteNamed("", envelope)
-}
 
 // RouteNamed returns the shard index owning the envelope's merge
 // group in the named stream, or an error when the bytes are not a
@@ -94,14 +82,9 @@ func (s *Sharded) RouteNamed(stream string, envelope []byte) (int, error) {
 	return s.ring.Owner(cluster.GroupKey{Stream: stream, Kind: kind, Digest: digest}), nil
 }
 
-// Push routes one envelope to its owning shard and pushes it through
+// PushNamed routes one envelope to the shard owning its merge group in
+// the named stream ("" for the default stream) and pushes it through
 // that shard's retry loop. Failures come back wrapped in *ShardError.
-func (s *Sharded) Push(envelope []byte) (shard, attempts int, err error) {
-	return s.PushNamed("", envelope)
-}
-
-// PushNamed routes one named-stream envelope to its owning shard and
-// pushes it through that shard's retry loop.
 func (s *Sharded) PushNamed(stream string, envelope []byte) (shard, attempts int, err error) {
 	shard, err = s.RouteNamed(stream, envelope)
 	if err != nil {
@@ -114,22 +97,13 @@ func (s *Sharded) PushNamed(stream string, envelope []byte) (shard, attempts int
 	return shard, attempts, err
 }
 
-// PushBatch routes a batch of envelopes to their owning shards and
-// pushes each shard's slice over one batched connection (see
-// Client.PushBatch). Shards are attempted independently: one shard's
-// failure does not stop deliveries to the others, and every failure
-// comes back as a *ShardError inside the joined error. It returns the
-// total number of envelopes durably acked.
-func (s *Sharded) PushBatch(envelopes [][]byte) (pushed int, err error) {
-	records := make([]Record, len(envelopes))
-	for i, env := range envelopes {
-		records[i] = Record{Envelope: env}
-	}
-	return s.PushBatchNamed(records)
-}
-
-// PushBatchNamed is PushBatch for stream-tagged records: each record
-// routes by its own (stream, kind, digest) key.
+// PushBatchNamed routes a batch of records to their owning shards,
+// each by its own (stream, kind, digest) key, and pushes each shard's
+// slice over one batched connection (see Client.PushBatchNamed).
+// Shards are attempted independently: one shard's failure does not
+// stop deliveries to the others, and every failure comes back as a
+// *ShardError inside the joined error. It returns the total number of
+// records durably acked.
 func (s *Sharded) PushBatchNamed(records []Record) (pushed int, err error) {
 	perShard := make([][]Record, len(s.clients))
 	for _, rec := range records {

@@ -46,12 +46,13 @@ func startServer(t *testing.T, srv *server.Server) string {
 	return ln.Addr().String()
 }
 
-// groupEnvelopes builds n envelopes in n distinct merge groups (one
-// kmv sketch per coordination seed; the seed feeds the config digest).
-func groupEnvelopes(t *testing.T, n int) [][]byte {
+// groupRecords builds n default-stream records in n distinct merge
+// groups (one kmv sketch per coordination seed; the seed feeds the
+// config digest).
+func groupRecords(t *testing.T, n int) []client.Record {
 	t.Helper()
-	envs := make([][]byte, n)
-	for i := range envs {
+	recs := make([]client.Record, n)
+	for i := range recs {
 		sk := kmv.New(4, uint64(1000+i))
 		for x := uint64(0); x < 16; x++ {
 			sk.Process(x * uint64(i+1))
@@ -60,9 +61,9 @@ func groupEnvelopes(t *testing.T, n int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		envs[i] = env
+		recs[i].Envelope = env
 	}
-	return envs
+	return recs
 }
 
 func batchConfig(addr string) client.Config {
@@ -80,17 +81,17 @@ func batchConfig(addr string) client.Config {
 func TestPushBatchDeliversAll(t *testing.T) {
 	srv := server.New(server.Config{})
 	addr := startServer(t, srv)
-	envs := groupEnvelopes(t, 64)
+	recs := groupRecords(t, 64)
 
 	cl := client.New(batchConfig(addr))
-	pushed, err := cl.PushBatch(envs)
-	if err != nil || pushed != len(envs) {
-		t.Fatalf("PushBatch: pushed=%d err=%v", pushed, err)
+	pushed, err := cl.PushBatchNamed(recs)
+	if err != nil || pushed != len(recs) {
+		t.Fatalf("PushBatchNamed: pushed=%d err=%v", pushed, err)
 	}
 	st := srv.Stats()
-	if st.SketchesAbsorbed != int64(len(envs)) || len(st.Groups) != len(envs) {
+	if st.SketchesAbsorbed != int64(len(recs)) || len(st.Groups) != len(recs) {
 		t.Fatalf("server absorbed %d into %d groups, want %d/%d",
-			st.SketchesAbsorbed, len(st.Groups), len(envs), len(envs))
+			st.SketchesAbsorbed, len(st.Groups), len(recs), len(recs))
 	}
 	if st.ConnsAccepted != 1 {
 		t.Errorf("batch used %d connections, want 1", st.ConnsAccepted)
@@ -103,20 +104,20 @@ func TestPushBatchDeliversAll(t *testing.T) {
 func TestPushBatchResumesAfterTransientWrite(t *testing.T) {
 	srv := server.New(server.Config{})
 	addr := startServer(t, srv)
-	envs := groupEnvelopes(t, 20)
+	recs := groupRecords(t, 20)
 
 	injected := errors.New("injected write fault")
 	failpoint.Enable(failpoint.ClientWrite, failpoint.Times(1, injected))
 	defer failpoint.Disable(failpoint.ClientWrite)
 
 	cl := client.New(batchConfig(addr))
-	pushed, err := cl.PushBatch(envs)
-	if err != nil || pushed != len(envs) {
-		t.Fatalf("PushBatch: pushed=%d err=%v", pushed, err)
+	pushed, err := cl.PushBatchNamed(recs)
+	if err != nil || pushed != len(recs) {
+		t.Fatalf("PushBatchNamed: pushed=%d err=%v", pushed, err)
 	}
 	st := srv.Stats()
-	if st.SketchesAbsorbed != int64(len(envs)) {
-		t.Fatalf("absorbed %d, want %d", st.SketchesAbsorbed, len(envs))
+	if st.SketchesAbsorbed != int64(len(recs)) {
+		t.Fatalf("absorbed %d, want %d", st.SketchesAbsorbed, len(recs))
 	}
 	if st.ConnsAccepted < 2 {
 		t.Errorf("expected a reconnect after the injected fault, saw %d conns", st.ConnsAccepted)
@@ -129,12 +130,12 @@ func TestPushBatchResumesAfterTransientWrite(t *testing.T) {
 func TestPushBatchLostAckRedelivers(t *testing.T) {
 	srv := server.New(server.Config{})
 	addr := startServer(t, srv)
-	envs := groupEnvelopes(t, 8)
+	recs := groupRecords(t, 8)
 
 	// Control: the same envelopes absorbed once each.
 	ctl := server.New(server.Config{})
 	ctlAddr := startServer(t, ctl)
-	if pushed, err := client.New(batchConfig(ctlAddr)).PushBatch(envs); err != nil || pushed != len(envs) {
+	if pushed, err := client.New(batchConfig(ctlAddr)).PushBatchNamed(recs); err != nil || pushed != len(recs) {
 		t.Fatalf("control push: %d, %v", pushed, err)
 	}
 
@@ -143,28 +144,30 @@ func TestPushBatchLostAckRedelivers(t *testing.T) {
 	defer failpoint.Disable(failpoint.ClientRead)
 
 	cl := client.New(batchConfig(addr))
-	pushed, err := cl.PushBatch(envs)
-	if err != nil || pushed != len(envs) {
-		t.Fatalf("PushBatch: pushed=%d err=%v", pushed, err)
+	pushed, err := cl.PushBatchNamed(recs)
+	if err != nil || pushed != len(recs) {
+		t.Fatalf("PushBatchNamed: pushed=%d err=%v", pushed, err)
 	}
 	st := srv.Stats()
-	if st.SketchesAbsorbed != int64(len(envs))+1 {
-		t.Fatalf("absorbed %d, want %d (one duplicate redelivery)", st.SketchesAbsorbed, len(envs)+1)
+	if st.SketchesAbsorbed != int64(len(recs))+1 {
+		t.Fatalf("absorbed %d, want %d (one duplicate redelivery)", st.SketchesAbsorbed, len(recs)+1)
 	}
 	// The duplicated delivery must leave every group byte-identical to
 	// the duplicate-free control.
-	for i := range envs {
-		seed := uint64(1000 + i)
-		got, err := srv.SnapshotGroup(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ctl.SnapshotGroup(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("group seed %d diverged after duplicate delivery", seed)
+	got, err := srv.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ctl.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d groups after duplicate delivery, control has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].GroupKey != want[i].GroupKey || !bytes.Equal(got[i].Envelope, want[i].Envelope) {
+			t.Fatalf("group seed %d diverged after duplicate delivery", want[i].Seed)
 		}
 	}
 }
@@ -174,10 +177,10 @@ func TestPushBatchLostAckRedelivers(t *testing.T) {
 func TestPushBatchPermanentAborts(t *testing.T) {
 	srv := server.New(server.Config{RequireKind: "gt"})
 	addr := startServer(t, srv)
-	envs := groupEnvelopes(t, 5) // kmv: every push is refused
+	recs := groupRecords(t, 5) // kmv: every push is refused
 
 	cl := client.New(batchConfig(addr))
-	pushed, err := cl.PushBatch(envs)
+	pushed, err := cl.PushBatchNamed(recs)
 	if !errors.Is(err, client.ErrKindMismatch) {
 		t.Fatalf("err = %v, want ErrKindMismatch", err)
 	}
@@ -187,7 +190,7 @@ func TestPushBatchPermanentAborts(t *testing.T) {
 }
 
 // TestShardedRoutesByRing: every envelope lands on exactly the shard
-// the ring assigns its group to, via Push and PushBatch alike.
+// the ring assigns its group to, via PushNamed and PushBatchNamed alike.
 func TestShardedRoutesByRing(t *testing.T) {
 	const shards = 3
 	ring := cluster.NewRing(shards, 0, 77)
@@ -202,15 +205,15 @@ func TestShardedRoutesByRing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	envs := groupEnvelopes(t, 120)
-	half := len(envs) / 2
-	for _, env := range envs[:half] {
-		if _, _, err := sc.Push(env); err != nil {
+	recs := groupRecords(t, 120)
+	half := len(recs) / 2
+	for _, rec := range recs[:half] {
+		if _, _, err := sc.PushNamed(rec.Stream, rec.Envelope); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if pushed, err := sc.PushBatch(envs[half:]); err != nil || pushed != len(envs)-half {
-		t.Fatalf("PushBatch: pushed=%d err=%v", pushed, err)
+	if pushed, err := sc.PushBatchNamed(recs[half:]); err != nil || pushed != len(recs)-half {
+		t.Fatalf("PushBatchNamed: pushed=%d err=%v", pushed, err)
 	}
 
 	var total int64
@@ -224,8 +227,8 @@ func TestShardedRoutesByRing(t *testing.T) {
 			}
 		}
 	}
-	if total != int64(len(envs)) {
-		t.Fatalf("cluster absorbed %d envelopes, want %d", total, len(envs))
+	if total != int64(len(recs)) {
+		t.Fatalf("cluster absorbed %d envelopes, want %d", total, len(recs))
 	}
 }
 
@@ -268,8 +271,8 @@ func TestShardedReportsFailingShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	envs := groupEnvelopes(t, 90)
-	pushed, err := sc.PushBatch(envs)
+	recs := groupRecords(t, 90)
+	pushed, err := sc.PushBatchNamed(recs)
 	if !errors.Is(err, client.ErrKindMismatch) {
 		t.Fatalf("err = %v, want wrapped ErrKindMismatch", err)
 	}
@@ -290,18 +293,18 @@ func TestShardedReportsFailingShard(t *testing.T) {
 		t.Fatalf("healthy shards absorbed %d, reported pushed %d", healthy, pushed)
 	}
 
-	// The one-shot Push path wraps the same way.
+	// The one-shot PushNamed path wraps the same way.
 	var envOnPinned []byte
-	for _, env := range envs {
-		if shard, _ := sc.Route(env); shard == pinned {
-			envOnPinned = env
+	for _, rec := range recs {
+		if shard, _ := sc.RouteNamed("", rec.Envelope); shard == pinned {
+			envOnPinned = rec.Envelope
 			break
 		}
 	}
 	if envOnPinned == nil {
 		t.Fatal("no envelope routed to the pinned shard")
 	}
-	if _, _, err := sc.Push(envOnPinned); !errors.As(err, &se) || se.Shard != pinned {
+	if _, _, err := sc.PushNamed("", envOnPinned); !errors.As(err, &se) || se.Shard != pinned {
 		t.Fatalf("Push err = %v, want *ShardError for shard %d", err, pinned)
 	}
 }
@@ -317,10 +320,10 @@ func TestShardedConstructionAndRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Route([]byte("junk")); err == nil {
-		t.Error("Route accepted non-envelope bytes")
+	if _, err := sc.RouteNamed("", []byte("junk")); err == nil {
+		t.Error("RouteNamed accepted non-envelope bytes")
 	}
-	if _, _, err := sc.Push([]byte("junk")); err == nil {
-		t.Error("Push accepted non-envelope bytes")
+	if _, _, err := sc.PushNamed("", []byte("junk")); err == nil {
+		t.Error("PushNamed accepted non-envelope bytes")
 	}
 }

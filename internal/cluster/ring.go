@@ -2,8 +2,7 @@
 // tier on top of the single-coordinator referee: a deterministic
 // consistent-hash ring that assigns merge groups — identified by the
 // GroupKey the coordinator keys its group table on — to N
-// unionstreamd shards, and the group-migration step a ring membership
-// change requires.
+// unionstreamd shards.
 //
 // The whole tier leans on one fact, pinned bit-identical for every
 // registered kind by the sketchtest conformance suite: sketch merges
@@ -18,10 +17,10 @@
 // 10^5-group scale and under seeded fault schedules.
 //
 // The ring itself is a pure, deterministic function of (shard count,
-// virtual-node count, seed): every participant — pushing clients,
-// shards reporting ownership in /statsz, the migration planner — can
-// derive the identical assignment locally with no coordination
-// service, which is what keeps the data path zero-round-trip.
+// virtual-node count, seed): every participant — pushing clients and
+// shards reporting ownership in /statsz — can derive the identical
+// assignment locally with no coordination service, which is what
+// keeps the data path zero-round-trip.
 package cluster
 
 import (
@@ -35,7 +34,7 @@ import (
 // DefaultVirtualNodes is the per-shard virtual-node count when a
 // Config leaves it zero. 64 points per shard keeps the expected load
 // imbalance across a handful of shards within a few percent while the
-// ring stays small enough to rebuild on every membership change.
+// ring stays small enough for every client and shard to build.
 const DefaultVirtualNodes = 64
 
 // GroupKey identifies one merge group: the logical stream the group
@@ -70,12 +69,8 @@ type point struct {
 // A Ring is immutable and safe for concurrent use.
 type Ring struct {
 	shards int
-	vnodes int
 	seed   uint64
-	// members[i] reports whether shard i is present. Rings built by
-	// NewRing have every shard present; Without clears one.
-	members []bool
-	points  []point // sorted by pos
+	points []point // sorted by pos
 }
 
 // NewRing builds a ring of `shards` shards (indices 0..shards-1),
@@ -91,27 +86,15 @@ func NewRing(shards, vnodes int, seed uint64) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	members := make([]bool, shards)
-	for i := range members {
-		members[i] = true
-	}
-	return build(shards, vnodes, seed, members)
-}
-
-// build assembles the sorted point list for the member shards.
-func build(shards, vnodes int, seed uint64, members []bool) *Ring {
-	r := &Ring{shards: shards, vnodes: vnodes, seed: seed, members: members}
+	r := &Ring{shards: shards, seed: seed}
 	for s := 0; s < shards; s++ {
-		if !members[s] {
-			continue
-		}
 		// Each shard's virtual nodes come from a SplitMix64 stream
 		// keyed by (seed, shard), so one shard's points do not depend
 		// on how many other shards exist — the property that makes
-		// membership change move only the departing shard's arcs. The
-		// key is mixed: keyed linearly, as seed ^ f(s), a small seed
-		// starts one shard's stream a few steps along another's, and
-		// their points coincide.
+		// growing the ring from n to n+1 shards move groups only onto
+		// shard n. The key is mixed: keyed linearly, as seed ^ f(s), a
+		// small seed starts one shard's stream a few steps along
+		// another's, and their points coincide.
 		rng := hashing.NewSplitMix64(hashing.Mix64(seed ^ uint64(s)))
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, point{pos: rng.Next(), shard: s})
@@ -129,51 +112,11 @@ func build(shards, vnodes int, seed uint64, members []bool) *Ring {
 	return r
 }
 
-// Without returns a new ring with shard s removed — the membership
-// change a shard death or decommission induces. Only groups whose
-// owning arc belonged to s change owner (the consistent-hashing
-// guarantee TestRingWithoutMovesOnlyDepartingGroups pins); everything
-// else keeps its assignment, so migration re-pushes exactly the dead
-// shard's groups.
-func (r *Ring) Without(s int) *Ring {
-	if s < 0 || s >= r.shards {
-		panic(fmt.Sprintf("cluster: Without(%d) outside ring of %d shards", s, r.shards))
-	}
-	members := make([]bool, r.shards)
-	copy(members, r.members)
-	if !members[s] {
-		return r
-	}
-	members[s] = false
-	live := 0
-	for _, m := range members {
-		if m {
-			live++
-		}
-	}
-	if live == 0 {
-		panic("cluster: Without would empty the ring")
-	}
-	return build(r.shards, r.vnodes, r.seed, members)
-}
-
-// Shards returns the ring's shard-index space (including removed
-// members: indices are stable across membership changes).
+// Shards returns the ring's shard count.
 func (r *Ring) Shards() int { return r.shards }
 
 // Seed returns the ring seed.
 func (r *Ring) Seed() uint64 { return r.seed }
-
-// Members returns the live shard indices in ascending order.
-func (r *Ring) Members() []int {
-	var out []int
-	for i, m := range r.members {
-		if m {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // streamHash folds a stream name into the key-hash pre-image. The
 // default stream hashes to zero BY CONTRACT: a default-stream key's

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"errors"
 	"testing"
 
-	"repro/internal/failpoint"
 	"repro/internal/sketch"
 )
 
@@ -87,150 +85,39 @@ func TestRingCoversAllShards(t *testing.T) {
 	}
 }
 
-// TestRingWithoutMovesOnlyDepartingGroups: removing a shard must
-// reassign exactly the groups it owned; every other group keeps its
-// owner. This is the consistent-hashing contract migration relies on
-// to re-push only the dead shard's groups.
-func TestRingWithoutMovesOnlyDepartingGroups(t *testing.T) {
-	const dead = 1
-	prev := NewRing(4, 64, 99)
-	next := prev.Without(dead)
-	moved, stayed := 0, 0
-	for _, k := range testKeys(20_000) {
-		was, now := prev.Owner(k), next.Owner(k)
-		if was == dead {
-			if now == dead {
-				t.Fatalf("group %s still owned by removed shard %d", k, dead)
+// TestRingGrowthMovesGroupsOnlyToNewShard: growing a ring from n to
+// n+1 shards (an operator raising unionstreamd -shards) must move
+// groups only onto the new shard n; every other group keeps its
+// owner, since one shard's virtual nodes do not depend on how many
+// other shards exist.
+func TestRingGrowthMovesGroupsOnlyToNewShard(t *testing.T) {
+	keys := testKeys(20_000)
+	for n := 1; n <= 5; n++ {
+		prev, next := NewRing(n, 64, 99), NewRing(n+1, 64, 99)
+		moved := 0
+		for _, k := range keys {
+			was, now := prev.Owner(k), next.Owner(k)
+			if was == now {
+				continue
+			}
+			if now != n {
+				t.Fatalf("%d -> %d shards: group %s moved %d -> %d, not onto the new shard %d", n, n+1, k, was, now, n)
 			}
 			moved++
-			continue
 		}
-		if was != now {
-			t.Fatalf("group %s moved %d -> %d though shard %d was the one removed", k, was, now, dead)
+		if moved == 0 {
+			t.Fatalf("%d -> %d shards: the new shard took no groups — test vacuous", n, n+1)
 		}
-		stayed++
-	}
-	if moved == 0 {
-		t.Fatal("removed shard owned no groups — test vacuous")
-	}
-	if got := next.Members(); len(got) != 3 {
-		t.Fatalf("members after Without: %v", got)
-	}
-	t.Logf("membership change moved %d groups, kept %d", moved, stayed)
-}
-
-// TestRingWithoutIdempotent: removing an absent shard returns the
-// ring unchanged.
-func TestRingWithoutIdempotent(t *testing.T) {
-	r := NewRing(3, 8, 1).Without(2)
-	if r.Without(2) != r {
-		t.Error("Without of an absent member built a new ring")
+		t.Logf("%d -> %d shards moved %d of %d groups", n, n+1, moved, len(keys))
 	}
 }
 
 // TestRingPanics: invalid constructions must fail loudly.
 func TestRingPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero shards":    func() { NewRing(0, 8, 1) },
-		"out of range":   func() { NewRing(2, 8, 1).Without(5) },
-		"empty the ring": func() { NewRing(1, 8, 1).Without(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// TestMigrate: only groups owned by the removed shard are re-pushed,
-// each to its new owner, and a failing push leaves the rest moving.
-func TestMigrate(t *testing.T) {
-	prev := NewRing(3, 64, 11)
-	next := prev.Without(0)
-
-	var groups []Group
-	for i, k := range testKeys(300) {
-		groups = append(groups, Group{Key: k, Envelope: []byte{byte(i)}})
-	}
-
-	pushed := map[int]int{}
-	moved, err := Migrate(groups, prev, next, func(shard int, env []byte) error {
-		if len(env) == 0 {
-			t.Fatal("migration pushed an empty envelope")
+	defer func() {
+		if recover() == nil {
+			t.Error("zero shards: no panic")
 		}
-		pushed[shard]++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(Plan(groups, prev, next))
-	if moved != want || want == 0 {
-		t.Fatalf("moved %d groups, plan says %d", moved, want)
-	}
-	if pushed[0] != 0 {
-		t.Errorf("%d groups pushed to the removed shard", pushed[0])
-	}
-
-	// A push error must not abort the remaining migrations, and must
-	// surface in the joined error.
-	boom := errors.New("boom")
-	calls := 0
-	moved, err = Migrate(groups, prev, next, func(int, []byte) error {
-		calls++
-		if calls == 1 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if moved != want-1 || calls != want {
-		t.Fatalf("moved %d of %d with %d attempts after one failure", moved, want, calls)
-	}
-}
-
-// TestMigrateFailpoint: the cluster/migrate site must gate each
-// re-push, and an injected fault must leave the group unmoved but the
-// run continuing — the at-least-once retry contract.
-func TestMigrateFailpoint(t *testing.T) {
-	prev := NewRing(2, 64, 13)
-	next := prev.Without(1)
-	var groups []Group
-	for _, k := range testKeys(100) {
-		groups = append(groups, Group{Key: k, Envelope: []byte{1}})
-	}
-	want := len(Plan(groups, prev, next))
-	if want < 2 {
-		t.Fatalf("plan too small (%d) for the test to bite", want)
-	}
-
-	injected := errors.New("injected")
-	failpoint.Enable(failpoint.ClusterMigrate, failpoint.Times(1, injected))
-	defer failpoint.Disable(failpoint.ClusterMigrate)
-
-	moved, err := Migrate(groups, prev, next, func(int, []byte) error { return nil })
-	if !errors.Is(err, injected) {
-		t.Fatalf("err = %v, want injected fault", err)
-	}
-	if moved != want-1 {
-		t.Fatalf("moved %d, want %d (one injected failure)", moved, want-1)
-	}
-	if failpoint.Hits(failpoint.ClusterMigrate) != int64(want) {
-		t.Fatalf("failpoint hit %d times, want %d", failpoint.Hits(failpoint.ClusterMigrate), want)
-	}
-
-	// Retrying just the straggler converges: idempotent merges make
-	// the duplicate-free bookkeeping unnecessary — re-running the
-	// whole migration is also correct.
-	failpoint.Disable(failpoint.ClusterMigrate)
-	moved, err = Migrate(groups, prev, next, func(int, []byte) error { return nil })
-	if err != nil || moved != want {
-		t.Fatalf("re-run moved %d, err %v", moved, err)
-	}
+	}()
+	NewRing(0, 8, 1)
 }

@@ -145,8 +145,8 @@ func TestEncodingMatchesReference(t *testing.T) {
 
 	cfg := Config{Capacity: 3, Seed: 5}
 	p := parked(cfg, 9)
-	if p.Len() <= cfg.Capacity {
-		t.Fatalf("parked sampler holds %d entries, want more than %d", p.Len(), cfg.Capacity)
+	if p.n <= cfg.Capacity {
+		t.Fatalf("parked sampler holds %d entries, want more than %d", p.n, cfg.Capacity)
 	}
 	checkSamplerEncoding(t, "parked sampler", p)
 	e := NewEstimator(EstimatorConfig{Capacity: cfg.Capacity, Copies: 3, Seed: 5})

@@ -99,8 +99,8 @@ func buildGoldenEntries(t *testing.T) []goldenEntry {
 	for x := uint64(0); x < 50000; x++ {
 		raised.Process(x)
 	}
-	if raised.Level() < 8 {
-		t.Fatalf("raised sample sits at level %d, want a high level", raised.Level())
+	if raised.level < 8 {
+		t.Fatalf("raised sample sits at level %d, want a high level", raised.level)
 	}
 	out = append(out, goldenSampler(t, "raised", raised))
 
@@ -130,14 +130,9 @@ func buildGoldenEntries(t *testing.T) []goldenEntry {
 		sb.Process(x)
 		eb.Process(x)
 	}
-	inter, err := IntersectSamplers(sa, sb)
-	if err != nil {
-		t.Fatalf("intersect: %v", err)
-	}
-	diff, err := DiffSamplers(sa, sb)
-	if err != nil {
-		t.Fatalf("diff: %v", err)
-	}
+	inter, diff := &Sampler{}, &Sampler{}
+	combineInto(inter, sa, sb, true, make([]entry, tableSize(sa.n)))
+	combineInto(diff, sa, sb, false, make([]entry, tableSize(sa.n)))
 	einter, err := ea.CombineIntersect(eb)
 	if err != nil {
 		t.Fatalf("combine intersect: %v", err)

@@ -73,10 +73,6 @@ func (e *Estimator) Config() EstimatorConfig { return e.cfg }
 // Copies returns the number of independent sampler copies.
 func (e *Estimator) Copies() int { return len(e.copies) }
 
-// Copy returns the i-th underlying sampler (for inspection in tests
-// and experiments).
-func (e *Estimator) Copy(i int) *Sampler { return &e.copies[i] }
-
 // Process observes one occurrence of label in every copy.
 func (e *Estimator) Process(label uint64) {
 	for i := range e.copies {

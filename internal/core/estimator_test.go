@@ -13,14 +13,14 @@ func TestEstimatorDeterministicConstruction(t *testing.T) {
 	cfg := EstimatorConfig{Capacity: 32, Copies: 5, Seed: 9}
 	a, b := NewEstimator(cfg), NewEstimator(cfg)
 	for i := 0; i < a.Copies(); i++ {
-		if a.Copy(i).Config().Seed != b.Copy(i).Config().Seed {
+		if a.copies[i].cfg.Seed != b.copies[i].cfg.Seed {
 			t.Fatalf("copy %d seeds differ across identical constructions", i)
 		}
 	}
 	// Copies must have distinct seeds from each other.
 	seen := map[uint64]bool{}
 	for i := 0; i < a.Copies(); i++ {
-		s := a.Copy(i).Config().Seed
+		s := a.copies[i].cfg.Seed
 		if seen[s] {
 			t.Fatalf("copy %d reuses a seed", i)
 		}
@@ -49,7 +49,7 @@ func TestEstimatorMedianBeatsWorstCopy(t *testing.T) {
 	medErr := math.Abs(e.EstimateDistinct()-truth) / truth
 	worst := 0.0
 	for i := 0; i < e.Copies(); i++ {
-		err := math.Abs(e.Copy(i).EstimateDistinct()-truth) / truth
+		err := math.Abs(e.copies[i].EstimateDistinct()-truth) / truth
 		if err > worst {
 			worst = err
 		}
@@ -193,9 +193,9 @@ func TestEstimatorUnmarshalRejectsDivergentCopies(t *testing.T) {
 		"copy 2 seed":  forgeCopy(t, enc, 2, func(h []byte) { h[12] ^= 0x80 }),
 		"copy 1 raise": forgeCopy(t, enc, 1, func(h []byte) { h[4] = byte(RaiseJump) }),
 		"copies swapped": forgeCopy(t, forgeCopy(t, enc, 0, func(h []byte) {
-			binary.LittleEndian.PutUint64(h[5:], e.Copy(1).Config().Seed)
+			binary.LittleEndian.PutUint64(h[5:], e.copies[1].cfg.Seed)
 		}), 1, func(h []byte) {
-			binary.LittleEndian.PutUint64(h[5:], e.Copy(0).Config().Seed)
+			binary.LittleEndian.PutUint64(h[5:], e.copies[0].cfg.Seed)
 		}),
 	} {
 		var d Estimator

@@ -39,8 +39,7 @@ func FuzzSamplerUnmarshal(f *testing.F) {
 		if err := s2.UnmarshalBinary(re); err != nil {
 			t.Fatalf("decoded sketch does not round-trip: %v", err)
 		}
-		clone := s.Clone()
-		if err := s.Merge(clone); err != nil {
+		if err := s.Merge(&s2); err != nil {
 			t.Fatalf("self-merge failed: %v", err)
 		}
 	})

@@ -33,10 +33,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 			return false
 		}
 		return string(enc) == string(enc2) &&
-			got.Level() == s.Level() &&
-			got.Len() == s.Len() &&
+			got.level == s.level &&
+			got.n == s.n &&
 			got.EstimateSum() == s.EstimateSum() &&
-			got.Config() == s.Config()
+			got.cfg == s.cfg
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -53,8 +53,8 @@ func TestMarshalEmptySampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 0 || got.Level() != 0 {
-		t.Errorf("decoded empty sampler has Len=%d Level=%d", got.Len(), got.Level())
+	if got.n != 0 || got.level != 0 {
+		t.Errorf("decoded empty sampler has Len=%d Level=%d", got.n, got.level)
 	}
 }
 
@@ -72,8 +72,8 @@ func TestMarshalAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
-		if got.Config().Family != fam {
-			t.Errorf("family %s round-tripped as %s", fam, got.Config().Family)
+		if got.cfg.Family != fam {
+			t.Errorf("family %s round-tripped as %s", fam, got.cfg.Family)
 		}
 		if got.EstimateDistinct() != s.EstimateDistinct() {
 			t.Errorf("%s: estimate changed across round trip", fam)
@@ -161,7 +161,7 @@ func TestUnmarshalRejectsLevelViolation(t *testing.T) {
 	for x := uint64(0); x < 200; x++ {
 		s.Process(x)
 	}
-	if s.Level() == 0 {
+	if s.level == 0 {
 		t.Fatal("test needs a raised level")
 	}
 	// Find a label with level 0 under this hash.
@@ -177,9 +177,8 @@ func TestUnmarshalRejectsLevelViolation(t *testing.T) {
 	if !found {
 		t.Skip("no level-0 label found (astronomically unlikely)")
 	}
-	forged := s.Clone()
-	forged.insert(bad, 1, 1) // lv 1: level 0
-	enc, err := forged.MarshalBinary()
+	s.insert(bad, 1, 1) // lv 1: level 0
+	enc, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"slices"
 
 	"repro/internal/hashing"
 )
@@ -243,17 +242,6 @@ func (s *Sampler) filter() {
 	}
 }
 
-// Config returns the sampler's configuration.
-func (s *Sampler) Config() Config { return s.cfg }
-
-// Level returns the sampler's current sampling level; the sample
-// contains exactly the distinct labels with ℓ(label) ≥ Level, each of
-// which the scheme retains with probability 2^-Level.
-func (s *Sampler) Level() int { return s.level }
-
-// Len returns the number of distinct labels currently retained.
-func (s *Sampler) Len() int { return s.n }
-
 // Process observes one occurrence of label. Duplicate occurrences are
 // free: the sampler's state is a function of the distinct label set
 // only.
@@ -383,13 +371,6 @@ func (s *Sampler) EstimateSumWhere(pred func(label uint64) bool) float64 {
 		}
 	}
 	return float64(sum) * pow2(s.level)
-}
-
-// Clone returns a deep copy of the sampler.
-func (s *Sampler) Clone() *Sampler {
-	c := *s
-	c.table = slices.Clone(s.table)
-	return &c
 }
 
 // Reset returns the sampler to its empty state, keeping its

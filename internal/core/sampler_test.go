@@ -86,12 +86,12 @@ func TestSamplerInvariant(t *testing.T) {
 			s.Process(x)
 		}
 		wantLevel, wantSample := refState(cfg, labels)
-		if s.Level() != wantLevel {
-			t.Fatalf("trial=%d: level=%d want %d", trial, s.Level(), wantLevel)
+		if s.level != wantLevel {
+			t.Fatalf("trial=%d: level=%d want %d", trial, s.level, wantLevel)
 		}
 		if !equalSets(sampleSet(s), wantSample) {
 			t.Fatalf("trial=%d: sample set mismatch (%d vs %d entries)",
-				trial, s.Len(), len(wantSample))
+				trial, s.n, len(wantSample))
 		}
 	}
 }
@@ -187,9 +187,9 @@ func TestRaisePoliciesAgree(t *testing.T) {
 			x := r.Uint64n(1000)
 			ref.process(x)
 			s.Process(x)
-			if s.Level() != ref.level || s.Len() != len(ref.sample) {
+			if s.level != ref.level || s.n != len(ref.sample) {
 				t.Fatalf("trial %d (%+v) item %d: level/len %d/%d, one-step reference %d/%d",
-					trial, cfg, i, s.Level(), s.Len(), ref.level, len(ref.sample))
+					trial, cfg, i, s.level, s.n, ref.level, len(ref.sample))
 			}
 		}
 		want := map[uint64]bool{}
@@ -241,8 +241,8 @@ func TestSamplerSmallStreamExact(t *testing.T) {
 	for x := uint64(0); x < 100; x++ {
 		s.Process(x)
 	}
-	if s.Level() != 0 {
-		t.Fatalf("level = %d, want 0 before overflow", s.Level())
+	if s.level != 0 {
+		t.Fatalf("level = %d, want 0 before overflow", s.level)
 	}
 	if got := s.EstimateDistinct(); got != 100 {
 		t.Errorf("estimate = %v, want exactly 100", got)
@@ -257,8 +257,8 @@ func TestSamplerEmpty(t *testing.T) {
 	if got := s.EstimateSum(); got != 0 {
 		t.Errorf("empty sum = %v, want 0", got)
 	}
-	if s.Len() != 0 || s.Level() != 0 {
-		t.Errorf("empty sampler has Len=%d Level=%d", s.Len(), s.Level())
+	if s.n != 0 || s.level != 0 {
+		t.Errorf("empty sampler has Len=%d Level=%d", s.n, s.level)
 	}
 }
 
@@ -267,8 +267,8 @@ func TestSamplerCapacityOne(t *testing.T) {
 	for x := uint64(0); x < 10000; x++ {
 		s.Process(x)
 	}
-	if s.Len() > 1 {
-		t.Errorf("capacity-1 sampler holds %d entries", s.Len())
+	if s.n > 1 {
+		t.Errorf("capacity-1 sampler holds %d entries", s.n)
 	}
 	// The estimate is extremely noisy at capacity 1, but must still
 	// be a finite non-negative number.
@@ -319,7 +319,7 @@ func TestMergeEqualsUnionProcessing(t *testing.T) {
 		b, _ := both.MarshalBinary()
 		if string(a) != string(b) {
 			t.Fatalf("trial %d: merge != union processing (levels %d vs %d, sizes %d vs %d)",
-				trial, s1.Level(), both.Level(), s1.Len(), both.Len())
+				trial, s1.level, both.level, s1.n, both.n)
 		}
 	}
 }
@@ -340,8 +340,8 @@ func buildTriple(seed uint64) (cfg Config, a, b, c *Sampler) {
 
 func TestMergeCommutative(t *testing.T) {
 	f := func(seed uint64) bool {
-		_, a, b, _ := buildTriple(seed)
-		ab, ba := a.Clone(), b.Clone()
+		_, ab, b, _ := buildTriple(seed)
+		_, a, ba, _ := buildTriple(seed)
 		if err := ab.Merge(b); err != nil {
 			return false
 		}
@@ -359,19 +359,17 @@ func TestMergeCommutative(t *testing.T) {
 
 func TestMergeAssociative(t *testing.T) {
 	f := func(seed uint64) bool {
-		_, a, b, c := buildTriple(seed)
-		left := a.Clone()
+		_, left, b, c := buildTriple(seed)
+		_, right, bc, _ := buildTriple(seed)
 		if err := left.Merge(b); err != nil {
 			return false
 		}
 		if err := left.Merge(c); err != nil {
 			return false
 		}
-		bc := b.Clone()
 		if err := bc.Merge(c); err != nil {
 			return false
 		}
-		right := a.Clone()
 		if err := right.Merge(bc); err != nil {
 			return false
 		}
@@ -387,8 +385,8 @@ func TestMergeAssociative(t *testing.T) {
 func TestMergeIdempotent(t *testing.T) {
 	f := func(seed uint64) bool {
 		_, a, _, _ := buildTriple(seed)
+		_, dup, _, _ := buildTriple(seed)
 		before, _ := a.MarshalBinary()
-		dup := a.Clone()
 		if err := a.Merge(dup); err != nil {
 			return false
 		}
@@ -477,34 +475,18 @@ func TestWeightedSum(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	a := NewSampler(Config{Capacity: 8, Seed: 2})
-	for x := uint64(0); x < 100; x++ {
-		a.Process(x)
-	}
-	b := a.Clone()
-	for x := uint64(100); x < 5000; x++ {
-		b.Process(x)
-	}
-	// a unchanged by b's processing.
-	wantLevel, wantSample := refState(a.Config(), seq(100))
-	if a.Level() != wantLevel || !equalSets(sampleSet(a), wantSample) {
-		t.Error("Clone shares state with original")
-	}
-}
-
 func TestReset(t *testing.T) {
 	s := NewSampler(Config{Capacity: 8, Seed: 2})
 	for x := uint64(0); x < 1000; x++ {
 		s.Process(x)
 	}
 	s.Reset()
-	if s.Len() != 0 || s.Level() != 0 || s.EstimateSum() != 0 {
-		t.Errorf("Reset left Len=%d Level=%d Sum=%v", s.Len(), s.Level(), s.EstimateSum())
+	if s.n != 0 || s.level != 0 || s.EstimateSum() != 0 {
+		t.Errorf("Reset left Len=%d Level=%d Sum=%v", s.n, s.level, s.EstimateSum())
 	}
 	// Still usable and still coordinated (same seed).
 	s.Process(7)
-	other := NewSampler(s.Config())
+	other := NewSampler(s.cfg)
 	other.Process(7)
 	a, _ := s.MarshalBinary()
 	b, _ := other.MarshalBinary()

@@ -103,29 +103,6 @@ func EstimateJaccard(a, b *Sampler) (float64, error) {
 // its own right, whose EstimateDistinct equals the scalar estimate.
 // That closure is what lets set operators nest in query expressions.
 
-// IntersectSamplers returns a coordinated level-max(La,Lb) sample of
-// A ∩ B. Retained entries keep a's weights (the fixed-value-per-label
-// model makes a's and b's weights for a shared label equal anyway).
-func IntersectSamplers(a, b *Sampler) (*Sampler, error) {
-	return combineSamplers(a, b, true)
-}
-
-// DiffSamplers returns a coordinated level-max(La,Lb) sample of A \ B.
-func DiffSamplers(a, b *Sampler) (*Sampler, error) {
-	return combineSamplers(a, b, false)
-}
-
-// combineSamplers returns the level-max(La,Lb) filter of a's entries
-// that b holds (keepShared) or does not hold.
-func combineSamplers(a, b *Sampler, keepShared bool) (*Sampler, error) {
-	if err := checkCoordinated(a, b); err != nil {
-		return nil, err
-	}
-	out := &Sampler{}
-	combineInto(out, a, b, keepShared, make([]entry, tableSize(a.n)))
-	return out, nil
-}
-
 // combineInto makes out the level-max(La,Lb) filter of a's entries
 // that b holds (keepShared) or does not hold, over table: zeroed and
 // tableSize(a.n) long, since a's entry count bounds the result. a and

@@ -75,24 +75,3 @@ func (s *SumSampler) Merge(other *SumSampler) error {
 func (s *SumSampler) EstimateSum() float64 {
 	return s.inner.EstimateDistinct()
 }
-
-// EstimateSumWhere estimates the sum restricted to distinct labels
-// satisfying pred, which is applied to the original label recovered
-// from each sampled sub-item.
-func (s *SumSampler) EstimateSumWhere(pred func(label uint64) bool) float64 {
-	return s.inner.EstimateCountWhere(func(key uint64) bool {
-		return pred(key >> subItemBits)
-	})
-}
-
-// Level exposes the inner sampling level.
-func (s *SumSampler) Level() int { return s.inner.Level() }
-
-// Len exposes the number of retained sub-items.
-func (s *SumSampler) Len() int { return s.inner.Len() }
-
-// SizeBytes returns the wire size of the underlying sketch.
-func (s *SumSampler) SizeBytes() int { return s.inner.SizeBytes() }
-
-// MaxValue returns the per-label value bound.
-func (s *SumSampler) MaxValue() uint64 { return s.maxValue }

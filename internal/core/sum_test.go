@@ -17,8 +17,8 @@ func TestSumSamplerExactSmall(t *testing.T) {
 		}
 		truth += v
 	}
-	if s.Level() != 0 {
-		t.Fatalf("level raised unexpectedly: %d", s.Level())
+	if s.inner.level != 0 {
+		t.Fatalf("level raised unexpectedly: %d", s.inner.level)
 	}
 	if got := s.EstimateSum(); got != float64(truth) {
 		t.Errorf("pre-overflow sum = %v, want exactly %d", got, truth)
@@ -118,36 +118,6 @@ func TestSumSamplerMergeMismatch(t *testing.T) {
 	}
 	if err := a.Merge(nil); err == nil {
 		t.Error("nil merge accepted")
-	}
-}
-
-func TestSumSamplerWhere(t *testing.T) {
-	s := NewSumSampler(Config{Capacity: 4096, Seed: 5}, 4)
-	const n = 20000
-	var evens float64
-	for x := uint64(0); x < n; x++ {
-		must(t, s.Process(x, 3))
-		if x%2 == 0 {
-			evens += 3
-		}
-	}
-	got := s.EstimateSumWhere(func(x uint64) bool { return x%2 == 0 })
-	if rel := math.Abs(got-evens) / evens; rel > 0.15 {
-		t.Errorf("even sum %.0f vs %.0f: rel %.3f", got, evens, rel)
-	}
-}
-
-func TestSumSamplerAccessors(t *testing.T) {
-	s := NewSumSampler(Config{Capacity: 8, Seed: 1}, 16)
-	if s.MaxValue() != 16 {
-		t.Errorf("MaxValue = %d", s.MaxValue())
-	}
-	must(t, s.Process(1, 5))
-	if s.Len() == 0 {
-		t.Error("Len = 0 after insert")
-	}
-	if s.SizeBytes() == 0 {
-		t.Error("SizeBytes = 0")
 	}
 }
 

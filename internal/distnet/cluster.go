@@ -5,8 +5,7 @@ package distnet
 // cluster suite uses it to pin the tree-of-referees equivalence — a
 // sharded tier must converge to bit-identical state with a single
 // coordinator that absorbed every site push directly — in fault-free
-// runs, under seeded chaos on every hop, and across shard death and
-// ring migration.
+// runs, under seeded chaos on every hop, and across a parent crash.
 
 import (
 	"context"
@@ -218,9 +217,8 @@ func (c *Cluster) PendingRelay() int64 {
 }
 
 // StopShard shuts shard i down — its drain flush pushes everything
-// still dirty upstream — and marks it dead for FlushAll/Close. The
-// caller re-rings with Ring.Without(i) and migrates the dead shard's
-// groups (still snapshottable: Shutdown drains, it does not erase).
+// still dirty upstream — and marks it dead for FlushAll, PendingRelay
+// and Close.
 func (c *Cluster) StopShard(i int) error {
 	if c.stopped[i] {
 		return nil

@@ -95,9 +95,9 @@ func TestChaosClusterConvergesThroughFaultyHops(t *testing.T) {
 			}
 
 			for wave := 0; wave < 2; wave++ {
-				envs := clusterEnvelopes(t, groups, wave)
-				pushSharded(t, sc, envs)
-				if _, err := ctlClient.PushBatch(envs); err != nil {
+				recs := clusterRecords(t, groups, wave)
+				pushSharded(t, sc, recs)
+				if _, err := ctlClient.PushBatchNamed(recs); err != nil {
 					t.Fatal(err)
 				}
 				flushUntilClean(wave)

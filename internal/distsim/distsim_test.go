@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -253,6 +254,36 @@ func TestCoordinatorRejectsGarbage(t *testing.T) {
 		c := p.NewCoordinator()
 		if err := c.Absorb([]byte("garbage message")); err == nil {
 			t.Errorf("%s: coordinator accepted garbage", p.Name())
+		}
+	}
+}
+
+// failingProtocol is Exact, except that site 1 cannot encode its
+// message.
+type failingProtocol struct{ err error }
+
+func (p failingProtocol) Name() string                { return "failing" }
+func (p failingProtocol) NewCoordinator() Coordinator { return Exact().NewCoordinator() }
+func (p failingProtocol) NewSite(i int) SiteSketch {
+	if i == 1 {
+		return failingSite{p.err}
+	}
+	return Exact().NewSite(i)
+}
+
+type failingSite struct{ err error }
+
+func (failingSite) Process(stream.Item)        {}
+func (s failingSite) Message() ([]byte, error) { return nil, s.err }
+
+// TestRunSiteErrorPropagates: a site whose message cannot be encoded
+// must fail the run with its error, serially and concurrently, rather
+// than leave its stream out of the union.
+func TestRunSiteErrorPropagates(t *testing.T) {
+	boom := errors.New("site cannot encode")
+	for _, concurrent := range []bool{false, true} {
+		if _, err := Run(failingProtocol{boom}, overlapSources(3, 1), concurrent); !errors.Is(err, boom) {
+			t.Errorf("concurrent=%v: err = %v, want the site's error", concurrent, err)
 		}
 	}
 }

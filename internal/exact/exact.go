@@ -2,9 +2,9 @@
 // aggregates the sketches estimate: distinct counts, predicate counts,
 // and duplicate-insensitive sums over the union of streams. It is the
 // ground truth for every experiment and also serves as the "ship the
-// whole distinct set" communication baseline (E6): its SizeBytes is
-// what a party would have to send for the coordinator to compute the
-// union exactly.
+// whole distinct set" communication baseline (E6): its encoding, a
+// (label, value) pair per distinct label, is what a party would have
+// to send for the coordinator to compute the union exactly.
 package exact
 
 import (
@@ -88,29 +88,6 @@ func (d *Distinct) Merge(o sketch.Sketch) error {
 		d.ProcessWeighted(label, v)
 	}
 	return nil
-}
-
-// Contains reports whether label has been observed.
-func (d *Distinct) Contains(label uint64) bool {
-	_, ok := d.values[label]
-	return ok
-}
-
-// Value returns the stored value for label and whether it exists.
-func (d *Distinct) Value(label uint64) (uint64, bool) {
-	v, ok := d.values[label]
-	return v, ok
-}
-
-// SizeBytes is the minimal message size for exact union computation:
-// 8 bytes per distinct label (values excluded, matching the
-// distinct-count communication baseline in E6).
-func (d *Distinct) SizeBytes() int { return 8 * len(d.values) }
-
-// Reset clears the counter.
-func (d *Distinct) Reset() {
-	clear(d.values)
-	d.sum = 0
 }
 
 // String implements fmt.Stringer.

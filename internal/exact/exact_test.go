@@ -19,8 +19,11 @@ func TestDistinctBasic(t *testing.T) {
 	if d.Sum() != 2 {
 		t.Errorf("Sum = %d, want 2", d.Sum())
 	}
-	if !d.Contains(1) || d.Contains(3) {
-		t.Error("Contains wrong")
+	if _, ok := d.values[1]; !ok {
+		t.Error("label 1 missing")
+	}
+	if _, ok := d.values[3]; ok {
+		t.Error("label 3 present")
 	}
 }
 
@@ -32,11 +35,11 @@ func TestDistinctWeighted(t *testing.T) {
 	if d.Sum() != 15 {
 		t.Errorf("Sum = %d, want 15", d.Sum())
 	}
-	if v, ok := d.Value(1); !ok || v != 10 {
-		t.Errorf("Value(1) = %d,%v", v, ok)
+	if v, ok := d.values[1]; !ok || v != 10 {
+		t.Errorf("value of label 1 = %d,%v", v, ok)
 	}
-	if _, ok := d.Value(3); ok {
-		t.Error("Value(3) exists")
+	if _, ok := d.values[3]; ok {
+		t.Error("label 3 has a value")
 	}
 }
 
@@ -84,24 +87,6 @@ func TestDistinctMergeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDistinctSizeReset(t *testing.T) {
-	d := NewDistinct()
-	for x := uint64(0); x < 10; x++ {
-		d.Process(x)
-	}
-	if d.SizeBytes() != 80 {
-		t.Errorf("SizeBytes = %d, want 80", d.SizeBytes())
-	}
-	d.Reset()
-	if d.Count() != 0 || d.Sum() != 0 || d.SizeBytes() != 0 {
-		t.Error("Reset incomplete")
-	}
-	d.Process(1)
-	if d.Count() != 1 {
-		t.Error("counter unusable after Reset")
 	}
 }
 

@@ -80,10 +80,6 @@ var (
 	// relay flush; an error fails that group's push (the group stays
 	// dirty — at-least-once delivery, made safe by idempotent merges).
 	ServerRelayPush = declare("server/relay-push")
-	// ClusterMigrate fires before each group re-push during ring
-	// migration; an error fails that group's move (the caller retries
-	// — duplicate re-pushes are idempotent).
-	ClusterMigrate = declare("cluster/migrate")
 	// WALAppend fires in wal.(*Log).AppendNamed and AppendFrame before
 	// the record frame is written; an error fails the append (the absorb
 	// is refused with a transient ack and no group or log state changes).

@@ -14,15 +14,11 @@
 package hashing
 
 // Family is a hash function drawn from some family, mapping 64-bit keys
-// to values uniform in [0, RangeP). Implementations must be
-// deterministic: equal seeds produce identical functions, which is what
-// coordinated sampling across distributed sites relies on.
+// to values uniform in [0, MersennePrime), the range of every family
+// in this package. Implementations must be deterministic: equal seeds
+// produce identical functions, which is what coordinated sampling
+// across distributed sites relies on.
 type Family interface {
-	// Hash maps a key to a value in [0, RangeP).
+	// Hash maps a key to a value in [0, MersennePrime).
 	Hash(x uint64) uint64
 }
-
-// RangeP is the size of the hash output range for all families in this
-// package: the Mersenne prime 2^61 - 1. Hash values are uniform in
-// [0, RangeP).
-const RangeP = MersennePrime

@@ -24,19 +24,6 @@ func GeometricLevel(v uint64) int {
 	return MaxLevel - bits.Len64(v)
 }
 
-// LevelThreshold returns the largest hash value (exclusive) that is
-// assigned a level >= lvl, i.e. v has level >= lvl iff v < LevelThreshold(lvl).
-// LevelThreshold(0) is 2^61, meaning every value qualifies at level 0.
-func LevelThreshold(lvl int) uint64 {
-	if lvl <= 0 {
-		return 1 << 61
-	}
-	if lvl >= MaxLevel {
-		return 1
-	}
-	return 1 << (61 - uint(lvl))
-}
-
 // Fraction maps a hash value in [0, p) to the unit interval [0, 1)
 // using the value's top 53 bits, so the conversion is exact (no
 // float64 rounding can push the result to 1.0). KMV-style sketches use

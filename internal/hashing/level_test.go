@@ -3,7 +3,6 @@ package hashing
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestGeometricLevelEdges(t *testing.T) {
@@ -23,33 +22,6 @@ func TestGeometricLevelEdges(t *testing.T) {
 		if got := GeometricLevel(c.v); got != c.want {
 			t.Errorf("GeometricLevel(%d) = %d, want %d", c.v, got, c.want)
 		}
-	}
-}
-
-// TestLevelThresholdConsistency: v has level >= lvl iff v < LevelThreshold(lvl).
-func TestLevelThresholdConsistency(t *testing.T) {
-	f := func(raw uint64, lvlRaw uint8) bool {
-		v := raw % MersennePrime
-		lvl := int(lvlRaw) % (MaxLevel + 1)
-		return (GeometricLevel(v) >= lvl) == (v < LevelThreshold(lvl))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLevelThresholdEdges(t *testing.T) {
-	if got := LevelThreshold(0); got != 1<<61 {
-		t.Errorf("LevelThreshold(0) = %d, want 2^61", got)
-	}
-	if got := LevelThreshold(-3); got != 1<<61 {
-		t.Errorf("LevelThreshold(-3) = %d, want 2^61", got)
-	}
-	if got := LevelThreshold(MaxLevel); got != 1 {
-		t.Errorf("LevelThreshold(MaxLevel) = %d, want 1", got)
-	}
-	if got := LevelThreshold(MaxLevel + 5); got != 1 {
-		t.Errorf("LevelThreshold(MaxLevel+5) = %d, want 1", got)
 	}
 }
 

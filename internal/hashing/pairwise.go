@@ -58,9 +58,6 @@ func NewKWise(k int, seed uint64) KWise {
 	return KWise{coef: coef}
 }
 
-// K returns the independence parameter of the family.
-func (h KWise) K() int { return len(h.coef) }
-
 // Hash returns h(x) ∈ [0, p).
 func (h KWise) Hash(x uint64) uint64 {
 	xm := modP(x)

@@ -126,8 +126,8 @@ func TestKWiseRange(t *testing.T) {
 }
 
 func TestKWiseK(t *testing.T) {
-	if got := NewKWise(4, 1).K(); got != 4 {
-		t.Errorf("K() = %d, want 4", got)
+	if got := len(NewKWise(4, 1).coef); got != 4 {
+		t.Errorf("NewKWise(4, ...) has %d coefficients, want 4", got)
 	}
 }
 

@@ -87,10 +87,7 @@ func TestChaosDuplicateDeliveryIdempotent(t *testing.T) {
 				}
 			}
 		}
-		got, err := srv.SnapshotGroup(cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := onlyGroup(t, srv)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("seed %d: duplicated delivery changed the merged state", seed)
 		}
@@ -126,10 +123,7 @@ func TestChaosArrivalOrderCommutative(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := srv.SnapshotGroup(cfg.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := onlyGroup(t, srv)
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("seed %d trial %d: order %v produced a different merged state", seed, trial, order)
 			}
@@ -150,10 +144,7 @@ func TestChaosMidFrameDeathLeavesStateUntouched(t *testing.T) {
 	if _, err := cl.Push(msgs[0]); err != nil {
 		t.Fatal(err)
 	}
-	before, err := srv.SnapshotGroup(cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := onlyGroup(t, srv)
 
 	// Site 1 dies mid-frame: a truncating proxy cuts the connection
 	// after the header and part of the payload have left.
@@ -178,10 +169,7 @@ func TestChaosMidFrameDeathLeavesStateUntouched(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	after, err := srv.SnapshotGroup(cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := onlyGroup(t, srv)
 	if !bytes.Equal(before, after) {
 		t.Fatal("mid-frame death perturbed the merged group state")
 	}
@@ -193,10 +181,7 @@ func TestChaosMidFrameDeathLeavesStateUntouched(t *testing.T) {
 	if _, err := cl.Push(msgs[1]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.SnapshotGroup(cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := onlyGroup(t, srv)
 	if !bytes.Equal(got, serialReference(t, msgs)) {
 		t.Fatal("state after retry differs from the fault-free union")
 	}
@@ -227,10 +212,7 @@ func TestChaosFailpointAbsorbLeavesGroupUntouched(t *testing.T) {
 	if st := srv.Stats(); st.SketchesAbsorbed != 1 {
 		t.Errorf("absorbed %d, want 1 (failed absorbs must not count)", st.SketchesAbsorbed)
 	}
-	got, err := srv.SnapshotGroup(cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := onlyGroup(t, srv)
 	if !bytes.Equal(got, serialReference(t, msgs)) {
 		t.Fatal("state after absorb faults differs from clean push")
 	}
@@ -255,10 +237,7 @@ func TestChaosAcceptFaultThenRecovery(t *testing.T) {
 	if attempts < 3 {
 		t.Errorf("converged in %d attempts, want >= 3 (two dropped connections)", attempts)
 	}
-	got, err := srv.SnapshotGroup(cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := onlyGroup(t, srv)
 	if !bytes.Equal(got, serialReference(t, msgs)) {
 		t.Fatal("state after accept faults differs from clean push")
 	}
@@ -308,11 +287,7 @@ func TestChaosSeededScheduleConvergesBitIdentical(t *testing.T) {
 				}
 			}
 			p.Close() // flush handlers so the trace is complete
-			snapshot, err = srv.SnapshotGroup(cfg.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return snapshot, p.TraceString()
+			return onlyGroup(t, srv), p.TraceString()
 		}
 
 		snap1, trace1 := run()

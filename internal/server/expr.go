@@ -36,15 +36,6 @@ import (
 // cannot answer the requested operator at the requested position.
 var errExprUnsupported = errors.New("server: set expression unsupported by sketch kind")
 
-// exprValue is one evaluated node: its scalar estimate, its reported
-// relative error bound, and — when the node's result set is itself
-// sketch-representable — the sketch a parent node consumes.
-type exprValue struct {
-	val   float64
-	bound float64
-	sk    sketch.Sketch // nil for root-only scalar results
-}
-
 func (s *Server) serveQueryExpr(conn net.Conn, payload []byte) {
 	eq, err := wire.DecodeExprQuery(payload)
 	if err != nil {

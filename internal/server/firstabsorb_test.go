@@ -48,11 +48,11 @@ func TestQueriesRacingFirstAbsorb(t *testing.T) {
 				default:
 				}
 				_, _ = s.answer(wire.Query{Kind: wire.QueryDistinct})
-				_, _ = s.SnapshotGroup(42)
+				_, _ = s.Snapshots()
 			}
 		}()
 		<-spinning
-		if err := s.Absorb(env); err != nil {
+		if err := s.AbsorbNamed("", env); err != nil {
 			t.Error(err)
 		}
 		close(absorbed)

@@ -65,7 +65,7 @@ func controlSnapshots(t *testing.T, msgs [][]byte) []server.GroupSnapshot {
 	t.Helper()
 	ctrl := server.New(server.Config{})
 	for _, m := range msgs {
-		if err := ctrl.Absorb(m); err != nil {
+		if err := ctrl.AbsorbNamed("", m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -376,7 +376,7 @@ func TestWALRecoveryRelayTopology(t *testing.T) {
 				// through the crash; a parent snapshot round between
 				// flushes gives wal/snapshot its hits.
 				for i, msg := range msgs {
-					if err := child.Absorb(msg); err != nil {
+					if err := child.AbsorbNamed("", msg); err != nil {
 						t.Fatalf("shard absorb %d: %v", i, err)
 					}
 					child.FlushRelay()
@@ -415,7 +415,7 @@ func TestWALRecoveryRelayTopology(t *testing.T) {
 				pdone2 := make(chan error, 1)
 				go func() { pdone2 <- parent2.Serve(ln2) }()
 
-				if err := child.Absorb(msgs[len(msgs)-1]); err != nil {
+				if err := child.AbsorbNamed("", msgs[len(msgs)-1]); err != nil {
 					t.Fatal(err)
 				}
 				deadline := time.Now().Add(10 * time.Second)

@@ -469,16 +469,11 @@ func (s *Server) writeAck(conn net.Conn, a wire.Ack) bool {
 	return true
 }
 
-// Absorb merges one self-describing sketch envelope into the default
-// stream's group table without a network round trip — the in-process
-// equivalent of a site push. Embedders and the allocation gate use
-// it; the TCP path routes through the same code.
-func (s *Server) Absorb(envelope []byte) error {
-	return s.AbsorbNamed("", envelope)
-}
-
-// AbsorbNamed merges one envelope into the named stream's group, the
-// in-process equivalent of a MsgPushNamed.
+// AbsorbNamed merges one self-describing sketch envelope into the
+// named stream's group ("" for the default stream) without a network
+// round trip — the in-process equivalent of a site push. Embedders and
+// the allocation gate use it; the TCP path routes through the same
+// code.
 func (s *Server) AbsorbNamed(stream string, envelope []byte) error {
 	if ack := s.absorbSketch(stream, envelope, nil); ack.Code != wire.AckOK {
 		return fmt.Errorf("server: absorb refused: %s: %s", ack.Code, ack.Detail)
@@ -755,25 +750,10 @@ func keyLess(a, b cluster.GroupKey) bool {
 	return a.Digest < b.Digest
 }
 
-// SnapshotGroup returns the marshaled merged sketch payload for the
-// group with the given coordination seed — the exact bytes a site
-// would have sent (sans envelope) had it observed the union itself.
-// Tests use it to assert that concurrent absorption is bit-identical
-// to serial merging; operators can use it to checkpoint a group.
-func (s *Server) SnapshotGroup(seed uint64) ([]byte, error) {
-	g, err := s.selectGroup(wire.Query{HasSeed: true, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.sk.MarshalBinary()
-}
-
 // GroupSnapshot is one merge group's portable state: its identity
 // plus the self-describing envelope of its merged sketch — the exact
-// bytes the group relays upstream, migrates to a new owner, or a site
-// holding the whole group union would have pushed.
+// bytes the group relays upstream, or a site holding the whole group
+// union would have pushed.
 type GroupSnapshot struct {
 	cluster.GroupKey
 	KindName string
@@ -783,10 +763,10 @@ type GroupSnapshot struct {
 
 // Snapshots returns every group's snapshot, sorted by (stream, kind,
 // digest) so two coordinators holding the same groups produce
-// comparable slices. Unlike per-group SnapshotGroup lookups it is
-// linear in the group count, which is what lets the cluster tests
-// compare 10^5 groups between a sharded tier and a single
-// coordinator.
+// comparable slices. The WAL snapshot writes it, and tests compare it
+// to assert that concurrent, relayed or recovered absorption is
+// bit-identical to serial merging, at up to 10^5 groups in the
+// cluster tests.
 func (s *Server) Snapshots() ([]GroupSnapshot, error) {
 	s.mu.Lock()
 	groups := s.groupsLocked()

@@ -210,10 +210,7 @@ func TestConcurrentAbsorbBitIdentical(t *testing.T) {
 			}(msgs[idx])
 		}
 		wg.Wait()
-		got, err := srv.SnapshotGroup(cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := onlyGroup(t, srv)
 		if string(got) != string(refBytes) {
 			t.Fatalf("trial %d: concurrent absorb state differs from serial merge", trial)
 		}
@@ -465,11 +462,11 @@ func TestForgedCopySeedCannotPoisonGroup(t *testing.T) {
 	forged[at] ^= 1
 
 	srv := server.New(server.Config{})
-	if err := srv.Absorb(forged); err == nil {
+	if err := srv.AbsorbNamed("", forged); err == nil {
 		t.Fatal("forged envelope absorbed, want a refusal")
 	}
 	for i := 0; i < 2; i++ {
-		if err := srv.Absorb(env); err != nil {
+		if err := srv.AbsorbNamed("", env); err != nil {
 			t.Fatalf("legitimate push %d after the forgery: %v", i, err)
 		}
 	}
@@ -581,8 +578,8 @@ func TestStatszHTTP(t *testing.T) {
 }
 
 // serialMerge opens the envelopes in order, merges them into the
-// first, and returns the canonical accumulated bytes — the reference
-// any concurrent absorb order must reproduce exactly.
+// first, and returns the accumulated envelope — the reference any
+// concurrent absorb order must reproduce exactly.
 func serialMerge(msgs [][]byte) ([]byte, error) {
 	ref, err := sketch.Open(msgs[0])
 	if err != nil {
@@ -597,7 +594,21 @@ func serialMerge(msgs [][]byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return ref.MarshalBinary()
+	return sketch.Envelope(ref)
+}
+
+// onlyGroup returns the envelope of srv's one merge group, failing the
+// test when srv holds any other number of groups.
+func onlyGroup(t *testing.T, srv *server.Server) []byte {
+	t.Helper()
+	snaps, err := srv.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 {
+		t.Fatalf("coordinator holds %d groups, want 1", len(snaps))
+	}
+	return snaps[0].Envelope
 }
 
 // TestConcurrentAbsorbAllKinds extends the bit-identical guarantee to
@@ -625,10 +636,6 @@ func TestConcurrentAbsorbAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := sketch.Open(msgs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			srv := server.New(server.Config{})
 			addr := startServer(t, srv)
@@ -643,11 +650,7 @@ func TestConcurrentAbsorbAllKinds(t *testing.T) {
 				}(msg)
 			}
 			wg.Wait()
-			got, err := srv.SnapshotGroup(ref.Seed())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(refBytes) {
+			if got := onlyGroup(t, srv); string(got) != string(refBytes) {
 				t.Fatalf("concurrent absorb state differs from serial merge")
 			}
 		})

@@ -69,7 +69,7 @@ func TestWALReplayIdempotencePerKind(t *testing.T) {
 			dir := t.TempDir()
 			srv := server.New(server.Config{WAL: testWALConfig(dir)})
 			for _, e := range envs {
-				if err := srv.Absorb(e); err != nil {
+				if err := srv.AbsorbNamed("", e); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -99,14 +99,14 @@ func TestWALReplayIdempotencePerKind(t *testing.T) {
 			dir2 := t.TempDir()
 			srv2 := server.New(server.Config{WAL: testWALConfig(dir2)})
 			for _, e := range envs[:2] {
-				if err := srv2.Absorb(e); err != nil {
+				if err := srv2.AbsorbNamed("", e); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if _, err := srv2.SnapshotWAL(); err != nil {
 				t.Fatal(err)
 			}
-			if err := srv2.Absorb(envs[2]); err != nil {
+			if err := srv2.AbsorbNamed("", envs[2]); err != nil {
 				t.Fatal(err)
 			}
 			srv2.Abort()

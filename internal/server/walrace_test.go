@@ -241,7 +241,7 @@ func cleanRestart(t *testing.T, stopped func(*server.Server)) *server.Server {
 	cfg := server.WALConfig{Dir: t.TempDir()}
 	srv := server.New(server.Config{WAL: &cfg})
 	for _, env := range envs {
-		if err := srv.Absorb(env); err != nil {
+		if err := srv.AbsorbNamed("", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestWALRotateErrorsSurfaceInStats(t *testing.T) {
 	defer srv.Abort()
 	envs := relayEnvelopes(t, 3)
 	for i, env := range envs {
-		if err := srv.Absorb(env); err != nil {
+		if err := srv.AbsorbNamed("", env); err != nil {
 			t.Fatalf("push %d refused with rotation faulted: %v", i, err)
 		}
 	}

@@ -95,20 +95,6 @@ func (s *Sketch) Merge(o sketch.Sketch) error {
 	return nil
 }
 
-// SizeBytes returns the sketch payload size: one level byte per copy.
-// This is the O(log m) bits/copy the literature charges AMS.
-func (s *Sketch) SizeBytes() int { return len(s.maxLvl) }
-
-// Copies returns the number of independent copies.
-func (s *Sketch) Copies() int { return len(s.maxLvl) }
-
-// Reset clears the sketch, keeping its configuration.
-func (s *Sketch) Reset() {
-	for i := range s.maxLvl {
-		s.maxLvl[i] = -1
-	}
-}
-
 func median(vals []float64) float64 {
 	// Insertion sort a copy; copy counts are small.
 	sorted := append([]float64(nil), vals...)

@@ -70,24 +70,9 @@ func TestMergeMismatch(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := New(5, 1)
-	for x := uint64(0); x < 1000; x++ {
-		s.Process(x)
-	}
-	s.Reset()
-	if got := s.Estimate(); got != 0 {
-		t.Errorf("estimate after Reset = %v, want 0", got)
-	}
-}
-
 func TestSizeAndCopies(t *testing.T) {
-	s := New(9, 1)
-	if s.SizeBytes() != 9 {
-		t.Errorf("SizeBytes = %d, want 9", s.SizeBytes())
-	}
-	if s.Copies() != 9 {
-		t.Errorf("Copies = %d, want 9", s.Copies())
+	if got := len(New(9, 1).maxLvl); got != 9 {
+		t.Errorf("New(9, ...) keeps %d level bytes, want one per copy", got)
 	}
 }
 

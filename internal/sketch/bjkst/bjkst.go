@@ -9,6 +9,7 @@ package bjkst
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hashing"
 	"repro/internal/sketch"
@@ -26,10 +27,12 @@ type Sketch struct {
 	printHash hashing.Pairwise
 	printMod  uint64
 	z         int
-	// buckets maps fingerprint -> max level seen for that fingerprint.
-	// (Levels are per original item; a fingerprint collision keeps the
-	// higher level, which is the standard small-bias behaviour.)
-	buckets map[uint32]int8
+	// buckets holds one fingerprint<<8 | level entry per retained
+	// fingerprint, strictly ascending by fingerprint, every level at
+	// least z. The level is the highest seen for the fingerprint (a
+	// fingerprint collision keeps the higher level, which is the
+	// standard small-bias behaviour).
+	buckets []uint64
 }
 
 // New returns a BJKST sketch with the given bucket capacity
@@ -49,7 +52,7 @@ func New(capacity int, seed uint64) *Sketch {
 		levelHash: hashing.NewPairwise(sm.Next()),
 		printHash: hashing.NewPairwise(sm.Next()),
 		printMod:  fingerprintMod(capacity),
-		buckets:   make(map[uint32]int8, capacity+1),
+		buckets:   make([]uint64, 0, capacity+1),
 	}
 }
 
@@ -72,24 +75,38 @@ func fingerprintMod(capacity int) uint64 {
 	}
 }
 
+// level is a bucket entry's level.
+func level(e uint64) int { return int(uint8(e)) }
+
 // Process observes one occurrence of label.
 func (s *Sketch) Process(label uint64) {
-	lvl := int8(hashing.GeometricLevel(s.levelHash.Hash(label)))
-	if int(lvl) < s.z {
+	lvl := hashing.GeometricLevel(s.levelHash.Hash(label))
+	if lvl < s.z {
 		return
 	}
-	fp := uint32(s.printHash.Hash(label) % s.printMod)
-	if old, ok := s.buckets[fp]; !ok || lvl > old {
-		s.buckets[fp] = lvl
+	fp := s.printHash.Hash(label) % s.printMod
+	e := fp<<8 | uint64(lvl)
+	i, _ := slices.BinarySearch(s.buckets, fp<<8)
+	if i < len(s.buckets) && s.buckets[i]>>8 == fp {
+		s.buckets[i] = max(s.buckets[i], e)
+		return
 	}
+	s.buckets = slices.Insert(s.buckets, i, e)
 	for len(s.buckets) > s.capacity && s.z < hashing.MaxLevel {
 		s.z++
-		for f, l := range s.buckets {
-			if int(l) < s.z {
-				delete(s.buckets, f)
-			}
+		s.prune()
+	}
+}
+
+// prune drops the buckets below level z, keeping the rest in order.
+func (s *Sketch) prune() {
+	kept := s.buckets[:0]
+	for _, e := range s.buckets {
+		if level(e) >= s.z {
+			kept = append(kept, e)
 		}
 	}
+	s.buckets = kept
 }
 
 // Estimate returns |buckets| · 2^z.
@@ -97,8 +114,8 @@ func (s *Sketch) Estimate() float64 {
 	return float64(len(s.buckets)) * float64(uint64(1)<<uint(s.z))
 }
 
-// Merge folds other into s. Both sketches must share capacity and
-// seed.
+// Merge folds other into s, leaving s as if it had processed both
+// streams. Both sketches must share capacity and seed.
 func (s *Sketch) Merge(o sketch.Sketch) error {
 	other, ok := o.(*Sketch)
 	if !ok {
@@ -107,46 +124,65 @@ func (s *Sketch) Merge(o sketch.Sketch) error {
 	if other == nil || s.capacity != other.capacity || s.seed != other.seed {
 		return ErrMismatch
 	}
-	if other.z > s.z {
-		s.z = other.z
-		for f, l := range s.buckets {
-			if int(l) < s.z {
-				delete(s.buckets, f)
-			}
+	// Count the union's fingerprints per level, a shared one at its
+	// higher level, then raise z from the larger of the two until at
+	// most capacity of them survive.
+	var perLevel [hashing.MaxLevel + 1]int
+	a, b := s.buckets, other.buckets
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		switch {
+		case j == len(b) || (i < len(a) && a[i]>>8 < b[j]>>8):
+			perLevel[level(a[i])]++
+			i++
+		case i == len(a) || b[j]>>8 < a[i]>>8:
+			perLevel[level(b[j])]++
+			j++
+		default:
+			perLevel[level(max(a[i], b[j]))]++
+			i, j = i+1, j+1
 		}
 	}
-	for f, l := range other.buckets {
-		if int(l) < s.z {
-			continue
+	z, n := max(s.z, other.z), 0
+	for _, c := range perLevel[z:] {
+		n += c
+	}
+	for n > s.capacity && z < hashing.MaxLevel {
+		n -= perLevel[z]
+		z++
+	}
+	s.z = z
+	s.prune()
+	// Merge s's survivors with other's back to front into
+	// s.buckets[:n]. Every survivor of s is in the result, so the write
+	// index never falls below the read index into s's own entries and
+	// no unread entry is overwritten.
+	if n > cap(s.buckets) {
+		// One allocation in every build: slices.Grow appends a make,
+		// which allocates twice under the race detector.
+		grown := make([]uint64, len(s.buckets), n)
+		copy(grown, s.buckets)
+		s.buckets = grown
+	}
+	a, out := s.buckets, s.buckets[:n]
+	i, j := len(a)-1, len(b)-1
+	for w := n - 1; w >= 0; w-- {
+		for j >= 0 && level(b[j]) < z {
+			j--
 		}
-		if old, ok := s.buckets[f]; !ok || l > old {
-			s.buckets[f] = l
+		switch {
+		case j < 0 || (i >= 0 && a[i]>>8 > b[j]>>8):
+			out[w], i = a[i], i-1
+		case i < 0 || b[j]>>8 > a[i]>>8:
+			out[w], j = b[j], j-1
+		default:
+			out[w], i, j = max(a[i], b[j]), i-1, j-1
 		}
 	}
-	for len(s.buckets) > s.capacity && s.z < hashing.MaxLevel {
-		s.z++
-		for f, l := range s.buckets {
-			if int(l) < s.z {
-				delete(s.buckets, f)
-			}
-		}
-	}
+	s.buckets = out
 	return nil
 }
-
-// Level returns the current sampling level z.
-func (s *Sketch) Level() int { return s.z }
-
-// Len returns the number of retained fingerprints.
-func (s *Sketch) Len() int { return len(s.buckets) }
 
 // SizeBytes returns the sketch payload size: 5 bytes per bucket
 // (4-byte fingerprint + 1-byte level) — the bit saving over storing
 // whole labels that BJKST exists for.
 func (s *Sketch) SizeBytes() int { return 5 * len(s.buckets) }
-
-// Reset clears the sketch, keeping its configuration.
-func (s *Sketch) Reset() {
-	s.z = 0
-	clear(s.buckets)
-}

@@ -1,6 +1,7 @@
 package bjkst
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -13,8 +14,8 @@ func TestExactSmall(t *testing.T) {
 		s.Process(x)
 		s.Process(x)
 	}
-	if s.Level() != 0 {
-		t.Fatalf("level = %d, want 0", s.Level())
+	if s.z != 0 {
+		t.Fatalf("level = %d, want 0", s.z)
 	}
 	// Fingerprint collisions can shave a little; allow tiny slack.
 	if got := s.Estimate(); got < 97 || got > 100 {
@@ -39,34 +40,66 @@ func TestCapacityRespected(t *testing.T) {
 	for x := uint64(0); x < 100000; x++ {
 		s.Process(x)
 	}
-	if s.Len() > 64 {
-		t.Errorf("Len = %d exceeds capacity 64", s.Len())
+	if len(s.buckets) > 64 {
+		t.Errorf("%d buckets exceed capacity 64", len(s.buckets))
 	}
-	if s.Level() == 0 {
+	if s.z == 0 {
 		t.Error("level never raised on a large stream")
 	}
 }
 
+// TestMergeAgreesWithUnion: a merge must leave exactly the state of
+// one sketch that processed both streams, byte for byte — with either
+// operand decoded from its encoding, and through further Process
+// calls after the merge. A fingerprint collision keeps the higher
+// level on both paths, so collisions cannot make them differ.
 func TestMergeAgreesWithUnion(t *testing.T) {
-	a, b, both := New(128, 5), New(128, 5), New(128, 5)
-	for x := uint64(0); x < 20000; x++ {
-		a.Process(x)
-		both.Process(x)
+	r := hashing.NewXoshiro256(5)
+	feed := func(n int, universe uint64, sks ...*Sketch) {
+		for i := 0; i < n; i++ {
+			x := r.Uint64n(universe)
+			for _, s := range sks {
+				s.Process(x)
+			}
+		}
 	}
-	for x := uint64(10000); x < 35000; x++ {
-		b.Process(x)
-		both.Process(x)
+	for trial := 0; trial < 400; trial++ {
+		capacity, seed := 1+r.Intn(64), r.Uint64()
+		universe := 1 + r.Uint64n(5000)
+		a, b, both := New(capacity, seed), New(capacity, seed), New(capacity, seed)
+		feed(r.Intn(3000), universe, a, both)
+		feed(r.Intn(3000), universe, b, both)
+		if trial%2 == 1 {
+			a = roundTrip(t, a)
+		}
+		if trial%3 == 1 {
+			b = roundTrip(t, b)
+		}
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		feed(r.Intn(300), 2*universe, a, both)
+		got, _ := a.MarshalBinary()
+		want, _ := both.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (capacity %d): merge differs from processing the union (z %d vs %d, %d vs %d buckets)",
+				trial, capacity, a.z, both.z, len(a.buckets), len(both.buckets))
+		}
 	}
-	if err := a.Merge(b); err != nil {
+}
+
+// roundTrip returns s decoded from its own encoding.
+func roundTrip(t *testing.T, s *Sketch) *Sketch {
+	t.Helper()
+	enc, err := s.MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Unlike the GT sampler, BJKST merge is not guaranteed to equal
-	// sequential processing bit-for-bit (fingerprint collisions can
-	// resolve differently), but the estimates must agree closely.
-	am, bm := a.Estimate(), both.Estimate()
-	if rel := math.Abs(am-bm) / bm; rel > 0.05 {
-		t.Errorf("merged %.0f vs union %.0f: rel %.3f", am, bm, rel)
+	var d Sketch
+	if err := d.UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
 	}
+	return &d
 }
 
 func TestMergeMismatch(t *testing.T) {
@@ -111,19 +144,8 @@ func TestSizeBytes(t *testing.T) {
 	for x := uint64(0); x < 1000; x++ {
 		s.Process(x)
 	}
-	if s.SizeBytes() != 5*s.Len() {
-		t.Errorf("SizeBytes = %d, want %d", s.SizeBytes(), 5*s.Len())
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := New(64, 1)
-	for x := uint64(0); x < 10000; x++ {
-		s.Process(x)
-	}
-	s.Reset()
-	if s.Len() != 0 || s.Level() != 0 || s.Estimate() != 0 {
-		t.Error("Reset incomplete")
+	if s.SizeBytes() != 5*len(s.buckets) {
+		t.Errorf("SizeBytes = %d, want %d", s.SizeBytes(), 5*len(s.buckets))
 	}
 }
 
@@ -145,8 +167,8 @@ func TestTinyCapacityFingerprintRange(t *testing.T) {
 	for x := uint64(0); x < 10000; x++ {
 		s.Process(x)
 	}
-	if s.Len() > 2 {
-		t.Errorf("capacity 2 exceeded: %d", s.Len())
+	if len(s.buckets) > 2 {
+		t.Errorf("capacity 2 exceeded: %d", len(s.buckets))
 	}
 }
 

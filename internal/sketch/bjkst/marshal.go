@@ -3,7 +3,6 @@ package bjkst
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/hashing"
 	"repro/internal/sketch"
@@ -14,7 +13,7 @@ var ErrCorrupt = fmt.Errorf("bjkst: corrupt sketch encoding: %w", sketch.ErrCorr
 
 // Wire format: magic "BJ1", 8-byte seed, uvarint capacity, uvarint
 // level z, uvarint bucket count, then (fingerprint uint32 LE, level
-// byte) pairs sorted by fingerprint.
+// byte) pairs in strictly ascending fingerprint order.
 
 // MarshalBinary encodes the sketch.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
@@ -23,20 +22,18 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(s.capacity))
 	b = binary.AppendUvarint(b, uint64(s.z))
 	b = binary.AppendUvarint(b, uint64(len(s.buckets)))
-	fps := make([]uint32, 0, len(s.buckets))
-	for fp := range s.buckets {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	for _, fp := range fps {
-		b = binary.LittleEndian.AppendUint32(b, fp)
-		b = append(b, byte(s.buckets[fp]))
+	for _, e := range s.buckets {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e>>8))
+		b = append(b, byte(e))
 	}
 	return b, nil
 }
 
 // UnmarshalBinary decodes a sketch encoded by MarshalBinary, replacing
-// s's state entirely.
+// s's state entirely. It accepts only what Process and Merge produce:
+// z and every level at most hashing.MaxLevel, no level below z, and
+// fingerprints below the capacity's fingerprint range and strictly
+// ascending, so every accepted payload re-encodes to itself.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 12 || data[0] != 'B' || data[1] != 'J' || data[2] != '1' {
 		return fmt.Errorf("%w: bad header", ErrCorrupt)
@@ -49,7 +46,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	rest = rest[n:]
 	z, n := binary.Uvarint(rest)
-	if n <= 0 || z > 64 {
+	if n <= 0 || z > hashing.MaxLevel {
 		return fmt.Errorf("%w: bad level", ErrCorrupt)
 	}
 	rest = rest[n:]
@@ -61,32 +58,32 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if uint64(len(rest)) != 5*count {
 		return fmt.Errorf("%w: payload %d bytes, want %d", ErrCorrupt, len(rest), 5*count)
 	}
-	// Build by hand with the bucket map sized by the actual count: a
-	// forged header with a huge capacity must not trigger a huge
-	// allocation. All capacity-derived parameters (the fingerprint
-	// range in particular) must still come from the declared capacity
-	// so the decoded sketch stays coherent with its encoder.
+	// The buckets are sized by the actual count: a forged header with
+	// a huge capacity must not trigger a huge allocation. All
+	// capacity-derived parameters (the fingerprint range in particular)
+	// must still come from the declared capacity so the decoded sketch
+	// stays coherent with its encoder.
+	printMod := fingerprintMod(int(capacity))
+	buckets := make([]uint64, count)
+	for i := range buckets {
+		fp, lvl := uint64(binary.LittleEndian.Uint32(rest[5*i:])), rest[5*i+4]
+		if lvl > hashing.MaxLevel || uint64(lvl) < z {
+			return fmt.Errorf("%w: bucket level %d inconsistent with z=%d", ErrCorrupt, lvl, z)
+		}
+		if fp >= printMod || (i > 0 && fp <= buckets[i-1]>>8) {
+			return fmt.Errorf("%w: fingerprint %d out of range or out of order", ErrCorrupt, fp)
+		}
+		buckets[i] = fp<<8 | uint64(lvl)
+	}
 	sm := hashing.NewSplitMix64(seed)
-	tmp := &Sketch{
+	*s = Sketch{
 		capacity:  int(capacity),
 		seed:      seed,
 		levelHash: hashing.NewPairwise(sm.Next()),
 		printHash: hashing.NewPairwise(sm.Next()),
-		printMod:  fingerprintMod(int(capacity)),
-		buckets:   make(map[uint32]int8, count),
+		printMod:  printMod,
+		z:         int(z),
+		buckets:   buckets,
 	}
-	tmp.z = int(z)
-	for i := uint64(0); i < count; i++ {
-		fp := binary.LittleEndian.Uint32(rest[5*i:])
-		lvl := rest[5*i+4]
-		if lvl > 64 || int(lvl) < tmp.z {
-			return fmt.Errorf("%w: bucket level %d inconsistent with z=%d", ErrCorrupt, lvl, tmp.z)
-		}
-		if _, dup := tmp.buckets[fp]; dup {
-			return fmt.Errorf("%w: duplicate fingerprint", ErrCorrupt)
-		}
-		tmp.buckets[fp] = int8(lvl)
-	}
-	*s = *tmp
 	return nil
 }

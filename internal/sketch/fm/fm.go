@@ -124,16 +124,6 @@ func (s *Sketch) Merge(o sketch.Sketch) error {
 // sketches are charged.)
 func (s *Sketch) SizeBytes() int { return 8 * s.numMaps }
 
-// NumMaps returns the number of bitmaps.
-func (s *Sketch) NumMaps() int { return s.numMaps }
-
-// Reset clears the sketch, keeping its configuration.
-func (s *Sketch) Reset() {
-	for i := range s.bitmaps {
-		s.bitmaps[i] = 0
-	}
-}
-
 // NumMapsForEpsilon returns the bitmap count targeting relative error
 // eps under PCSA's ideal-hash analysis (stderr ≈ 0.78/√m).
 func NumMapsForEpsilon(eps float64) int {

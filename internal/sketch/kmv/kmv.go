@@ -154,18 +154,9 @@ func (s *Sketch) Jaccard(other *Sketch) (float64, error) {
 	return float64(inBoth) / float64(kPrime), nil
 }
 
-// Len returns the number of retained hash values.
-func (s *Sketch) Len() int { return len(s.vals) }
-
-// K returns the configured k.
-func (s *Sketch) K() int { return s.k }
-
 // SizeBytes returns the sketch payload size: 8 bytes per retained
 // value.
 func (s *Sketch) SizeBytes() int { return 8 * len(s.vals) }
-
-// Reset clears the sketch, keeping its configuration.
-func (s *Sketch) Reset() { s.vals = s.vals[:0] }
 
 // KForEpsilon returns the k targeting relative error eps
 // (stderr ≈ 1/√(k-2)).

@@ -24,8 +24,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if got.Estimate() != s.Estimate() {
 		t.Error("estimate changed across round trip")
 	}
-	if got.Len() != s.Len() {
-		t.Errorf("Len %d vs %d", got.Len(), s.Len())
+	if len(got.vals) != len(s.vals) {
+		t.Errorf("retained %d values vs %d", len(got.vals), len(s.vals))
 	}
 	if err := got.Merge(s); err != nil {
 		t.Errorf("decoded sketch cannot merge with original: %v", err)

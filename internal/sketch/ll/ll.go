@@ -137,16 +137,6 @@ func (s *Sketch) Merge(o sketch.Sketch) error {
 // SizeBytes returns the sketch payload size: one byte per register.
 func (s *Sketch) SizeBytes() int { return s.numRegs }
 
-// NumRegisters returns the register count.
-func (s *Sketch) NumRegisters() int { return s.numRegs }
-
-// Reset clears the sketch, keeping its configuration.
-func (s *Sketch) Reset() {
-	for i := range s.regs {
-		s.regs[i] = 0
-	}
-}
-
 // NumRegsForEpsilon returns the register count targeting relative
 // error eps (stderr ≈ 1.04/√m), rounded up to ≥ 16.
 func NumRegsForEpsilon(eps float64) int {

@@ -68,17 +68,13 @@ func TestMergeMismatch(t *testing.T) {
 	}
 }
 
-func TestResetAndAccessors(t *testing.T) {
+func TestSizeBytes(t *testing.T) {
 	s := New(128, 1)
 	for x := uint64(0); x < 10000; x++ {
 		s.Process(x)
 	}
-	if s.SizeBytes() != 128 || s.NumRegisters() != 128 {
-		t.Errorf("Size=%d NumRegisters=%d", s.SizeBytes(), s.NumRegisters())
-	}
-	s.Reset()
-	if got := s.Estimate(); got != 0 {
-		t.Errorf("estimate after Reset = %v", got)
+	if s.SizeBytes() != 128 || len(s.regs) != 128 {
+		t.Errorf("%d registers in %d bytes, want 128 in 128", len(s.regs), s.SizeBytes())
 	}
 }
 

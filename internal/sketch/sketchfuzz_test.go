@@ -91,6 +91,26 @@ func kmvEnvelope(k, count uint64, deltas ...uint64) []byte {
 	return b
 }
 
+// bjkstEnvelope frames a hand-built bjkst payload — capacity 8, level
+// z, then (fingerprint, level) buckets in the order given — under a
+// correct envelope header.
+func bjkstEnvelope(z uint64, buckets ...[2]uint32) []byte {
+	const capacity, seed = 8, 1
+	info, _ := sketch.Lookup(sketch.KindBJKST)
+	b := []byte{sketch.EnvelopeMagic0, sketch.EnvelopeMagic1, byte(info.Kind), info.Version}
+	b = binary.LittleEndian.AppendUint64(b, sketch.ConfigDigest(sketch.KindBJKST, capacity, seed))
+	b = append(b, 'B', 'J', '1')
+	b = binary.LittleEndian.AppendUint64(b, seed)
+	b = binary.AppendUvarint(b, capacity)
+	b = binary.AppendUvarint(b, z)
+	b = binary.AppendUvarint(b, uint64(len(buckets)))
+	for _, bk := range buckets {
+		b = binary.LittleEndian.AppendUint32(b, bk[0])
+		b = append(b, byte(bk[1]))
+	}
+	return b
+}
+
 // gtCapacity is the capacity of the hand-built gt copies below.
 const gtCapacity = 64
 
@@ -189,6 +209,18 @@ func FuzzSketchOpen(f *testing.F) {
 	// 20-byte payload, and a delta that wraps past 2^64.
 	f.Add(kmvEnvelope(1<<22, 1<<22, 1))
 	f.Add(kmvEnvelope(8, 2, math.MaxUint64-4, 10))
+	// bjkst payloads the decoder must refuse: two buckets out of
+	// fingerprint order, and a level z above hashing.MaxLevel, which
+	// would read an estimate of 2^62.
+	for _, env := range [][]byte{
+		bjkstEnvelope(0, [2]uint32{7, 1}, [2]uint32{3, 2}),
+		bjkstEnvelope(hashing.MaxLevel+1, [2]uint32{5, hashing.MaxLevel + 1}),
+	} {
+		if _, err := sketch.Open(env); !errors.Is(err, sketch.ErrCorrupt) {
+			f.Fatalf("forged bjkst envelope: Open err = %v, want ErrCorrupt", err)
+		}
+		f.Add(env)
+	}
 	valid, forged := gtForgeries()
 	if _, err := sketch.Open(valid); err != nil {
 		f.Fatalf("hand-built gt envelope refused: %v", err)

@@ -9,7 +9,7 @@ import (
 // error or produce a replayable source, never panic.
 func FuzzRead(f *testing.F) {
 	var buf bytes.Buffer
-	if err := Write(&buf, FromLabels([]uint64{1, 2, 3, 1 << 60})); err != nil {
+	if err := Write(&buf, FromSlice([]Item{{1, 1}, {2, 1}, {3, 1}, {1 << 60, 1}})); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())

@@ -38,14 +38,14 @@ func TestWriteReadEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 0 {
-		t.Errorf("len = %d", got.Len())
+	if n := Count(got); n != 0 {
+		t.Errorf("len = %d", n)
 	}
 }
 
 func TestReadErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, FromLabels([]uint64{1, 2, 3})); err != nil {
+	if err := Write(&buf, FromSlice([]Item{{1, 1}, {2, 1}, {3, 1}})); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -73,8 +73,8 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 1000 {
-		t.Errorf("len = %d", got.Len())
+	if n := Count(got); n != 1000 {
+		t.Errorf("len = %d", n)
 	}
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.gts")); err == nil {
 		t.Error("missing file read succeeded")

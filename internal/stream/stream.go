@@ -71,15 +71,6 @@ func FromSlice(items []Item) *SliceSource {
 	return &SliceSource{items: items}
 }
 
-// FromLabels returns a Source over bare labels (value 1 each).
-func FromLabels(labels []uint64) *SliceSource {
-	items := make([]Item, len(labels))
-	for i, l := range labels {
-		items[i] = Item{Label: l, Value: 1}
-	}
-	return &SliceSource{items: items}
-}
-
 // Next implements Source.
 func (s *SliceSource) Next() (Item, bool) {
 	if s.pos >= len(s.items) {
@@ -92,6 +83,3 @@ func (s *SliceSource) Next() (Item, bool) {
 
 // Reset implements Source.
 func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of items in the source.
-func (s *SliceSource) Len() int { return len(s.items) }

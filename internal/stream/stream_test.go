@@ -13,8 +13,8 @@ func TestFromSlice(t *testing.T) {
 	if len(got) != 3 || got[1].Value != 5 {
 		t.Errorf("Collect = %v", got)
 	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
+	if n := Count(s); n != 3 {
+		t.Errorf("Count = %d", n)
 	}
 	// Collect resets, so a second Collect sees everything again.
 	if len(Collect(s)) != 3 {
@@ -22,16 +22,8 @@ func TestFromSlice(t *testing.T) {
 	}
 }
 
-func TestFromLabels(t *testing.T) {
-	s := FromLabels([]uint64{7, 8})
-	items := Collect(s)
-	if len(items) != 2 || items[0] != (Item{7, 1}) || items[1] != (Item{8, 1}) {
-		t.Errorf("items = %v", items)
-	}
-}
-
 func TestCountAndFeed(t *testing.T) {
-	s := FromLabels([]uint64{1, 2, 3})
+	s := FromSlice([]Item{{1, 1}, {2, 1}, {3, 1}})
 	if Count(s) != 3 {
 		t.Error("Count wrong")
 	}

@@ -60,8 +60,6 @@ const (
 	// may lose the most recent acked records (a process crash does
 	// not). Replay idempotence makes the partial tail safe either way.
 	SyncNever
-
-	numSyncPolicies
 )
 
 // String implements fmt.Stringer.

@@ -218,9 +218,6 @@ func New(cfg Config) *Sketch {
 	return s
 }
 
-// Config returns the sketch's configuration.
-func (s *Sketch) Config() Config { return s.cfg }
-
 // Process observes label at timestamp ts. Timestamps must be
 // non-decreasing within the stream.
 func (s *Sketch) Process(label uint64, ts uint64) error {
