@@ -117,9 +117,14 @@ echo "== hot-path allocation table (internal/allocgate, -race, x3) =="
 # is the least of three measurements on fresh state, since the
 # runtime's type-assertion cache fill and the seed-dependent growth of
 # a map that deletes (a window level's index) can each add a malloc to
-# one of them. The stage runs the test three times, so a row that
-# still varies fails here rather than in a later change.
-go test -race -run '^TestHotPathAllocSummaries$' -count=3 ./internal/allocgate
+# one of them. The stage also runs the gt/decode and gt/absorb rows at
+# other copy counts and capacities (TestGTProductionConfigAllocs) and
+# the open-byte bounds (TestProductionConfigOpenCost: an hll or fm open
+# under 1 KiB, and one registry-config gt open, 11 copies of capacity
+# 1200, under 310,000 B, which is what a gt group holds). It runs the
+# tests three times, so a row that still varies fails here rather than
+# in a later change.
+go test -race -run '^(TestHotPathAllocSummaries|TestGTProductionConfigAllocs|TestProductionConfigOpenCost)$' -count=3 ./internal/allocgate
 
 echo "== benchmarks (every benchmark, one iteration) =="
 # No other stage executes a benchmark function: the runs above only

@@ -31,14 +31,17 @@
 //
 // # Representation
 //
-// The sample is one flat open-addressing table of (label, weight,
-// level) slots with linear probing, sized to stay at most three
-// quarters full. Processing probes it; merging probe-inserts the other
-// sampler's occupied slots above the level; raising is one histogram
-// pass over the cached levels followed by an in-place filter; cloning
-// is a copy. Labels are sorted only when encoding, which keeps the
-// wire format canonical. An Estimator holds its copies by value and
-// decodes every copy's table into one slab.
+// The sample is one flat open-addressing table with linear probing,
+// stored in 16-slot buckets that keep each field in its own array, so
+// a (label, weight, level) slot costs 17 bytes. A table is at most
+// three quarters full: a built one has room for Capacity+1 entries, a
+// decoded one for twice its count up to Capacity+1, and growth stops
+// at the Capacity+1 length. Processing probes it; merging
+// probe-inserts the other sampler's occupied slots above the level;
+// raising is one histogram pass over the cached levels followed by an
+// in-place filter; cloning is a copy. Labels are sorted only when
+// encoding, which keeps the wire format canonical. An Estimator holds
+// its copies by value and decodes every copy's table into one slab.
 //
 // An Estimator bundles r independent Sampler copies and returns the
 // median of their estimates, boosting the success probability from

@@ -17,10 +17,8 @@ import (
 // byte.
 func referenceSamplerEncoding(s *Sampler, b []byte) []byte {
 	var labels []uint64
-	for _, e := range s.table {
-		if e.lv != 0 {
-			labels = append(labels, e.label)
-		}
+	for _, e := range retained(s) {
+		labels = append(labels, e.label)
 	}
 	slices.Sort(labels)
 	b = append(b, wireMagic0, wireMagic1, wireVersion, byte(s.cfg.Family), byte(s.cfg.Raise))
@@ -33,7 +31,8 @@ func referenceSamplerEncoding(s *Sampler, b []byte) []byte {
 		b = binary.AppendUvarint(b, label-prev)
 		prev = label
 		i, _ := s.find(label)
-		b = binary.AppendUvarint(b, s.table[i].weight)
+		slot, j := s.at(i)
+		b = binary.AppendUvarint(b, slot.weight[j])
 	}
 	return b
 }

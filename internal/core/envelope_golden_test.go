@@ -131,8 +131,8 @@ func buildGoldenEntries(t *testing.T) []goldenEntry {
 		eb.Process(x)
 	}
 	inter, diff := &Sampler{}, &Sampler{}
-	combineInto(inter, sa, sb, true, make([]entry, tableSize(sa.n)))
-	combineInto(diff, sa, sb, false, make([]entry, tableSize(sa.n)))
+	combineInto(inter, sa, sb, true, newTable(tableSize(sa.n)))
+	combineInto(diff, sa, sb, false, newTable(tableSize(sa.n)))
 	einter, err := ea.CombineIntersect(eb)
 	if err != nil {
 		t.Fatalf("combine intersect: %v", err)

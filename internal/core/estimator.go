@@ -58,8 +58,8 @@ func NewEstimator(cfg EstimatorConfig) *Estimator {
 	checkConfig(Config{Capacity: cfg.Capacity, Family: cfg.Family})
 	sm := hashing.NewSplitMix64(cfg.Seed)
 	e := &Estimator{cfg: cfg, copies: make([]Sampler, cfg.Copies)}
-	size := tableSize(cfg.Capacity + 1)
-	slab := make([]entry, size*cfg.Copies)
+	size := tableSize(cfg.Capacity+1) / bucketSlots
+	slab := make([]bucket, size*cfg.Copies)
 	for i := range e.copies {
 		c := Config{Capacity: cfg.Capacity, Seed: sm.Next(), Family: cfg.Family, Raise: cfg.Raise}
 		e.copies[i].init(c, 0, slab[i*size:(i+1)*size:(i+1)*size])
@@ -170,7 +170,7 @@ func (e *Estimator) Clone() *Estimator {
 	for i := range e.copies {
 		total += len(e.copies[i].table)
 	}
-	slab := make([]entry, total)
+	slab := make([]bucket, total)
 	for i := range c.copies {
 		n := copy(slab, e.copies[i].table)
 		c.copies[i].table, slab = slab[:n:n], slab[n:]
@@ -223,8 +223,8 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 type estimatorHeader struct {
 	cfg    EstimatorConfig
 	copies decoder
-	// slots is Σ tableSize(count) over the copies, a decoded
-	// estimator's table slab; entries is Σ count, a staged run's.
+	// slots is Σ decodedSize over the copies, a decoded estimator's
+	// table slab; entries is Σ count, a staged run's.
 	slots   int
 	entries int
 }
@@ -272,7 +272,7 @@ func parseEstimator(data []byte) (estimatorHeader, error) {
 		if c.Seed != sm.Next() {
 			return h, fmt.Errorf("%w: copy %d seed is not derived from the master seed", ErrCorrupt, i)
 		}
-		h.slots += tableSize(ch.count)
+		h.slots += decodedSize(ch)
 		h.entries += ch.count
 	}
 	if len(d.buf) != 0 {
@@ -297,10 +297,10 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	copies := make([]Sampler, h.cfg.Copies)
-	slab := make([]entry, h.slots)
+	slab := newTable(h.slots)
 	for i := range copies {
 		ch, entries, _ := h.copies.nextCopy(i) // parseEstimator parsed these bytes without error
-		size := tableSize(ch.count)
+		size := decodedSize(ch) / bucketSlots
 		copies[i].init(ch.cfg, ch.level, slab[:size:size])
 		slab = slab[size:]
 		if err := copies[i].scanEntries(entries, ch.count, nil); err != nil {

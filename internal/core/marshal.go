@@ -56,17 +56,21 @@ func (s *Sampler) AppendBinary(b []byte) ([]byte, error) {
 // long. It is the one place a sample is sorted: slot positions are
 // random per process, and an encoding must not depend on them.
 func (s *Sampler) sortEntries(labels, weights []uint64) {
-	j := 0
-	for _, e := range s.table {
-		if e.lv != 0 {
-			labels[j] = e.label
-			j++
+	n := 0
+	for k := range s.table {
+		b := &s.table[k]
+		for j, lv := range b.lv {
+			if lv != 0 {
+				labels[n] = b.label[j]
+				n++
+			}
 		}
 	}
 	slices.Sort(labels)
-	for j, label := range labels {
+	for n, label := range labels {
 		i, _ := s.find(label)
-		weights[j] = s.table[i].weight
+		b, j := s.at(i)
+		weights[n] = b.weight[j]
 	}
 }
 
@@ -175,13 +179,25 @@ func parseHeader(data []byte) (samplerHeader, []byte, error) {
 	return h, d.buf, nil
 }
 
+// decodedSize returns the table length of a copy decoded from h: room
+// for twice its entries, capped at Capacity+1 (where a merge raises)
+// and never below its count. A copy decoded from a near-capacity
+// sample, as a coordinator's group is, merges up to Capacity+1 entries
+// without growing, and the table is bounded by the entry count, never
+// by the declared capacity alone, so a forged header with a huge
+// capacity cannot make the decoder allocate gigabytes before any
+// validation fails.
+func decodedSize(h samplerHeader) int {
+	return tableSize(max(h.count, min(h.cfg.Capacity+1, 2*h.count)))
+}
+
 // scanEntries reads count encoded entries of copy s in label order
 // and validates each as it goes: labels strictly increase without
 // overflowing, every level is at least s's declared level, and no byte
 // trails. It is the one entry decoder. With out nil it places each
-// entry in s's table, which must be empty and sized for count entries
-// (a decode); otherwise s holds no table and each entry is written to
-// out[:count] (a stage, see stageRun).
+// entry in s's table, which must be empty and hold at least count
+// entries (a decode); otherwise s holds no table and each entry is
+// written to out[:count] (a stage, see stageRun).
 func (s *Sampler) scanEntries(body []byte, count int, out []entry) error {
 	d := decoder{buf: body}
 	var label uint64
@@ -208,10 +224,10 @@ func (s *Sampler) scanEntries(body []byte, count int, out []entry) error {
 			return fmt.Errorf("%w: label %d has level %d below sketch level %d", ErrCorrupt, label, lvl, s.level)
 		}
 		if out != nil {
-			out[i] = entry{label: label, weight: weight, lv: int32(lvl) + 1}
+			out[i] = entry{label: label, weight: weight, lv: uint8(lvl) + 1}
 			continue
 		}
-		s.place(label, weight, int32(lvl)+1)
+		s.place(label, weight, uint8(lvl)+1)
 		s.weightSum += weight
 	}
 	if len(d.buf) != 0 {
@@ -232,12 +248,8 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	// The table is sized by the actual entry count, never by the
-	// declared capacity — otherwise a forged header with a huge
-	// capacity makes the decoder allocate gigabytes before any
-	// validation fails.
 	var tmp Sampler
-	tmp.init(h.cfg, h.level, make([]entry, tableSize(h.count)))
+	tmp.init(h.cfg, h.level, newTable(decodedSize(h)))
 	if err := tmp.scanEntries(body, h.count, nil); err != nil {
 		return err
 	}

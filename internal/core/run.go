@@ -35,7 +35,7 @@ func stageRun(data []byte) (*stagedRun, error) {
 		// The copy's level hash and declared level, holding no table.
 		var c Sampler
 		c.init(ch.cfg, ch.level, nil)
-		rest[0] = entry{label: uint64(ch.count), weight: ch.cfg.Seed, lv: int32(ch.level)}
+		rest[0] = entry{label: uint64(ch.count), weight: ch.cfg.Seed, lv: uint8(ch.level)}
 		if err := c.scanEntries(body, ch.count, rest[1:1+ch.count]); err != nil {
 			return nil, fmt.Errorf("copy %d: %w", i, err)
 		}
@@ -57,8 +57,8 @@ func (r *stagedRun) Digest() uint64 { return r.cfg.digest() }
 // MergeInto folds the run into dst, which must be an *Estimator of the
 // run's configuration (ErrMismatch otherwise, leaving dst unchanged).
 // It is Merge with the run standing in for the decoded estimator: each
-// copy goes through the same mergeEntries, so dst ends byte-identical
-// to dst.Merge of the decoded payload.
+// copy goes through the same raiseTo and add, so dst ends
+// byte-identical to dst.Merge of the decoded payload.
 func (r *stagedRun) MergeInto(dst sketch.Sketch) error {
 	e, ok := dst.(*Estimator)
 	if !ok || e == nil {
@@ -78,8 +78,11 @@ func (r *stagedRun) MergeInto(dst sketch.Sketch) error {
 	}
 	rest = r.slab
 	for i := range e.copies {
-		n := 1 + rest[0].label
-		e.copies[i].mergeEntries(int(rest[0].lv), rest[1:n])
+		c, n := &e.copies[i], 1+rest[0].label
+		c.raiseTo(int(rest[0].lv))
+		for _, x := range rest[1:n] {
+			c.add(x.label, x.weight, x.lv)
+		}
 		rest = rest[n:]
 	}
 	return nil

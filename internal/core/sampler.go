@@ -54,39 +54,41 @@ type Config struct {
 	Raise RaisePolicy
 }
 
-// entry is one slot of a Sampler's table.
+// bucketSlots is the number of slots in a bucket.
+const bucketSlots = 16
+
+// bucket holds bucketSlots consecutive slots of a Sampler's table, one
+// array per field, so a slot costs 17 bytes with no padding.
+type bucket struct {
+	// lv[j] is ℓ(label[j])+1, cached so raises need no re-hashing; 0
+	// marks an empty slot (label 0 is a legal label, so the label
+	// cannot).
+	lv     [bucketSlots]uint8
+	label  [bucketSlots]uint64
+	weight [bucketSlots]uint64 // the label's value (1 for plain distinct counting)
+}
+
+// entry is one retained label outside a table: a slot of a staged run
+// (see stagedRun).
 type entry struct {
 	label  uint64
-	weight uint64 // the label's value (1 for plain distinct counting)
-	// lv is ℓ(label)+1, cached so raises need no re-hashing; 0 marks
-	// an empty slot (label 0 is a legal label, so the label cannot).
-	lv int32
+	weight uint64
+	lv     uint8 // ℓ(label)+1, as in a table
 }
 
-// minTable is the smallest table length.
-const minTable = 8
-
-// tableSize returns the table length for n entries: the smallest
-// power of two at least 4n/3, so a table holding n entries is at most
-// three quarters full.
+// tableSize returns the table length, in slots, for n entries: the
+// smallest whole number of buckets at least 4n/3 slots long, so a
+// table holding n entries is at most three quarters full and always
+// has an empty slot to end a probe.
 func tableSize(n int) int {
-	size := minTable
-	for 3*size < 4*n {
-		size <<= 1
-	}
-	return size
+	slots := (4*n + 2) / 3
+	return max(bucketSlots, (slots+bucketSlots-1)/bucketSlots*bucketSlots)
 }
 
-// slotKey randomizes slot positions per process, as Go's maps do, so
-// a crafted label set cannot pile into one probe run. Slot positions
-// are never observable: AppendBinary sorts, and every estimate is a
-// count or an integer sum.
-var slotKey = maphash.Bytes(maphash.MakeSeed(), nil)
-
-// home returns label's preferred slot in a table of the given
-// power-of-two length.
-func home(label uint64, size int) int {
-	return int(hashing.Mix64(label^slotKey) >> (bits.LeadingZeros64(uint64(size)) + 1))
+// newTable returns an empty table of the given length in slots, a
+// multiple of bucketSlots.
+func newTable(slots int) []bucket {
+	return make([]bucket, slots/bucketSlots)
 }
 
 // Sampler maintains a coordinated adaptive sample of the distinct
@@ -107,8 +109,20 @@ type Sampler struct {
 	pairwise hashing.Pairwise
 	hash     hashing.Family
 	level    int
-	table    []entry // len is a power of two; see tableSize
-	n        int     // occupied slots
+	// table holds tableSize(k) slots for the k entries it was sized
+	// for: Capacity+1 when built, at most that when decoded (see
+	// decodedSize) or grown (see grow), and more only once the sampler
+	// is parked over capacity.
+	table []bucket
+	// key is mixed into every home slot. Each table draws its own, as
+	// each Go map draws its seed, so a crafted label set cannot pile
+	// into one probe run, and a merge that walks another table in slot
+	// order does not insert in this table's home order, which would
+	// pack the entries it inserts before a raise into one stretch of
+	// the table. Slot positions are never observable: AppendBinary
+	// sorts, and every estimate is a count or an integer sum.
+	key uint64
+	n   int // occupied slots
 	// weightSum caches Σ weights of retained entries so estimates are
 	// O(1); it is maintained on every insert/discard.
 	weightSum uint64
@@ -121,7 +135,7 @@ type Sampler struct {
 func NewSampler(cfg Config) *Sampler {
 	checkConfig(cfg)
 	s := &Sampler{}
-	s.init(cfg, 0, make([]entry, tableSize(cfg.Capacity+1)))
+	s.init(cfg, 0, newTable(tableSize(cfg.Capacity+1)))
 	return s
 }
 
@@ -135,9 +149,9 @@ func checkConfig(cfg Config) {
 }
 
 // init makes s an empty sampler at the given level over table, which
-// must be zeroed and a power of two long.
-func (s *Sampler) init(cfg Config, level int, table []entry) {
-	*s = Sampler{cfg: cfg, level: level, table: table}
+// must be zeroed.
+func (s *Sampler) init(cfg Config, level int, table []bucket) {
+	*s = Sampler{cfg: cfg, level: level, table: table, key: maphash.Bytes(maphash.MakeSeed(), nil)}
 	if cfg.Family == FamilyPairwise {
 		s.pairwise = hashing.NewPairwise(cfg.Seed)
 	} else {
@@ -155,16 +169,35 @@ func (s *Sampler) levelOf(label uint64) int {
 	}
 }
 
+// slots returns the table's length in slots.
+func (s *Sampler) slots() int { return len(s.table) * bucketSlots }
+
+// home returns label's preferred slot in a table of size slots: the
+// high word of the label, mixed with the table's key, times the size.
+func (s *Sampler) home(label uint64, size int) int {
+	hi, _ := bits.Mul64(hashing.Mix64(label^s.key), uint64(size))
+	return int(hi)
+}
+
+// at returns the bucket holding slot i and i's index in it.
+func (s *Sampler) at(i int) (*bucket, int) {
+	return &s.table[uint(i)/bucketSlots], int(uint(i) % bucketSlots)
+}
+
 // find returns the slot holding label, or the empty slot where it
 // would go.
 func (s *Sampler) find(label uint64) (int, bool) {
-	mask := len(s.table) - 1
-	for i := home(label, len(s.table)); ; i = (i + 1) & mask {
-		if s.table[i].lv == 0 {
+	size := s.slots()
+	for i := s.home(label, size); ; {
+		b, j := s.at(i)
+		if b.lv[j] == 0 {
 			return i, false
 		}
-		if s.table[i].label == label {
+		if b.label[j] == label {
 			return i, true
+		}
+		if i++; i == size {
+			i = 0
 		}
 	}
 }
@@ -177,40 +210,59 @@ func (s *Sampler) has(label uint64) bool {
 
 // place stores a label the table does not hold in its slot; lv is
 // ℓ(label)+1.
-func (s *Sampler) place(label, weight uint64, lv int32) {
-	mask := len(s.table) - 1
-	i := home(label, len(s.table))
-	for s.table[i].lv != 0 {
-		i = (i + 1) & mask
+func (s *Sampler) place(label, weight uint64, lv uint8) {
+	size := s.slots()
+	i := s.home(label, size)
+	b, j := s.at(i)
+	for b.lv[j] != 0 {
+		if i++; i == size {
+			i = 0
+		}
+		b, j = s.at(i)
 	}
-	e := &s.table[i]
-	e.label, e.weight, e.lv = label, weight, lv
+	b.label[j], b.weight[j], b.lv[j] = label, weight, lv
 }
 
-// insert adds label unless it is already in the sample, and reports
-// whether it did; lv is ℓ(label)+1. The table doubles when it would
-// pass three quarters full.
-func (s *Sampler) insert(label, weight uint64, lv int32) bool {
+// insert adds label unless it is already in the sample, and raises
+// the level if the sample then overflows Capacity; lv is ℓ(label)+1.
+// The table grows when it would pass three quarters full.
+func (s *Sampler) insert(label, weight uint64, lv uint8) {
 	i, ok := s.find(label)
 	if ok {
-		return false
+		return
 	}
-	if 4*(s.n+1) > 3*len(s.table) {
-		old := s.table
-		// The table doubles at most log2(Capacity) times; Len stays ≤ Capacity+1 between raises.
-		s.table = make([]entry, 2*len(old))
-		for _, o := range old {
-			if o.lv != 0 {
-				s.place(o.label, o.weight, o.lv)
-			}
-		}
+	if 4*(s.n+1) > 3*s.slots() {
+		s.grow()
 		i, _ = s.find(label)
 	}
-	e := &s.table[i]
-	e.label, e.weight, e.lv = label, weight, lv
+	b, j := s.at(i)
+	b.label[j], b.weight[j], b.lv[j] = label, weight, lv
 	s.n++
 	s.weightSum += weight
-	return true
+	if s.n > s.cfg.Capacity {
+		s.raise()
+	}
+}
+
+// grow moves the table to twice its length, or to the Capacity+1
+// length when that is shorter and holds one more entry: between
+// raises a sampler holds at most Capacity+1 entries, so a table stops
+// growing at that length unless the sampler is parked over capacity.
+func (s *Sampler) grow() {
+	old := s.table
+	size := min(2*s.slots(), tableSize(s.cfg.Capacity+1))
+	if 4*(s.n+1) > 3*size {
+		size = 2 * s.slots()
+	}
+	s.table = newTable(size)
+	for k := range old {
+		b := &old[k]
+		for j, lv := range b.lv {
+			if lv != 0 {
+				s.place(b.label[j], b.weight[j], lv)
+			}
+		}
+	}
 }
 
 // filter drops every entry below the current level in one walk of
@@ -221,24 +273,28 @@ func (s *Sampler) insert(label, weight uint64, lv int32) bool {
 // already been walked, so the probe stops at or before the old slot,
 // and every survivor is again reachable from its home.
 func (s *Sampler) filter() {
-	mask := len(s.table) - 1
+	size := s.slots()
 	start := 0
-	for s.table[start].lv != 0 {
+	for b, j := s.at(start); b.lv[j] != 0; b, j = s.at(start) {
 		start++
 	}
-	for k := 1; k < len(s.table); k++ {
-		i := (start + k) & mask
-		e := s.table[i]
-		if e.lv == 0 {
+	for k := 1; k < size; k++ {
+		i := start + k
+		if i >= size {
+			i -= size
+		}
+		b, j := s.at(i)
+		lv := b.lv[j]
+		if lv == 0 {
 			continue
 		}
-		s.table[i] = entry{}
-		if int(e.lv) <= s.level {
+		b.lv[j] = 0
+		if int(lv) <= s.level {
 			s.n--
-			s.weightSum -= e.weight
+			s.weightSum -= b.weight[j]
 			continue
 		}
-		s.place(e.label, e.weight, e.lv)
+		s.place(b.label[j], b.weight[j], lv)
 	}
 }
 
@@ -255,13 +311,8 @@ func (s *Sampler) Process(label uint64) {
 // retains and ignores repeats, matching the paper's "each label has a
 // fixed associated value" semantics.
 func (s *Sampler) ProcessWeighted(label, value uint64) {
-	lvl := s.levelOf(label)
-	if lvl < s.level {
-		return // below the sample's threshold: discarded unseen
-	}
-	if s.insert(label, value, int32(lvl)+1) && s.n > s.cfg.Capacity {
-		s.raise()
-	}
+	// A label below the sample's threshold is discarded unseen.
+	s.add(label, value, uint8(s.levelOf(label))+1)
 }
 
 // raise jumps the level to the smallest one above the current level
@@ -273,8 +324,10 @@ func (s *Sampler) ProcessWeighted(label, value uint64) {
 func (s *Sampler) raise() {
 	// hist[lv] counts the entries with ℓ = lv-1 (hist[0] the empties).
 	var hist [hashing.MaxLevel + 2]int
-	for i := range s.table {
-		hist[s.table[i].lv]++
+	for k := range s.table {
+		for _, lv := range s.table[k].lv {
+			hist[lv]++
+		}
 	}
 	suffix := 0
 	target := hashing.MaxLevel
@@ -305,27 +358,32 @@ func (s *Sampler) Merge(other *Sampler) error {
 	if s.cfg.Seed != other.cfg.Seed || s.cfg.Capacity != other.cfg.Capacity || s.cfg.Family != other.cfg.Family {
 		return fmt.Errorf("%w: %+v vs %+v", ErrMismatch, s.describe(), other.describe())
 	}
-	s.mergeEntries(other.level, other.table)
+	s.raiseTo(other.level)
+	for k := range other.table {
+		b := &other.table[k]
+		for j, lv := range b.lv {
+			s.add(b.label[j], b.weight[j], lv)
+		}
+	}
 	return nil
 }
 
-// mergeEntries folds a coordinated sample at level into s: it raises
-// s to level and filters, then inserts the entries above s's level,
-// raising on overflow. entries is another sampler's table or one copy
-// of a staged run; the union reached does not depend on their order.
-func (s *Sampler) mergeEntries(level int, entries []entry) {
+// raiseTo raises s to the level of a coordinated sample being merged
+// in, filtering, if that level is above s's.
+func (s *Sampler) raiseTo(level int) {
 	if level > s.level {
 		s.level = level
 		s.filter()
 	}
-	for _, e := range entries {
-		// Skips empty slots (lv 0) and entries below s's level alike.
-		if int(e.lv) <= s.level {
-			continue
-		}
-		if s.insert(e.label, e.weight, e.lv) && s.n > s.cfg.Capacity {
-			s.raise()
-		}
+}
+
+// add inserts a label whose cached level lv (ℓ+1) is above s's level
+// and skips any other, an empty slot's lv 0 included. Process goes
+// through it, and so does every entry a merge folds in after raiseTo;
+// the union reached does not depend on the order of the calls.
+func (s *Sampler) add(label, weight uint64, lv uint8) {
+	if int(lv) > s.level {
+		s.insert(label, weight, lv)
 	}
 }
 
@@ -353,9 +411,12 @@ func (s *Sampler) EstimateSum() float64 {
 // as for any sample-based estimator.
 func (s *Sampler) EstimateCountWhere(pred func(label uint64) bool) float64 {
 	n := 0
-	for _, e := range s.table {
-		if e.lv != 0 && pred(e.label) {
-			n++
+	for k := range s.table {
+		b := &s.table[k]
+		for j, lv := range b.lv {
+			if lv != 0 && pred(b.label[j]) {
+				n++
+			}
 		}
 	}
 	return float64(n) * pow2(s.level)
@@ -365,9 +426,12 @@ func (s *Sampler) EstimateCountWhere(pred func(label uint64) bool) float64 {
 // values.
 func (s *Sampler) EstimateSumWhere(pred func(label uint64) bool) float64 {
 	var sum uint64
-	for _, e := range s.table {
-		if e.lv != 0 && pred(e.label) {
-			sum += e.weight
+	for k := range s.table {
+		b := &s.table[k]
+		for j, lv := range b.lv {
+			if lv != 0 && pred(b.label[j]) {
+				sum += b.weight[j]
+			}
 		}
 	}
 	return float64(sum) * pow2(s.level)

@@ -40,10 +40,8 @@ func refState(cfg Config, labels []uint64) (level int, sample map[uint64]bool) {
 // sampleSet returns the labels s retains.
 func sampleSet(s *Sampler) map[uint64]bool {
 	m := map[uint64]bool{}
-	for _, e := range s.table {
-		if e.lv != 0 {
-			m[e.label] = true
-		}
+	for _, e := range retained(s) {
+		m[e.label] = true
 	}
 	return m
 }

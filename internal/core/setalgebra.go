@@ -72,9 +72,9 @@ func (e *Estimator) combineWith(other sketch.Sketch, keepShared bool) (sketch.Sk
 		total += tableSize(e.copies[i].n)
 	}
 	out := &Estimator{cfg: e.cfg, copies: make([]Sampler, len(e.copies))}
-	slab := make([]entry, total)
+	slab := newTable(total)
 	for i := range e.copies {
-		size := tableSize(e.copies[i].n)
+		size := tableSize(e.copies[i].n) / bucketSlots
 		combineInto(&out.copies[i], &e.copies[i], &o.copies[i], keepShared, slab[:size:size])
 		slab = slab[size:]
 	}

@@ -40,9 +40,12 @@ func EstimateIntersection(a, b *Sampler) (float64, error) {
 	}
 	level := max(a.level, b.level)
 	count := 0
-	for _, e := range a.table {
-		if int(e.lv) > level && b.has(e.label) {
-			count++
+	for k := range a.table {
+		x := &a.table[k]
+		for j, lv := range x.lv {
+			if int(lv) > level && b.has(x.label[j]) {
+				count++
+			}
 		}
 	}
 	return float64(count) * pow2(level), nil
@@ -57,9 +60,12 @@ func EstimateDifference(a, b *Sampler) (float64, error) {
 	}
 	level := max(a.level, b.level)
 	count := 0
-	for _, e := range a.table {
-		if int(e.lv) > level && !b.has(e.label) {
-			count++
+	for k := range a.table {
+		x := &a.table[k]
+		for j, lv := range x.lv {
+			if int(lv) > level && !b.has(x.label[j]) {
+				count++
+			}
 		}
 	}
 	return float64(count) * pow2(level), nil
@@ -75,18 +81,24 @@ func EstimateJaccard(a, b *Sampler) (float64, error) {
 	}
 	level := max(a.level, b.level)
 	inter, union := 0, 0
-	for _, e := range a.table {
-		if int(e.lv) <= level {
-			continue
-		}
-		union++
-		if b.has(e.label) {
-			inter++
+	for k := range a.table {
+		x := &a.table[k]
+		for j, lv := range x.lv {
+			if int(lv) <= level {
+				continue
+			}
+			union++
+			if b.has(x.label[j]) {
+				inter++
+			}
 		}
 	}
-	for _, e := range b.table {
-		if int(e.lv) > level && !a.has(e.label) {
-			union++
+	for k := range b.table {
+		y := &b.table[k]
+		for j, lv := range y.lv {
+			if int(lv) > level && !a.has(y.label[j]) {
+				union++
+			}
 		}
 	}
 	if union == 0 {
@@ -105,15 +117,18 @@ func EstimateJaccard(a, b *Sampler) (float64, error) {
 
 // combineInto makes out the level-max(La,Lb) filter of a's entries
 // that b holds (keepShared) or does not hold, over table: zeroed and
-// tableSize(a.n) long, since a's entry count bounds the result. a and
-// b must be coordinated.
-func combineInto(out, a, b *Sampler, keepShared bool, table []entry) {
+// tableSize(a.n) slots long, since a's entry count bounds the result.
+// a and b must be coordinated.
+func combineInto(out, a, b *Sampler, keepShared bool, table []bucket) {
 	out.init(a.cfg, max(a.level, b.level), table)
-	for _, e := range a.table {
-		if int(e.lv) > out.level && b.has(e.label) == keepShared {
-			out.place(e.label, e.weight, e.lv)
-			out.n++
-			out.weightSum += e.weight
+	for k := range a.table {
+		x := &a.table[k]
+		for j, lv := range x.lv {
+			if int(lv) > out.level && b.has(x.label[j]) == keepShared {
+				out.place(x.label[j], x.weight[j], lv)
+				out.n++
+				out.weightSum += x.weight[j]
+			}
 		}
 	}
 }

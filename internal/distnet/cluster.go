@@ -64,7 +64,6 @@ type Cluster struct {
 
 	opts      ClusterOptions
 	serveErrs []chan error // parent at index 0, shard i at index i+1
-	stopped   []bool
 }
 
 // StartCluster boots the parent and all shards on ephemeral loopback
@@ -84,7 +83,6 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		Ring:      cluster.NewRing(opts.Shards, 0, opts.RingSeed),
 		opts:      opts,
 		serveErrs: make([]chan error, opts.Shards+1),
-		stopped:   make([]bool, opts.Shards),
 	}
 
 	start := func(srv *server.Server, slot int) (string, error) {
@@ -164,7 +162,7 @@ func (c *Cluster) Client() (*client.Sharded, error) {
 	return sc, nil
 }
 
-// FlushAll runs one relay flush on every live shard concurrently and
+// FlushAll runs one relay flush on every shard concurrently and
 // returns the total groups delivered upstream. Chaos runs call it in
 // a retry loop: a flush that rode into a fault leaves its groups
 // dirty, so repeating until PendingRelay drains is the at-least-once
@@ -176,9 +174,6 @@ func (c *Cluster) FlushAll() (int, error) {
 	}
 	results := make([]chan res, len(c.Servers))
 	for i, srv := range c.Servers {
-		if c.stopped[i] {
-			continue
-		}
 		ch := make(chan res, 1)
 		results[i] = ch
 		go func(srv *server.Server) {
@@ -189,9 +184,6 @@ func (c *Cluster) FlushAll() (int, error) {
 	var total int
 	var errs []error
 	for i, ch := range results {
-		if ch == nil {
-			continue
-		}
 		r := <-ch
 		total += r.n
 		if r.err != nil {
@@ -201,36 +193,16 @@ func (c *Cluster) FlushAll() (int, error) {
 	return total, errors.Join(errs...)
 }
 
-// PendingRelay sums the not-yet-relayed absorb count across live
+// PendingRelay sums the not-yet-relayed absorb count across the
 // shards — zero means every absorbed sketch has been acked upstream.
 func (c *Cluster) PendingRelay() int64 {
 	var pending int64
-	for i, srv := range c.Servers {
-		if c.stopped[i] {
-			continue
-		}
+	for _, srv := range c.Servers {
 		for _, g := range srv.Stats().Groups {
 			pending += g.PendingRelay
 		}
 	}
 	return pending
-}
-
-// StopShard shuts shard i down — its drain flush pushes everything
-// still dirty upstream — and marks it dead for FlushAll, PendingRelay
-// and Close.
-func (c *Cluster) StopShard(i int) error {
-	if c.stopped[i] {
-		return nil
-	}
-	c.stopped[i] = true
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ShutdownTimeout)
-	defer cancel()
-	err := c.Servers[i].Shutdown(ctx)
-	if serr := <-c.serveErrs[i+1]; err == nil {
-		err = serr
-	}
-	return err
 }
 
 // CrashParent kills the parent coordinator in place — crash switch,
@@ -299,23 +271,27 @@ func (c *Cluster) RestartParent() error {
 	}
 }
 
-// Close stops every live shard, then the parent. Shard drains run
-// before the parent stops accepting, preserving the nothing-left-
-// behind guarantee on a clean tier shutdown.
+// Close stops every shard, then the parent. Each shard's drain flush
+// pushes everything still dirty upstream, and the drains run before
+// the parent stops accepting, preserving the nothing-left-behind
+// guarantee on a clean tier shutdown.
 func (c *Cluster) Close() error {
 	var errs []error
-	for i := range c.Servers {
-		if c.Servers[i] != nil {
-			errs = append(errs, c.StopShard(i))
+	stop := func(srv *server.Server, served chan error) {
+		ctx, cancel := context.WithTimeout(context.Background(), c.opts.ShutdownTimeout)
+		defer cancel()
+		errs = append(errs, srv.Shutdown(ctx))
+		if served != nil {
+			errs = append(errs, <-served)
+		}
+	}
+	for i, srv := range c.Servers {
+		if srv != nil {
+			stop(srv, c.serveErrs[i+1])
 		}
 	}
 	if c.Parent != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), c.opts.ShutdownTimeout)
-		defer cancel()
-		errs = append(errs, c.Parent.Shutdown(ctx))
-		if c.serveErrs[0] != nil {
-			errs = append(errs, <-c.serveErrs[0])
-		}
+		stop(c.Parent, c.serveErrs[0])
 	}
 	return errors.Join(errs...)
 }
